@@ -6,10 +6,18 @@ quadruples, row-append comparisons, stacked-block distributions, and the
 brute-force representation counts. Censuses are data-parallel over
 disjoint index ranges; partial tallies merge by plain addition, so any
 partitioning (including a resumed checkpoint file) gives identical
-results.
+results. A checkpoint line whose counts do not sum to its range's point
+count is rejected.
 
 A coset representative of depth N is an N-bit integer whose bit b
-(least significant first) is the coefficient alpha_{l+b} of the series.
+(least significant first) is the coefficient alpha_{l+b} of the series;
+window row i is its k bits from bit i up. All rank censuses are one walk
+from the top coefficient down: the last row is the top k bits, and each
+lower bit completes one more row, reduced against its prefix's pivots.
+A census kind is data for the walk: corner blocks (column mask, whether
+the last row belongs) whose ranks key the tally; free rows below the
+window, walked depth first through a membership mask of the row space;
+and for sigma, a split by whether the free row raised the rank.
 """
 
 from __future__ import annotations
@@ -20,11 +28,9 @@ from multiprocessing import Pool
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import formulas
-from .builders import rank_profile
 from .dyadic import DyadicRational
 from .exceptions import BudgetExceeded, IncompleteDomain
 from .expsum import fmulti_closed, h_closed
-from .gf2 import rank_of_rows
 from .laurent import Poly2, UnitSeries, poly_mul
 
 __all__ = [
@@ -44,6 +50,8 @@ __all__ = [
 DEFAULT_BUDGET_BITS = 28
 
 Key = Union[int, Tuple]
+# (column mask, whether the last window row belongs to the block)
+Blocks = Tuple[Tuple[int, bool], ...]
 
 
 class CountTable(dict):
@@ -107,8 +115,9 @@ def _key_from_text(text: str) -> Key:
 
 
 def _read_checkpoint(
-    path: str, valid: Iterable[Tuple[int, int]]
+    path: str, valid: Iterable[Tuple[int, int]], weight: int
 ) -> Dict[Tuple[int, int], CountTable]:
+    """Finished chunks of a checkpoint file; weight is points per index."""
     done: Dict[Tuple[int, int], CountTable] = {}
     if not os.path.exists(path):
         return done
@@ -118,7 +127,7 @@ def _read_checkpoint(
             fields = line.split()
             if not fields:
                 continue
-            rng = (int(fields[0]), int(fields[1]))
+            rng = tuple(int(field) for field in fields[:2])
             if rng not in valid_set:
                 raise ValueError(
                     "checkpoint range %r does not match this census;"
@@ -128,6 +137,12 @@ def _read_checkpoint(
             for field in fields[2:]:
                 key_text, _, count_text = field.rpartition(":")
                 counts[_key_from_text(key_text)] = int(count_text)
+            points = (rng[1] - rng[0]) * weight
+            if counts.total() != points:
+                raise ValueError(
+                    "checkpoint range %r counts %d points, not %d;"
+                    " remove %s to start over" % (rng, counts.total(), points, path)
+                )
             done[rng] = counts
     return done
 
@@ -140,99 +155,67 @@ def _checkpoint_line(rng: Tuple[int, int], counts: CountTable) -> str:
 
 
 def _run_chunks(
-    worker,
-    base_args: Tuple,
-    total: int,
+    blocks: Blocks,
+    rows: int,
+    free: int = 0,
+    split: bool = False,
     *,
     threads: int = 1,
     checkpoint: Optional[str] = None,
     chunk_size: Optional[int] = None,
 ) -> CountTable:
-    """Split [0, total) into ranges, run worker over each, merge tallies.
+    """Split the window indices into ranges, walk each, merge tallies.
 
     Chunk boundaries depend only on the domain size (never on the thread
     count) so a checkpoint file written by one run can resume under any
     other worker configuration.
     """
+    k = max(mask for mask, _ in blocks).bit_length()
+    total = 1 << (k + rows - 1)
     if chunk_size is None:
         chunk_size = max(1, total >> 6)
     ranges = _chunk_ranges(total, chunk_size)
-    done = _read_checkpoint(checkpoint, ranges) if checkpoint else {}
+    done = _read_checkpoint(checkpoint, ranges, 1 << (free * k)) if checkpoint else {}
     tally = CountTable()
     for counts in done.values():
         tally += counts
     pending = [rng for rng in ranges if rng not in done]
+    jobs = [(blocks, rows, free, split) + rng for rng in pending]
     out = open(checkpoint, "a", encoding="ascii") if checkpoint else None
+    pool = None
     try:
         if threads > 1 and len(pending) > 1:
-            with Pool(processes=min(threads, len(pending))) as pool:
-                jobs = [base_args + rng for rng in pending]
-                for rng, counts in zip(pending, pool.imap(worker, jobs)):
-                    tally += counts
-                    if out:
-                        out.write(_checkpoint_line(rng, counts))
-                        out.flush()
+            pool = Pool(processes=min(threads, len(pending)))
+            results = pool.imap(_walk_worker, jobs)
         else:
-            for rng in pending:
-                counts = worker(base_args + rng)
-                tally += counts
-                if out:
-                    out.write(_checkpoint_line(rng, counts))
-                    out.flush()
+            results = map(_walk_worker, jobs)
+        for rng, counts in zip(pending, results):
+            tally += counts
+            if out:
+                out.write(_checkpoint_line(rng, counts))
+                out.flush()
     finally:
+        if pool:
+            pool.terminate()
         if out:
             out.close()
     return tally
 
 
 # ---------------------------------------------------------------------------
-# census workers (top level so they cross process boundaries)
+# the window walk (top level so it crosses process boundaries)
 
 
-def _gamma_worker(args: Tuple[int, int, int, int]) -> CountTable:
-    s, k, lo, hi = args
-    mask = (1 << k) - 1
-    counts = CountTable()
-    for v in range(lo, hi):
-        r = rank_of_rows((v >> i) & mask for i in range(s))
-        counts[r] = counts.get(r, 0) + 1
-    return counts
-
-
-def _quad_worker(args: Tuple[int, int, int, int, int]) -> CountTable:
-    l, n, m, lo, hi = args
-    precision = l + n + m - 2
-    counts = CountTable()
-    for v in range(lo, hi):
-        t = UnitSeries(v << (l - 1), precision)
-        profile = tuple(rank_profile(t, l, n, m))
-        counts[profile] = counts.get(profile, 0) + 1
-    return counts
-
-
-def _reduce(vector: int, pivots: Sequence[int]) -> int:
-    for p in pivots:
-        if vector & (p & -p):
-            vector ^= p
-    return vector
-
-
-def _sigma_worker(args: Tuple[int, int, int, int]) -> CountTable:
-    m, k, lo, hi = args
-    mask = (1 << k) - 1
-    counts = CountTable()
-    for tv in range(lo, hi):
-        pivots: List[int] = []
-        for i in range(m + 1):
-            reduced = _reduce((tv >> i) & mask, pivots)
-            if reduced:
-                pivots.append(reduced)
-        r = len(pivots)
-        same = sum(1 for eta in range(1 << k) if not _reduce(eta, pivots))
-        counts[("same", r)] = counts.get(("same", r), 0) + same
-        if same != 1 << k:
-            counts[("up", r + 1)] = counts.get(("up", r + 1), 0) + (1 << k) - same
-    return counts
+def _add_row(masks: Sequence[int], states: Sequence[Tuple[int, ...]], row: int):
+    """Each block's pivots after reducing its columns of one more row."""
+    out = []
+    for mask, pivots in zip(masks, states):
+        reduced = row & mask
+        for p in pivots:
+            if reduced & (p & -p):
+                reduced ^= p
+        out.append(pivots + (reduced,) if reduced else pivots)
+    return out
 
 
 def _xor_shift_masks(k: int) -> List[Tuple[int, int]]:
@@ -266,38 +249,54 @@ def _span_with(span: int, vector: int, masks: Sequence[Tuple[int, int]]) -> int:
     return span | image
 
 
-def _stacked_worker(args: Tuple[int, int, int, int, int]) -> CountTable:
-    n, m, k, lo, hi = args
-    masks = _xor_shift_masks(k)
-    width = 1 << k
-    kmask = width - 1
-    counts = [0] * (min(k, n + m + 1) + 2)
+def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> CountTable:
+    """Tally the windows [lo, hi) of one census kind (see the module docstring)."""
+    blocks, rows, free, split, lo, hi = args
+    columns = [mask for mask, _ in blocks]
+    kmask = max(columns)
+    width = kmask + 1
+    masks = _xor_shift_masks(kmask.bit_length()) if free else []
+    counts = CountTable()
 
-    def walk(span: int, r: int, depth: int) -> None:
-        if depth == 0:
-            counts[r] += 1
-            return
+    def tail(span: int, r: int, depth: int, final: List[int]) -> None:
         if depth == 1:
             inside = span.bit_count()
-            counts[r] += inside
-            counts[r + 1] += width - inside
+            final[r] += inside
+            final[r + 1] += width - inside
             return
         for v in range(width):
             if (span >> v) & 1:
-                walk(span, r, depth - 1)
+                tail(span, r, depth - 1, final)
             else:
-                walk(_span_with(span, v, masks), r + 1, depth - 1)
+                tail(_span_with(span, v, masks), r + 1, depth - 1, final)
 
-    for tv in range(lo, hi):
-        span = 1
-        r = 0
-        for i in range(m + 1):
-            row = (tv >> i) & kmask
-            if not (span >> row) & 1:
-                span = _span_with(span, row, masks)
-                r += 1
-        walk(span, r, n)
-    return CountTable({i: c for i, c in enumerate(counts) if c})
+    def walk(v: int, b: int, states) -> None:
+        # the windows [v, v + 2^b): bits b and up fixed, rows b and up reduced
+        if v >= hi or v + (1 << b) <= lo:
+            return
+        if b:
+            b -= 1
+            for w in (v, v | 1 << b):
+                walk(w, b, _add_row(columns, states, (w >> b) & kmask))
+        elif free:  # free rows extend the one window block
+            span = 1
+            for p in states[0]:
+                span = _span_with(span, p, masks)
+            r = len(states[0])
+            final = [0] * (r + free + 1)  # counts by rank with the free rows
+            tail(span, r, free, final)
+            for f, count in enumerate(final):
+                if count:
+                    counts[("same" if f == r else "up", f) if split else f] += count
+        else:
+            ranks = tuple(map(len, states))
+            counts[ranks if len(ranks) > 1 else ranks[0]] += 1
+
+    # the last row is the top k bits; blocks without it see it as zero
+    last = [mask if with_last else 0 for mask, with_last in blocks]
+    for top in range(lo >> (rows - 1), ((hi - 1) >> (rows - 1)) + 1):
+        walk(top << (rows - 1), rows - 1, _add_row(last, [()] * len(blocks), top))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +315,10 @@ def enum_gamma(
     """Rank distribution of all 2^{k+s-1} s x k coefficient windows."""
     if s < 1 or k < 1:
         raise ValueError("shape must be positive, got %dx%d" % (s, k))
-    bits = k + s - 1
-    _check_budget(bits, budget_bits, "window census %dx%d" % (s, k))
+    _check_budget(k + s - 1, budget_bits, "window census %dx%d" % (s, k))
     return _run_chunks(
-        _gamma_worker,
-        (s, k),
-        1 << bits,
+        (((1 << k) - 1, True),),
+        s,
         threads=threads,
         checkpoint=checkpoint,
         chunk_size=chunk_size,
@@ -345,12 +342,11 @@ def enum_quadruple(
     """
     if l < 1 or n < 1 or m < 1:
         raise ValueError("requires l, n, m >= 1, got l=%d n=%d m=%d" % (l, n, m))
-    bits = n + m - 1
-    _check_budget(bits, budget_bits, "quadruple census %dx%d" % (n, m))
+    _check_budget(n + m - 1, budget_bits, "quadruple census %dx%d" % (n, m))
+    full, narrow = (1 << m) - 1, (1 << (m - 1)) - 1
     return _run_chunks(
-        _quad_worker,
-        (l, n, m),
-        1 << bits,
+        ((narrow, False), (full, False), (narrow, True), (full, True)),
+        n,
         threads=threads,
         checkpoint=checkpoint,
         chunk_size=chunk_size,
@@ -377,9 +373,10 @@ def enum_sigma(
     bits = (k + m) + k
     _check_budget(bits, budget_bits, "row-append census m=%d k=%d" % (m, k))
     merged = _run_chunks(
-        _sigma_worker,
-        (m, k),
-        1 << (k + m),
+        (((1 << k) - 1, True),),
+        1 + m,
+        free=1,
+        split=True,
         threads=threads,
         checkpoint=checkpoint,
         chunk_size=chunk_size,
@@ -405,10 +402,9 @@ def enum_stacked_gamma(
     """Rank distribution of the stacked census: a (1+m) x k window block
     with n unconstrained k-bit rows appended, over all 2^{(k+m)+nk} tuples.
 
-    Every tuple is visited: the walk shares elimination state along common
-    row prefixes (a depth-first traversal of the row grid) and batches the
-    final level through a membership mask, but each leaf's rank comes from
-    reducing that leaf's own rows, never from a size-of-span shortcut.
+    With m = 0 the block is one free-standing row, so
+    enum_stacked_gamma(rows - 1, 0, k) is the census of all rows x k
+    matrices.
     """
     if n < 0 or m < 0 or k < 1:
         raise ValueError(
@@ -417,9 +413,9 @@ def enum_stacked_gamma(
     bits = (k + m) + n * k
     _check_budget(bits, budget_bits, "stacked census n=%d m=%d k=%d" % (n, m, k))
     return _run_chunks(
-        _stacked_worker,
-        (n, m, k),
-        1 << (k + m),
+        (((1 << k) - 1, True),),
+        1 + m,
+        free=n,
         threads=threads,
         checkpoint=checkpoint,
         chunk_size=chunk_size,

@@ -46,7 +46,6 @@ from .expsum import (
     h_closed,
     h_direct,
 )
-from .gf2 import rank_of_rows
 from .laurent import UnitSeries
 
 
@@ -114,24 +113,26 @@ def _verify_profile_census(p, args):
     return _table_text(got), _table_text(census.CountTable(want))
 
 
+def _even_moment(s, k, grid, quads, q):
+    """Integral of g^{2q} over the window grid, and the weighted (j,j,j,j) sum."""
+    depth = k + s - 1
+    lhs = census.integrate_coset([g_closed(s, k, t) ** (2 * q) for t in grid], depth)
+    rhs = DyadicRational(0)
+    for j in range(s):
+        rhs += DyadicRational(quads[(j, j, j, j)], -2 * q * j)
+    rhs *= DyadicRational(1, (s + k - 2) * (2 * q - 1))
+    return _render(lhs), _render(rhs)
+
+
 def _verify_even_moments(p, args):
     """Even power sums of g against the weighted diagonal profile counts."""
     s, k = p["s"], p["k"]
     depth = k + s - 1
     quads = census.enum_quadruple(1, s, k, **_opts(args, "quad"))
+    grid = [UnitSeries(v, depth) for v in range(1 << depth)]
     computed, expected = {}, {}
     for q in range(1, p["q"] + 1):
-        values = [
-            g_closed(s, k, UnitSeries(v, depth)) ** (2 * q)
-            for v in range(1 << depth)
-        ]
-        lhs = census.integrate_coset(values, depth)
-        rhs = DyadicRational(0)
-        for j in range(s):
-            rhs += DyadicRational(quads[(j, j, j, j)], -2 * q * j)
-        rhs *= DyadicRational(1, (s + k - 2) * (2 * q - 1))
-        computed["q=%d" % q] = _render(lhs)
-        expected["q=%d" % q] = _render(rhs)
+        computed["q=%d" % q], expected["q=%d" % q] = _even_moment(s, k, grid, quads, q)
     return computed, expected
 
 
@@ -173,16 +174,14 @@ def _verify_multi_count(p, args):
 
 
 def _verify_unstructured(p, args):
-    """Rank census over all matrices of a shape against the classical product."""
+    """Rank census over all matrices of a shape against the classical product.
+
+    A rows x k matrix is one k-bit row with rows - 1 free rows below it.
+    """
     rows, k = p["rows"], p["k"]
-    census._check_budget(rows * k, args.budget_bits, "matrix census")
-    mask = (1 << k) - 1
-    counts = census.CountTable()
-    for word in range(1 << (rows * k)):
-        r = rank_of_rows([(word >> (i * k)) & mask for i in range(rows)])
-        counts[r] += 1
     want = formulas.landsberg_table(rows, k)
-    return _table_text(counts), _table_text(census.CountTable(want))
+    got = census.enum_stacked_gamma(rows - 1, 0, k, **_opts(args, "landsberg"))
+    return _table_text(got), _table_text(census.CountTable(want))
 
 
 def _verify_partition_suite(p, args):
@@ -219,14 +218,8 @@ def _verify_partition_suite(p, args):
             2 * quads[(i, i, i, i)] + quads[(i - 1, i, i, i + 1)]
         )
     for q in (1, 2):
-        values = [g_closed(s, k, t) ** (2 * q) for t in grid]
-        lhs = census.integrate_coset(values, depth)
-        rhs = DyadicRational(0)
-        for j in range(s):
-            rhs += DyadicRational(quads[(j, j, j, j)], -2 * q * j)
-        rhs *= DyadicRational(1, (s + k - 2) * (2 * q - 1))
-        computed["even power q=%d" % q] = _render(lhs)
-        expected["even power q=%d" % q] = _render(rhs)
+        key = "even power q=%d" % q
+        computed[key], expected[key] = _even_moment(s, k, grid, quads, q)
     return computed, expected
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from persym import census as C
 from persym import formulas as F
-from persym.builders import stacked
+from persym.builders import hankel, rank_profile, stacked
 from persym.dyadic import DyadicRational
 from persym.exceptions import BudgetExceeded, IncompleteDomain, NonIntegerResult
 from persym.expsum import g_closed, h_closed
@@ -16,15 +16,158 @@ from persym.laurent import UnitSeries
 
 def naive_stacked_counts(n, m, k):
     """Per-tuple build-and-rank reference for the stacked census."""
-    counts = {}
+    return merged_tally(naive_window_tallies("stacked", (n, m, k)))
+
+
+def naive_window_tallies(kind, params):
+    """Per-window build-and-rank tallies, one dict per window index.
+
+    gamma (s, k) and quad (l, n, m) rank each window; stacked (n, m, k)
+    ranks each window with every tuple of n free rows; sigma (m, k) ranks
+    each window with every free row and keys the pair by whether the row
+    raised the window's rank.
+    """
+    if kind == "gamma":
+        s, k = params
+        depth = k + s - 1
+        return [{rank(hankel(UnitSeries(v, depth), 1, s, k)): 1}
+                for v in range(1 << depth)]
+    if kind == "quad":
+        l, n, m = params
+        precision = l + n + m - 2
+        return [{tuple(rank_profile(UnitSeries(v << (l - 1), precision), l, n, m)): 1}
+                for v in range(1 << (n + m - 1))]
+    if kind == "sigma":
+        m, k = params
+        tallies = []
+        for tv in range(1 << (k + m)):
+            t = UnitSeries(tv, k + m)
+            base = rank(hankel(t, 1, 1 + m, k))
+            counts = {}
+            for eta in range(1 << k):
+                r = rank(stacked(t, [UnitSeries(eta, k)], m, k))
+                key = ("same" if r == base else "up", r)
+                counts[key] = counts.get(key, 0) + 1
+            tallies.append(counts)
+        return tallies
+    n, m, k = params
     kmask = (1 << k) - 1
+    tallies = []
     for tv in range(1 << (k + m)):
         t = UnitSeries(tv, k + m)
+        counts = {}
         for word in range(1 << (n * k)):
             etas = [UnitSeries((word >> (j * k)) & kmask, k) for j in range(n)]
             r = rank(stacked(t, etas, m, k))
             counts[r] = counts.get(r, 0) + 1
-    return counts
+        tallies.append(counts)
+    return tallies
+
+
+def merged_tally(tallies):
+    out = {}
+    for counts in tallies:
+        for key, value in counts.items():
+            out[key] = out.get(key, 0) + value
+    return out
+
+
+def run_census(kind, params, **opts):
+    """Run one census kind, returning a single tally (sigma as same/up keys)."""
+    if kind == "sigma":
+        same, up = C.enum_sigma(*params, **opts)
+        out = {("same", i): count for i, count in same.items()}
+        out.update({("up", i): count for i, count in up.items()})
+        return out
+    enum = {"gamma": C.enum_gamma, "quad": C.enum_quadruple,
+            "stacked": C.enum_stacked_gamma}[kind]
+    return dict(enum(*params, **opts))
+
+
+def parse_key(text):
+    parts = [int(part) if part.isdigit() else part for part in text.split(",")]
+    return parts[0] if len(parts) == 1 else tuple(parts)
+
+
+def checkpoint_chunks(path):
+    """{(lo, hi): tally} from a checkpoint file's lines."""
+    chunks = {}
+    for line in open(path).read().splitlines():
+        lo, hi, *fields = line.split()
+        chunks[(int(lo), int(hi))] = {
+            parse_key(field.rpartition(":")[0]): int(field.rpartition(":")[2])
+            for field in fields
+        }
+    return chunks
+
+
+def checkpoint_line(lo, hi, counts):
+    """One checkpoint line in the documented format: lo hi key:count ..."""
+    def text(key):
+        return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+    fields = ["%s:%d" % (text(key), value) for key, value in sorted(counts.items())]
+    return " ".join(["%d %d" % (lo, hi)] + fields) + "\n"
+
+
+WALK_GRIDS = [
+    ("gamma", (1, 3)), ("gamma", (3, 4)), ("gamma", (4, 3)), ("gamma", (5, 2)),
+    ("quad", (1, 1, 3)), ("quad", (1, 3, 1)), ("quad", (1, 3, 3)), ("quad", (2, 2, 3)),
+    ("quad", (4, 3, 2)),
+    ("sigma", (0, 1)), ("sigma", (0, 2)), ("sigma", (1, 2)), ("sigma", (2, 2)),
+    ("sigma", (1, 3)),
+    ("stacked", (0, 0, 2)), ("stacked", (0, 2, 2)), ("stacked", (1, 1, 2)),
+    ("stacked", (2, 1, 2)), ("stacked", (2, 0, 2)), ("stacked", (1, 2, 2)),
+]
+
+
+class TestWalkAgainstNaive:
+    """Every census kind, chunk by chunk, against per-point build-and-rank."""
+
+    @pytest.mark.parametrize("kind,params", WALK_GRIDS)
+    @pytest.mark.parametrize("chunk_size", ["whole", 1, 3, 7, None])
+    def test_each_chunk_matches_naive(self, tmp_path, kind, params, chunk_size):
+        windows = naive_window_tallies(kind, params)
+        size = len(windows) if chunk_size == "whole" else chunk_size
+        path = str(tmp_path / "walk.ckpt")
+        total = run_census(kind, params, checkpoint=path, chunk_size=size)
+        assert total == merged_tally(windows)
+        chunks = checkpoint_chunks(path)
+        step = size or max(1, len(windows) >> 6)  # the documented default
+        assert sorted(chunks) == [
+            (lo, min(lo + step, len(windows))) for lo in range(0, len(windows), step)
+        ]
+        for (lo, hi), counts in chunks.items():
+            assert counts == merged_tally(windows[lo:hi]), (lo, hi)
+
+    @pytest.mark.parametrize("kind,params", WALK_GRIDS)
+    def test_two_workers_match_naive(self, tmp_path, kind, params):
+        windows = naive_window_tallies(kind, params)
+        path = str(tmp_path / "walk.ckpt")
+        total = run_census(kind, params, threads=2, checkpoint=path, chunk_size=3)
+        assert total == merged_tally(windows)
+        for (lo, hi), counts in checkpoint_chunks(path).items():
+            assert counts == merged_tally(windows[lo:hi]), (lo, hi)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("gamma", (3, 4)), ("quad", (1, 3, 3)), ("sigma", (1, 2)), ("stacked", (2, 1, 2)),
+    ])
+    def test_resume_from_checkpoint_in_line_format(self, tmp_path, kind, params):
+        windows = naive_window_tallies(kind, params)
+        path = tmp_path / "walk.ckpt"
+        with open(path, "w") as handle:
+            for lo in range(0, len(windows), 6):
+                hi = min(lo + 3, len(windows))
+                handle.write(checkpoint_line(lo, hi, merged_tally(windows[lo:hi])))
+        resumed = run_census(kind, params, checkpoint=str(path), chunk_size=3)
+        assert resumed == merged_tally(windows)
+        for (lo, hi), counts in checkpoint_chunks(str(path)).items():
+            assert counts == merged_tally(windows[lo:hi]), (lo, hi)
+
+    def test_all_matrices_census_is_a_stacked_census(self):
+        for rows in range(1, 5):
+            for k in range(1, 5):
+                got = dict(C.enum_stacked_gamma(rows - 1, 0, k))
+                assert got == F.landsberg_table(rows, k)
 
 
 class TestCountTable:
@@ -181,6 +324,24 @@ class TestPartitioning:
         with open(path, "w") as handle:
             handle.write("\n".join(lines[:2]) + "\n")
         assert dict(C.enum_quadruple(1, 3, 3, checkpoint=path, chunk_size=8)) == ref
+
+    def test_torn_checkpoint_line_is_rejected(self, tmp_path):
+        path = str(tmp_path / "gamma.ckpt")
+        C.enum_gamma(4, 4, checkpoint=path, chunk_size=64)
+        lines = open(path).read().splitlines()
+        assert lines[0].endswith(" 4:32")
+        with open(path, "w") as handle:
+            handle.write("\n".join([lines[0][:-1]] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="counts 35 points, not 64"):
+            C.enum_gamma(4, 4, checkpoint=path, chunk_size=64)
+
+    def test_checkpoint_line_with_wrong_weight_is_rejected(self, tmp_path):
+        # a stacked line counts (hi - lo) windows times 2^{nk} free-row tuples
+        path = str(tmp_path / "stacked.ckpt")
+        with open(path, "w") as handle:
+            handle.write("0 4 0:1 1:3\n")
+        with pytest.raises(ValueError, match="counts 4 points, not 16"):
+            C.enum_stacked_gamma(1, 1, 2, checkpoint=path, chunk_size=4)
 
     def test_checkpoint_chunking_mismatch_is_rejected(self, tmp_path):
         path = str(tmp_path / "gamma.ckpt")
