@@ -13,7 +13,14 @@ from typing import List, NamedTuple, Sequence
 from .gf2 import BitMatrix, rank_of_rows
 from .laurent import UnitSeries
 
-__all__ = ["RankProfile", "hankel", "stacked", "rank_profile", "hankel_rows"]
+__all__ = [
+    "RankProfile",
+    "hankel",
+    "stacked",
+    "rank_profile",
+    "hankel_rows",
+    "stacked_rows",
+]
 
 
 class RankProfile(NamedTuple):
@@ -59,8 +66,8 @@ def hankel(t: UnitSeries, l: int, n: int, m: int) -> BitMatrix:
     return BitMatrix(n, m, hankel_rows(t, l, n, m))
 
 
-def stacked(t: UnitSeries, etas: Sequence[UnitSeries], m: int, k: int) -> BitMatrix:
-    """(1+m) x k persymmetric block of t over one unconstrained row per eta."""
+def stacked_rows(t: UnitSeries, etas: Sequence[UnitSeries], m: int, k: int) -> List[int]:
+    """Bit-packed rows of the (1+m) x k block of t over one row per eta."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if k < 1:
@@ -70,7 +77,12 @@ def stacked(t: UnitSeries, etas: Sequence[UnitSeries], m: int, k: int) -> BitMat
     for eta in etas:
         eta.require(k)
         rows.append(eta.coeffs & mask)
-    return BitMatrix(1 + m + len(etas), k, rows)
+    return rows
+
+
+def stacked(t: UnitSeries, etas: Sequence[UnitSeries], m: int, k: int) -> BitMatrix:
+    """(1+m) x k persymmetric block of t over one unconstrained row per eta."""
+    return BitMatrix(1 + m + len(etas), k, stacked_rows(t, etas, m, k))
 
 
 def rank_profile(t: UnitSeries, l: int, n: int, m: int) -> RankProfile:

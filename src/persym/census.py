@@ -6,8 +6,9 @@ quadruples, row-append comparisons, stacked-block distributions, and the
 brute-force representation counts. Censuses are data-parallel over
 disjoint index ranges; partial tallies merge by plain addition, so any
 partitioning (including a resumed checkpoint file) gives identical
-results. A checkpoint line whose counts do not sum to its range's point
-count is rejected.
+results. A checkpoint file opens with a header naming its census,
+parameters, domain size and chunk size; a file with another header, or
+a line whose counts do not sum to its range's point count, is rejected.
 
 A coset representative of depth N is an N-bit integer whose bit b
 (least significant first) is the coefficient alpha_{l+b} of the series;
@@ -24,12 +25,13 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from multiprocessing import Pool
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import formulas
 from .dyadic import DyadicRational
-from .exceptions import BudgetExceeded, IncompleteDomain
+from .exceptions import DEFAULT_BUDGET_BITS, IncompleteDomain, check_budget
 from .expsum import fmulti_closed, h_closed
 from .laurent import Poly2, UnitSeries, poly_mul
 
@@ -41,13 +43,12 @@ __all__ = [
     "enum_sigma",
     "enum_stacked_gamma",
     "integrate_coset",
+    "integrate_tally",
     "repcount_formula",
     "repcount_multi_formula",
     "repcount_integral",
     "repcount_bruteforce",
 ]
-
-DEFAULT_BUDGET_BITS = 28
 
 Key = Union[int, Tuple]
 # (column mask, whether the last window row belongs to the block)
@@ -77,16 +78,12 @@ class CountTable(dict):
         return sorted(self.items())
 
 
-def _check_budget(bits: int, budget_bits: int, what: str) -> None:
-    if bits > budget_bits:
-        raise BudgetExceeded(
-            "%s needs a 2^%d point domain, over the 2^%d budget"
-            % (what, bits, budget_bits)
-        )
-
-
 # ---------------------------------------------------------------------------
 # chunked enumeration driver
+
+# Starting a worker pool costs about 15 ms (2-vCPU x86 host, Python 3.11);
+# below this many pending points one process finishes first.
+_POOL_MIN_POINTS = 1 << 14
 
 
 def _chunk_ranges(total: int, chunk_size: int) -> List[Tuple[int, int]]:
@@ -115,35 +112,51 @@ def _key_from_text(text: str) -> Key:
 
 
 def _read_checkpoint(
-    path: str, valid: Iterable[Tuple[int, int]], weight: int
+    path: str, header: str, valid: Iterable[Tuple[int, int]], weight: int
 ) -> Dict[Tuple[int, int], CountTable]:
-    """Finished chunks of a checkpoint file; weight is points per index."""
+    """Finished chunks of a checkpoint file; weight is points per index.
+
+    The file must open with this census's header line. A last line
+    without a newline was cut off mid-write (the header included): it is
+    cut from the file and its chunk is computed again.
+    """
     done: Dict[Tuple[int, int], CountTable] = {}
     if not os.path.exists(path):
         return done
+    with open(path, "rb") as handle:
+        data = handle.read()
+    head = (header + "\n").encode("ascii")
+    if not (data.startswith(head) or head.startswith(data)):
+        raise ValueError(
+            "checkpoint header %r does not match this census (%r);"
+            " remove %s to start over"
+            % (data.split(b"\n", 1)[0].decode("ascii", "replace"), header, path)
+        )
+    complete = data[: data.rfind(b"\n") + 1]
     valid_set = set(valid)
-    with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            fields = line.split()
-            if not fields:
-                continue
-            rng = tuple(int(field) for field in fields[:2])
-            if rng not in valid_set:
-                raise ValueError(
-                    "checkpoint range %r does not match this census;"
-                    " remove %s to start over" % (rng, path)
-                )
-            counts = CountTable()
-            for field in fields[2:]:
-                key_text, _, count_text = field.rpartition(":")
-                counts[_key_from_text(key_text)] = int(count_text)
-            points = (rng[1] - rng[0]) * weight
-            if counts.total() != points:
-                raise ValueError(
-                    "checkpoint range %r counts %d points, not %d;"
-                    " remove %s to start over" % (rng, counts.total(), points, path)
-                )
-            done[rng] = counts
+    for line in complete.decode("ascii").splitlines()[1:]:
+        fields = line.split()
+        if not fields:
+            continue
+        rng = tuple(int(field) for field in fields[:2])
+        if rng not in valid_set:
+            raise ValueError(
+                "checkpoint range %r does not match this census;"
+                " remove %s to start over" % (rng, path)
+            )
+        counts = CountTable()
+        for field in fields[2:]:
+            key_text, _, count_text = field.rpartition(":")
+            counts[_key_from_text(key_text)] = int(count_text)
+        points = (rng[1] - rng[0]) * weight
+        if counts.total() != points:
+            raise ValueError(
+                "checkpoint range %r counts %d points, not %d;"
+                " remove %s to start over" % (rng, counts.total(), points, path)
+            )
+        done[rng] = counts
+    if len(complete) < len(data):
+        os.truncate(path, len(complete))
     return done
 
 
@@ -155,6 +168,7 @@ def _checkpoint_line(rng: Tuple[int, int], counts: CountTable) -> str:
 
 
 def _run_chunks(
+    name: str,
     blocks: Blocks,
     rows: int,
     free: int = 0,
@@ -168,14 +182,17 @@ def _run_chunks(
 
     Chunk boundaries depend only on the domain size (never on the thread
     count) so a checkpoint file written by one run can resume under any
-    other worker configuration.
+    other worker configuration. name (census kind and parameters) and the
+    chunking form the checkpoint header.
     """
     k = max(mask for mask, _ in blocks).bit_length()
     total = 1 << (k + rows - 1)
+    weight = 1 << (free * k)
     if chunk_size is None:
         chunk_size = max(1, total >> 6)
     ranges = _chunk_ranges(total, chunk_size)
-    done = _read_checkpoint(checkpoint, ranges, 1 << (free * k)) if checkpoint else {}
+    header = "#census %s points=%d chunk=%d" % (name, total * weight, chunk_size)
+    done = _read_checkpoint(checkpoint, header, ranges, weight) if checkpoint else {}
     tally = CountTable()
     for counts in done.values():
         tally += counts
@@ -184,7 +201,11 @@ def _run_chunks(
     out = open(checkpoint, "a", encoding="ascii") if checkpoint else None
     pool = None
     try:
-        if threads > 1 and len(pending) > 1:
+        if out and out.tell() == 0:
+            out.write(header + "\n")
+            out.flush()
+        pending_points = sum(hi - lo for lo, hi in pending) * weight
+        if threads > 1 and len(pending) > 1 and pending_points >= _POOL_MIN_POINTS:
             pool = Pool(processes=min(threads, len(pending)))
             results = pool.imap(_walk_worker, jobs)
         else:
@@ -315,8 +336,9 @@ def enum_gamma(
     """Rank distribution of all 2^{k+s-1} s x k coefficient windows."""
     if s < 1 or k < 1:
         raise ValueError("shape must be positive, got %dx%d" % (s, k))
-    _check_budget(k + s - 1, budget_bits, "window census %dx%d" % (s, k))
+    check_budget(k + s - 1, budget_bits, "window census %dx%d" % (s, k))
     return _run_chunks(
+        "gamma s=%d k=%d" % (s, k),
         (((1 << k) - 1, True),),
         s,
         threads=threads,
@@ -342,9 +364,10 @@ def enum_quadruple(
     """
     if l < 1 or n < 1 or m < 1:
         raise ValueError("requires l, n, m >= 1, got l=%d n=%d m=%d" % (l, n, m))
-    _check_budget(n + m - 1, budget_bits, "quadruple census %dx%d" % (n, m))
+    check_budget(n + m - 1, budget_bits, "quadruple census %dx%d" % (n, m))
     full, narrow = (1 << m) - 1, (1 << (m - 1)) - 1
     return _run_chunks(
+        "quad l=%d n=%d m=%d" % (l, n, m),
         ((narrow, False), (full, False), (narrow, True), (full, True)),
         n,
         threads=threads,
@@ -371,8 +394,9 @@ def enum_sigma(
     if m < 0 or k < 1:
         raise ValueError("requires m >= 0 and k >= 1, got m=%d k=%d" % (m, k))
     bits = (k + m) + k
-    _check_budget(bits, budget_bits, "row-append census m=%d k=%d" % (m, k))
+    check_budget(bits, budget_bits, "row-append census m=%d k=%d" % (m, k))
     merged = _run_chunks(
+        "sigma m=%d k=%d" % (m, k),
         (((1 << k) - 1, True),),
         1 + m,
         free=1,
@@ -411,8 +435,9 @@ def enum_stacked_gamma(
             "requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k)
         )
     bits = (k + m) + n * k
-    _check_budget(bits, budget_bits, "stacked census n=%d m=%d k=%d" % (n, m, k))
+    check_budget(bits, budget_bits, "stacked census n=%d m=%d k=%d" % (n, m, k))
     return _run_chunks(
+        "stacked n=%d m=%d k=%d" % (n, m, k),
         (((1 << k) - 1, True),),
         1 + m,
         free=n,
@@ -454,6 +479,23 @@ def integrate_coset(values, N: int) -> DyadicRational:
                 "expected %d representatives, got %d" % (size, len(seq))
             )
         total = sum(seq)
+    return DyadicRational(total, -N)
+
+
+def integrate_tally(tally: Mapping[int, int], N: int, power: int = 1) -> DyadicRational:
+    """Exact Haar integral of f^power from the tally of f over the depth-N grid.
+
+    tally maps each value of f to the number of representatives in
+    [0, 2^N) where f takes it; together they must cover all 2^N.
+    """
+    if N < 0:
+        raise ValueError("coset depth must be nonnegative, got %d" % N)
+    points = sum(tally.values())
+    if points != 1 << N:
+        raise IncompleteDomain(
+            "expected %d representatives, got %d" % (1 << N, points)
+        )
+    total = sum(count * value**power for value, count in tally.items())
     return DyadicRational(total, -N)
 
 
@@ -499,9 +541,9 @@ def repcount_integral(
 ) -> int:
     """Count of solution q-tuples as an exact coset integral.
 
-    Evaluates the closed character sum pointwise over the full grid,
-    raises it to the q-th power, and integrates; the result must be an
-    integer.
+    Evaluates the closed character sum once at each point of the full
+    grid, tallies the values, and integrates their q-th power off the
+    tally; the result must be an integer.
     """
     if q < 1 or n < 0 or k < 1 or m < 0:
         raise ValueError(
@@ -510,22 +552,27 @@ def repcount_integral(
         )
     t_bits = k + m
     bits = t_bits + n * k
-    _check_budget(bits, budget_bits, "integral q=%d n=%d k=%d m=%d" % (q, n, k, m))
-    s = 1 + m
+    check_budget(bits, budget_bits, "integral q=%d n=%d k=%d m=%d" % (q, n, k, m))
+    ts = (UnitSeries(tv, t_bits) for tv in range(1 << t_bits))
     if n == 0:
-        values = [
-            h_closed(s, k, UnitSeries(tv, t_bits)) ** q for tv in range(1 << t_bits)
-        ]
-        return integrate_coset(values, t_bits).to_int()
-    values = []
-    for point in range(1 << bits):
-        t = UnitSeries(point & ((1 << t_bits) - 1), t_bits)
-        etas = [
-            UnitSeries((point >> (t_bits + j * k)) & ((1 << k) - 1), k)
-            for j in range(n)
-        ]
-        values.append(fmulti_closed(m, k, t, etas) ** q)
-    return integrate_coset(values, bits).to_int()
+        values = (h_closed(1 + m, k, t) for t in ts)
+    else:
+        eta_values = [UnitSeries(v, k) for v in range(1 << k)]
+        values = (
+            fmulti_closed(m, k, t, etas)
+            for t in ts
+            for etas in itertools.product(eta_values, repeat=n)
+        )
+    return integrate_tally(Counter(values), bits, q).to_int()
+
+
+def _xor_convolve(a: Mapping[int, int], b: Mapping[int, int]) -> Counter:
+    """Tally of x ^ y over pairs drawn from the tallies a and b."""
+    out: Counter = Counter()
+    for x, cx in a.items():
+        for y, cy in b.items():
+            out[x ^ y] += cx * cy
+    return out
 
 
 def repcount_bruteforce(
@@ -535,7 +582,10 @@ def repcount_bruteforce(
 
     Variables per factor: Y of degree <= k-1, Z of degree <= m, and n
     constant-or-zero multipliers U_j. A tuple counts when sum(Y_i Z_i) = 0
-    and sum(Y_i U_j^(i)) = 0 for each j.
+    and sum(Y_i U_j^(i)) = 0 for each j. Every factor's contribution is
+    built and tallied; the tuples whose contributions XOR to zero are
+    counted by XOR-convolving the tallies of the first q // 2 factors and
+    of the rest.
     """
     if q < 1 or n < 0 or k < 1 or m < 0:
         raise ValueError(
@@ -543,13 +593,14 @@ def repcount_bruteforce(
             % (q, n, k, m)
         )
     factor_bits = k + (m + 1) + n
-    _check_budget(
+    check_budget(
         q * factor_bits, budget_bits, "brute count q=%d n=%d k=%d m=%d" % (q, n, k, m)
     )
     ymask = (1 << k) - 1
     zmask = (1 << (m + 1)) - 1
-    # contribution of one factor: (Y*Z, the n values Y*U_j packed k bits apart)
-    contributions = []
+    # one factor's contribution as one int: Y*Z in the low k+m bits, then
+    # the n values Y*U_j packed k bits apart
+    contributions: Counter = Counter()
     for idx in range(1 << factor_bits):
         y = idx & ymask
         z = (idx >> k) & zmask
@@ -559,15 +610,10 @@ def repcount_bruteforce(
         for j in range(n):
             if (u >> j) & 1:
                 spread |= 1 << (j * k)
-        contributions.append((product, y * spread))
+        contributions[product | (y * spread) << (k + m)] += 1
 
-    count = 0
-    for combo in itertools.product(contributions, repeat=q):
-        acc_product = 0
-        acc_rows = 0
-        for product, rows in combo:
-            acc_product ^= product
-            acc_rows ^= rows
-        if acc_product == 0 and acc_rows == 0:
-            count += 1
-    return count
+    half = Counter({0: 1})
+    for _ in range(q // 2):
+        half = _xor_convolve(half, contributions)
+    rest = _xor_convolve(half, contributions) if q % 2 else half
+    return sum(count * rest[key] for key, count in half.items())

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from typing import Dict, Optional
 
 from . import census, formulas
@@ -113,10 +114,15 @@ def _verify_profile_census(p, args):
     return _table_text(got), _table_text(census.CountTable(want))
 
 
-def _even_moment(s, k, grid, quads, q):
-    """Integral of g^{2q} over the window grid, and the weighted (j,j,j,j) sum."""
+def _g_tally(s, k):
+    """Tally of the closed g over the whole window grid."""
     depth = k + s - 1
-    lhs = census.integrate_coset([g_closed(s, k, t) ** (2 * q) for t in grid], depth)
+    return Counter(g_closed(s, k, UnitSeries(v, depth)) for v in range(1 << depth))
+
+
+def _even_moment(s, k, g_tally, quads, q):
+    """Integral of g^{2q} over the window grid, and the weighted (j,j,j,j) sum."""
+    lhs = census.integrate_tally(g_tally, k + s - 1, 2 * q)
     rhs = DyadicRational(0)
     for j in range(s):
         rhs += DyadicRational(quads[(j, j, j, j)], -2 * q * j)
@@ -127,12 +133,11 @@ def _even_moment(s, k, grid, quads, q):
 def _verify_even_moments(p, args):
     """Even power sums of g against the weighted diagonal profile counts."""
     s, k = p["s"], p["k"]
-    depth = k + s - 1
     quads = census.enum_quadruple(1, s, k, **_opts(args, "quad"))
-    grid = [UnitSeries(v, depth) for v in range(1 << depth)]
+    gs = _g_tally(s, k)
     computed, expected = {}, {}
     for q in range(1, p["q"] + 1):
-        computed["q=%d" % q], expected["q=%d" % q] = _even_moment(s, k, grid, quads, q)
+        computed["q=%d" % q], expected["q=%d" % q] = _even_moment(s, k, gs, quads, q)
     return computed, expected
 
 
@@ -189,13 +194,12 @@ def _verify_partition_suite(p, args):
     s, k = p["s"], p["k"]
     if s < 2 or k < 2:
         raise ValueError("the partition suite needs s, k >= 2")
-    depth = k + s - 1
     quads = census.enum_quadruple(1, s, k, **_opts(args, "quad"))
     computed, expected = {}, {}
-    grid = [UnitSeries(v, depth) for v in range(1 << depth)]
+    gs = _g_tally(s, k)
     for q in (0, 1, 2):
         power = 2 * q + 1
-        total = sum(g_closed(s, k, t) ** power for t in grid)
+        total = sum(count * value**power for value, count in gs.items())
         computed["odd power %d" % power] = total
         expected["odd power %d" % power] = 0
     for j in range(s):
@@ -219,7 +223,7 @@ def _verify_partition_suite(p, args):
         )
     for q in (1, 2):
         key = "even power q=%d" % q
-        computed[key], expected[key] = _even_moment(s, k, grid, quads, q)
+        computed[key], expected[key] = _even_moment(s, k, gs, quads, q)
     return computed, expected
 
 
@@ -325,24 +329,26 @@ def _cmd_expsum(parser: argparse.ArgumentParser, args) -> int:
         _require(parser, args, ("s", "k", "t"))
         t = _parse_series(args.t, args.k + args.s - 1)
         if kind == "h":
-            direct, closed = h_direct(args.s, args.k, t), h_closed(args.s, args.k, t)
+            direct = h_direct(args.s, args.k, t, budget_bits=args.budget_bits)
+            closed = h_closed(args.s, args.k, t)
         else:
-            direct, closed = g_direct(args.s, args.k, t), g_closed(args.s, args.k, t)
+            direct = g_direct(args.s, args.k, t, budget_bits=args.budget_bits)
+            closed = g_closed(args.s, args.k, t)
     elif kind in ("g2", "f2"):
         _require(parser, args, ("m", "k", "t", "eta"))
         t = _parse_series(args.t, args.k + args.m)
         eta = _parse_series(args.eta, args.k)
         if kind == "g2":
-            direct = g2var_direct(args.m, args.k, t, eta)
+            direct = g2var_direct(args.m, args.k, t, eta, budget_bits=args.budget_bits)
             closed = g2var_closed(args.m, args.k, t, eta)
         else:
-            direct = f2var_direct(args.m, args.k, t, eta)
+            direct = f2var_direct(args.m, args.k, t, eta, budget_bits=args.budget_bits)
             closed = f2var_closed(args.m, args.k, t, eta)
     else:
         _require(parser, args, ("m", "k", "t", "etas"))
         t = _parse_series(args.t, args.k + args.m)
         etas = [_parse_series(part, args.k) for part in args.etas.split(",")]
-        direct = fmulti_direct(args.m, args.k, t, etas)
+        direct = fmulti_direct(args.m, args.k, t, etas, budget_bits=args.budget_bits)
         closed = fmulti_closed(args.m, args.k, t, etas)
     agree = direct == closed
     print("direct=%d closed=%d agree=%s" % (direct, closed, "true" if agree else "false"))
@@ -399,13 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker processes for enumerations (default: all cores)")
+    def budget(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget-bits", type=int, default=census.DEFAULT_BUDGET_BITS,
                        dest="budget_bits",
                        help="refuse enumerations over 2^BITS points (default: %d)"
                        % census.DEFAULT_BUDGET_BITS)
+
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--threads", type=int, default=_default_threads(),
+                       help="worker processes for enumerations (default: all cores)")
+        budget(p)
         p.add_argument("--checkpoint", help="append finished chunks to this file "
                        "and resume from it")
 
@@ -432,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     exps.add_argument("--t", help="series argument, leftmost bit is the T^-1 coefficient")
     exps.add_argument("--eta", help="row series for the two-variable sums")
     exps.add_argument("--etas", help="comma-separated row series for fmulti")
+    budget(exps)
 
     rep = sub.add_parser(
         "repcount", help="count representations t = sum of products y*z")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the point budget check."""
+
+DEFAULT_BUDGET_BITS = 28
 
 
 class PersymError(Exception):
@@ -15,6 +17,15 @@ class InsufficientPrecision(PersymError):
 
 class BudgetExceeded(PersymError):
     """An enumeration would visit more domain points than the configured budget."""
+
+
+def check_budget(bits: int, budget_bits: int, what: str) -> None:
+    """Raise BudgetExceeded when a 2^bits point domain is over a 2^budget_bits budget."""
+    if bits > budget_bits:
+        raise BudgetExceeded(
+            "%s needs a 2^%d point domain, over the 2^%d budget"
+            % (what, bits, budget_bits)
+        )
 
 
 class IncompleteDomain(PersymError):

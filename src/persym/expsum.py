@@ -4,7 +4,8 @@ Every sum here has a direct form (a literal iteration over polynomial
 tuples, summing character values term by term) and a closed form (a signed
 power of two read off the rank of a structured matrix). The direct forms
 deliberately take no shortcuts so they can serve as oracles for the closed
-forms; the module's central contract is that the two always agree.
+forms; the module's central contract is that the two always agree. A
+direct sum refuses to run over more than 2^budget_bits terms.
 
 Naming: h is the full bilinear sum over deg Y <= k-1, deg Z <= s-1; g is
 its top-degree slice (both degrees exact); the two-variable g and f add a
@@ -17,8 +18,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence, Tuple
 
-from .builders import hankel, rank_profile, stacked
-from .gf2 import rank
+from .builders import hankel_rows, rank_profile, stacked_rows
+from .exceptions import DEFAULT_BUDGET_BITS, check_budget
+from .gf2 import rank_of_rows
 from .laurent import Poly2, UnitSeries, char_E_of_product, poly_mul
 
 __all__ = [
@@ -46,10 +48,13 @@ def _monic_polys(degree: int):
     return (Poly2(v) for v in range(1 << degree, 1 << (degree + 1)))
 
 
-def h_direct(s: int, k: int, t: UnitSeries) -> int:
+def h_direct(
+    s: int, k: int, t: UnitSeries, *, budget_bits: int = DEFAULT_BUDGET_BITS
+) -> int:
     """Sum of E(tYZ) over deg Y <= k-1, deg Z <= s-1, term by term."""
     if s < 1 or k < 1:
         raise ValueError("h is defined for s, k >= 1")
+    check_budget(k + s, budget_bits, "direct h sum s=%d k=%d" % (s, k))
     t.require(k + s - 1)
     total = 0
     for y in _all_polys(k):
@@ -62,13 +67,16 @@ def h_closed(s: int, k: int, t: UnitSeries) -> int:
     """2^(k+s-r) where r is the rank of the s x k persymmetric block of t."""
     if s < 1 or k < 1:
         raise ValueError("h is defined for s, k >= 1")
-    return 1 << (k + s - rank(hankel(t, 1, s, k)))
+    return 1 << (k + s - rank_of_rows(hankel_rows(t, 1, s, k)))
 
 
-def g_direct(s: int, k: int, t: UnitSeries) -> int:
+def g_direct(
+    s: int, k: int, t: UnitSeries, *, budget_bits: int = DEFAULT_BUDGET_BITS
+) -> int:
     """Sum of E(tYZ) over deg Y = k-1 exactly, deg Z = s-1 exactly."""
     if s < 2 or k < 2:
         raise ValueError("g is defined for s, k >= 2")
+    check_budget(k + s - 2, budget_bits, "direct g sum s=%d k=%d" % (s, k))
     t.require(k + s - 1)
     total = 0
     for y in _monic_polys(k - 1):
@@ -109,9 +117,17 @@ def g_boundary_factors(s: int, k: int, t: UnitSeries) -> Tuple[int, int]:
     return g1, g2
 
 
-def g2var_direct(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
+def g2var_direct(
+    m: int,
+    k: int,
+    t: UnitSeries,
+    eta: UnitSeries,
+    *,
+    budget_bits: int = DEFAULT_BUDGET_BITS,
+) -> int:
     """Sum of E(tYZ)E(etaY) over deg Y <= k-1, deg Z <= m (U pinned to 1)."""
     _check_two_var(m, k)
+    check_budget(k + m + 1, budget_bits, "direct g2 sum m=%d k=%d" % (m, k))
     t.require(k + m)
     eta.require(k)
     total = 0
@@ -125,14 +141,22 @@ def g2var_direct(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
 def g2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
     """2^(k+m+1-r) if appending the eta row preserves the rank, else 0."""
     _check_two_var(m, k)
-    top = rank(hankel(t, 1, 1 + m, k))
-    full = rank(stacked(t, [eta], m, k))
+    rows = stacked_rows(t, [eta], m, k)
+    top = rank_of_rows(rows[:-1])
+    full = rank_of_rows(rows)
     return (1 << (k + m + 1 - top)) if top == full else 0
 
 
-def f2var_direct(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
+def f2var_direct(
+    m: int,
+    k: int,
+    t: UnitSeries,
+    eta: UnitSeries,
+    *,
+    budget_bits: int = DEFAULT_BUDGET_BITS,
+) -> int:
     """Like g2var but with the extra factor summed over U in {0, 1}."""
-    return fmulti_direct(m, k, t, [eta])
+    return fmulti_direct(m, k, t, [eta], budget_bits=budget_bits)
 
 
 def f2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
@@ -140,9 +164,20 @@ def f2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
     return fmulti_closed(m, k, t, [eta])
 
 
-def fmulti_direct(m: int, k: int, t: UnitSeries, etas: Sequence[UnitSeries]) -> int:
+def fmulti_direct(
+    m: int,
+    k: int,
+    t: UnitSeries,
+    etas: Sequence[UnitSeries],
+    *,
+    budget_bits: int = DEFAULT_BUDGET_BITS,
+) -> int:
     """Literal (n+2)-fold sum over Y, Z and one U_j in {0, 1} per eta."""
     _check_two_var(m, k)
+    n = len(etas)
+    check_budget(
+        k + m + 1 + n, budget_bits, "direct fmulti sum n=%d m=%d k=%d" % (n, m, k)
+    )
     t.require(k + m)
     for eta in etas:
         eta.require(k)
@@ -165,7 +200,7 @@ def fmulti_direct(m: int, k: int, t: UnitSeries, etas: Sequence[UnitSeries]) -> 
 def fmulti_closed(m: int, k: int, t: UnitSeries, etas: Sequence[UnitSeries]) -> int:
     """2^(k+m+n+1-r) with r the rank of the stacked matrix over n eta rows."""
     _check_two_var(m, k)
-    r = rank(stacked(t, etas, m, k))
+    r = rank_of_rows(stacked_rows(t, etas, m, k))
     return 1 << (k + m + len(etas) + 1 - r)
 
 

@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from persym.exceptions import BudgetExceeded, IncompleteDomain, NonIntegerResult
 from persym.expsum import g_closed, h_closed
 from persym.gf2 import rank
 from persym.laurent import UnitSeries
+
+from oracles import oracle_repcount
 
 
 def naive_stacked_counts(n, m, k):
@@ -90,15 +94,26 @@ def parse_key(text):
 
 
 def checkpoint_chunks(path):
-    """{(lo, hi): tally} from a checkpoint file's lines."""
+    """{(lo, hi): tally} from a checkpoint file's lines after its header."""
     chunks = {}
-    for line in open(path).read().splitlines():
+    header, *lines = open(path).read().splitlines()
+    assert header.startswith("#census ")
+    for line in lines:
         lo, hi, *fields = line.split()
         chunks[(int(lo), int(hi))] = {
             parse_key(field.rpartition(":")[0]): int(field.rpartition(":")[2])
             for field in fields
         }
     return chunks
+
+
+CENSUS_NAMES = {"gamma": "gamma s=%d k=%d", "quad": "quad l=%d n=%d m=%d",
+                "sigma": "sigma m=%d k=%d", "stacked": "stacked n=%d m=%d k=%d"}
+
+
+def checkpoint_header(kind, params, points, chunk):
+    """The documented header line: census name, domain points, chunk size."""
+    return "#census %s points=%d chunk=%d\n" % (CENSUS_NAMES[kind] % params, points, chunk)
 
 
 def checkpoint_line(lo, hi, counts):
@@ -154,7 +169,9 @@ class TestWalkAgainstNaive:
     def test_resume_from_checkpoint_in_line_format(self, tmp_path, kind, params):
         windows = naive_window_tallies(kind, params)
         path = tmp_path / "walk.ckpt"
+        points = sum(merged_tally(windows).values())
         with open(path, "w") as handle:
+            handle.write(checkpoint_header(kind, params, points, 3))
             for lo in range(0, len(windows), 6):
                 hi = min(lo + 3, len(windows))
                 handle.write(checkpoint_line(lo, hi, merged_tally(windows[lo:hi])))
@@ -301,8 +318,9 @@ class TestPartitioning:
         path = str(tmp_path / "gamma.ckpt")
         full = dict(C.enum_gamma(4, 4, checkpoint=path, chunk_size=16))
         lines = open(path).read().splitlines()
-        assert len(lines) == 8
-        first = lines[0].split()
+        assert len(lines) == 9
+        assert lines[0] == "#census gamma s=4 k=4 points=128 chunk=16"
+        first = lines[1].split()
         assert first[0] == "0" and first[1] == "16"
         assert all(":" in field for field in first[2:])
         # drop half the lines and resume
@@ -329,9 +347,9 @@ class TestPartitioning:
         path = str(tmp_path / "gamma.ckpt")
         C.enum_gamma(4, 4, checkpoint=path, chunk_size=64)
         lines = open(path).read().splitlines()
-        assert lines[0].endswith(" 4:32")
+        assert lines[1].endswith(" 4:32")
         with open(path, "w") as handle:
-            handle.write("\n".join([lines[0][:-1]] + lines[1:]) + "\n")
+            handle.write("\n".join(lines[:1] + [lines[1][:-1]] + lines[2:]) + "\n")
         with pytest.raises(ValueError, match="counts 35 points, not 64"):
             C.enum_gamma(4, 4, checkpoint=path, chunk_size=64)
 
@@ -339,6 +357,7 @@ class TestPartitioning:
         # a stacked line counts (hi - lo) windows times 2^{nk} free-row tuples
         path = str(tmp_path / "stacked.ckpt")
         with open(path, "w") as handle:
+            handle.write(checkpoint_header("stacked", (1, 1, 2), 32, 4))
             handle.write("0 4 0:1 1:3\n")
         with pytest.raises(ValueError, match="counts 4 points, not 16"):
             C.enum_stacked_gamma(1, 1, 2, checkpoint=path, chunk_size=4)
@@ -348,6 +367,75 @@ class TestPartitioning:
         C.enum_gamma(4, 4, checkpoint=path, chunk_size=16)
         with pytest.raises(ValueError):
             C.enum_gamma(4, 4, checkpoint=path, chunk_size=7)
+
+    def test_foreign_checkpoint_is_rejected(self, tmp_path):
+        # both domains have 2^6 points and the same default chunking
+        path = str(tmp_path / "gamma.ckpt")
+        C.enum_gamma(3, 4, checkpoint=path)
+        with pytest.raises(ValueError, match="header"):
+            C.enum_gamma(2, 5, checkpoint=path)
+        assert dict(C.enum_gamma(2, 5)) == {0: 1, 1: 3, 2: 60}
+
+    def test_checkpoint_without_header_is_rejected_untouched(self, tmp_path):
+        path = tmp_path / "gamma.ckpt"
+        for text in ("0 64 0:1 1:3 2:12 3:48\n", "0 64 0:1 1:3"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="header"):
+                C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=64)
+            assert path.read_text() == text
+
+    def test_torn_last_line_is_recomputed(self, tmp_path):
+        path = tmp_path / "gamma.ckpt"
+        full = dict(C.enum_gamma(4, 4, checkpoint=str(path), chunk_size=16))
+        text = path.read_text()
+        for cut in (1, 3, len(text.splitlines()[-1]) + 1):
+            path.write_text(text[:-cut])
+            assert dict(C.enum_gamma(4, 4, checkpoint=str(path), chunk_size=16)) == full
+            assert path.read_text() == text
+
+    def test_torn_header_starts_over(self, tmp_path):
+        path = tmp_path / "gamma.ckpt"
+        full = dict(C.enum_gamma(3, 3, checkpoint=str(path)))
+        text = path.read_text()
+        path.write_text(text[:5])
+        assert dict(C.enum_gamma(3, 3, checkpoint=str(path))) == full
+        assert path.read_text() == text
+
+
+class TestPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Worker counts of the pools the census starts."""
+        started = []
+        real = C.Pool
+
+        def spy(processes):
+            started.append(processes)
+            return real(processes=processes)
+
+        monkeypatch.setattr(C, "Pool", spy)
+        return started
+
+    def test_small_domains_run_in_process(self, pools):
+        assert dict(C.enum_gamma(3, 4, threads=2)) == F.gamma_table(3, 4)
+        assert dict(C.enum_stacked_gamma(2, 1, 3, threads=2, chunk_size=4)) == (
+            F.stacked_gamma_table(2, 1, 3))
+        assert pools == []
+
+    def test_large_domains_use_the_pool(self, pools):
+        assert dict(C.enum_gamma(8, 8, threads=2)) == F.gamma_table(8, 8)
+        assert dict(C.enum_stacked_gamma(2, 1, 5, threads=2)) == (
+            F.stacked_gamma_table(2, 1, 5))
+        assert pools == [2, 2]
+
+    def test_only_pending_points_count(self, tmp_path, pools):
+        path = tmp_path / "gamma.ckpt"
+        C.enum_gamma(8, 8, checkpoint=str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-4]))  # 4 chunks of 2^9 windows left
+        assert dict(C.enum_gamma(8, 8, threads=2, checkpoint=str(path))) == (
+            F.gamma_table(8, 8))
+        assert pools == []
 
 
 class TestIntegrateCoset:
@@ -365,6 +453,24 @@ class TestIntegrateCoset:
                 g_closed(2, 2, UnitSeries(v, 3)) ** (2 * q + 1) for v in range(8)
             ]
             assert C.integrate_coset(values, 3) == DyadicRational(0)
+
+    def test_tally_domain_checked(self):
+        assert C.integrate_tally({5: 1, 3: 1}, 1) == DyadicRational(4)
+        assert C.integrate_tally({-2: 3, 2: 1}, 2, 3) == DyadicRational(-4)
+        with pytest.raises(IncompleteDomain):
+            C.integrate_tally({5: 1}, 1)
+        with pytest.raises(IncompleteDomain):
+            C.integrate_tally({1: 9}, 3)
+
+    def test_g_tallies_match_explicit_lists(self):
+        for depth in range(3, 13):
+            for s in range(2, depth):
+                k = depth + 1 - s
+                values = [g_closed(s, k, UnitSeries(v, depth)) for v in range(1 << depth)]
+                tally = Counter(values)
+                for power in range(1, 7):
+                    assert C.integrate_tally(tally, depth, power) == C.integrate_coset(
+                        [value**power for value in values], depth), (s, k, power)
 
     def test_mapping_domain_checked(self):
         assert C.integrate_coset({0: 5, 1: 3}, 1) == DyadicRational(4)
@@ -424,6 +530,46 @@ class TestRepcounts:
         for q in range(1, 6):
             for k, m in [(2, 1), (3, 1), (3, 2), (4, 0)]:
                 assert F.repcount_piecewise(q, k, m) == C.repcount_formula(q, 1 + m, k)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_bruteforce_matches_literal_product_count(self, q, n):
+        for k in (1, 2, 3):
+            for m in (0, 1, 2):
+                if q * (k + m + 1 + n) <= 12:
+                    assert C.repcount_bruteforce(q, n, k, m) == oracle_repcount(
+                        q, n, k, m), (k, m)
+
+    def test_integral_matches_explicit_lists(self):
+        """Every integral grid of 2^12 points or fewer, against per-point
+        build-and-rank values integrated from an explicit list."""
+        for n in (0, 1, 2):
+            for k in range(1, 13):
+                for m in range(0, 13):
+                    bits = k + m + n * k
+                    if bits > 12:
+                        continue
+                    kmask = (1 << k) - 1
+                    values = []
+                    for point in range(1 << bits):
+                        t = UnitSeries(point & ((1 << (k + m)) - 1), k + m)
+                        word = point >> (k + m)
+                        etas = [UnitSeries((word >> (j * k)) & kmask, k) for j in range(n)]
+                        values.append(1 << (k + m + n + 1 - rank(stacked(t, etas, m, k))))
+                    q = 1 + bits % 3
+                    want = C.integrate_coset([v**q for v in values], bits).to_int()
+                    assert C.repcount_integral(q, n, k, m) == want, (q, n, k, m)
+
+    def test_integral_streams(self):
+        want = C.repcount_multi_formula(2, 1, 6, 4)
+        tracemalloc.start()
+        try:
+            got = C.repcount_integral(2, 1, 6, 4)  # 2^16 points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20
 
     def test_bruteforce_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -67,6 +67,16 @@ class TestCensusCommand:
         code, second, _ = run_cli(args, capsys)
         assert code == 0 and second == first
 
+    def test_foreign_checkpoint_exits_two(self, tmp_path, capsys):
+        path = str(tmp_path / "run")
+        code, _, _ = run_cli(["census", "gamma", "--s", "3", "--k", "4",
+                              "--checkpoint", path], capsys)
+        assert code == 0
+        code, out, err = run_cli(["census", "gamma", "--s", "2", "--k", "5",
+                                  "--checkpoint", path], capsys)
+        assert code == 2 and out == ""
+        assert "header" in err
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(["census", "gamma", "--k", "3"], capsys)
         assert code == 2
@@ -177,6 +187,16 @@ class TestExpsumCommand:
         code, _, _ = run_cli(["expsum", "h", "--s", "2", "--k", "2", "--t", "10x"],
                              capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("extra,budget", [
+        (["--s", "15"], 28), (["--s", "14", "--budget-bits", "20"], 20)])
+    def test_direct_sum_over_budget_exits_two_at_once(self, extra, budget):
+        result = subprocess.run(
+            [sys.executable, "-m", "persym.cli", "expsum", "h", "--k", "14",
+             "--t", "0" * 28] + extra,
+            capture_output=True, text=True, timeout=20)
+        assert result.returncode == 2 and result.stdout == ""
+        assert "over the 2^%d budget" % budget in result.stderr
 
     def test_disagreement_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "h_closed", lambda s, k, t: 12345)

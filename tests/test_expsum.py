@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from persym.builders import hankel
-from persym.exceptions import InsufficientPrecision
+from persym.exceptions import BudgetExceeded, InsufficientPrecision
 from persym.expsum import (
     f2var_closed,
     f2var_direct,
@@ -220,3 +220,18 @@ def test_h_and_g_constant_on_cosets(base_bits, tail_bits):
     t_hi = UnitSeries(base_bits | (tail_bits << (k + s - 1)), k + s + 2)
     assert h_direct(s, k, t_lo) == h_direct(s, k, t_hi)
     assert g_direct(s, k, t_lo) == g_direct(s, k, t_hi)
+
+
+def test_direct_sums_refuse_more_terms_than_the_budget():
+    t, eta = UnitSeries(0, 12), UnitSeries(0, 4)
+    cases = [  # (direct sum, its number of terms as a power of two)
+        (lambda b: h_direct(4, 4, t, budget_bits=b), 8),
+        (lambda b: g_direct(4, 4, t, budget_bits=b), 6),
+        (lambda b: g2var_direct(2, 4, t, eta, budget_bits=b), 7),
+        (lambda b: f2var_direct(2, 4, t, eta, budget_bits=b), 8),
+        (lambda b: fmulti_direct(2, 4, t, [eta, eta], budget_bits=b), 9),
+    ]
+    for direct, bits in cases:
+        with pytest.raises(BudgetExceeded):
+            direct(bits - 1)
+        assert direct(bits) == 1 << bits  # every term of the sum at t = 0 is 1
