@@ -8,7 +8,8 @@ disjoint index ranges; partial tallies merge by plain addition, so any
 partitioning (including a resumed checkpoint file) gives identical
 results. A checkpoint file opens with a header naming its census,
 parameters, domain size and chunk size; a file with another header, or
-a line whose counts do not sum to its range's point count, is rejected.
+a line with a count below 1 or whose counts do not sum to its range's
+point count, is rejected.
 
 A coset representative of depth N is an N-bit integer whose bit b
 (least significant first) is the coefficient alpha_{l+b} of the series;
@@ -36,7 +37,6 @@ from .expsum import fmulti_closed, h_closed
 from .laurent import Poly2, UnitSeries, poly_mul
 
 __all__ = [
-    "CountTable",
     "DEFAULT_BUDGET_BITS",
     "enum_gamma",
     "enum_quadruple",
@@ -44,7 +44,6 @@ __all__ = [
     "enum_stacked_gamma",
     "integrate_coset",
     "integrate_tally",
-    "repcount_formula",
     "repcount_multi_formula",
     "repcount_integral",
     "repcount_bruteforce",
@@ -53,29 +52,6 @@ __all__ = [
 Key = Union[int, Tuple]
 # (column mask, whether the last window row belongs to the block)
 Blocks = Tuple[Tuple[int, bool], ...]
-
-
-class CountTable(dict):
-    """Tally keyed by rank index or rank quadruple; missing keys count 0.
-
-    Addition merges two tallies. Addition is associative and commutative,
-    which is what makes the parallel chunk decomposition arbitrary.
-    """
-
-    def __missing__(self, key):
-        return 0
-
-    def total(self) -> int:
-        return sum(self.values())
-
-    def __add__(self, other: Mapping) -> "CountTable":
-        merged = CountTable(self)
-        for key, value in other.items():
-            merged[key] = merged.get(key, 0) + value
-        return merged
-
-    def sorted_items(self):
-        return sorted(self.items())
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +89,14 @@ def _key_from_text(text: str) -> Key:
 
 def _read_checkpoint(
     path: str, header: str, valid: Iterable[Tuple[int, int]], weight: int
-) -> Dict[Tuple[int, int], CountTable]:
+) -> Dict[Tuple[int, int], Counter]:
     """Finished chunks of a checkpoint file; weight is points per index.
 
     The file must open with this census's header line. A last line
     without a newline was cut off mid-write (the header included): it is
     cut from the file and its chunk is computed again.
     """
-    done: Dict[Tuple[int, int], CountTable] = {}
+    done: Dict[Tuple[int, int], Counter] = {}
     if not os.path.exists(path):
         return done
     with open(path, "rb") as handle:
@@ -144,10 +120,16 @@ def _read_checkpoint(
                 "checkpoint range %r does not match this census;"
                 " remove %s to start over" % (rng, path)
             )
-        counts = CountTable()
+        counts = Counter()
         for field in fields[2:]:
             key_text, _, count_text = field.rpartition(":")
-            counts[_key_from_text(key_text)] = int(count_text)
+            count = int(count_text)
+            if count < 1:
+                raise ValueError(
+                    "checkpoint range %r has count %d below 1;"
+                    " remove %s to start over" % (rng, count, path)
+                )
+            counts[_key_from_text(key_text)] = count
         points = (rng[1] - rng[0]) * weight
         if counts.total() != points:
             raise ValueError(
@@ -160,9 +142,9 @@ def _read_checkpoint(
     return done
 
 
-def _checkpoint_line(rng: Tuple[int, int], counts: CountTable) -> str:
+def _checkpoint_line(rng: Tuple[int, int], counts: Counter) -> str:
     parts = ["%d %d" % rng]
-    for key, value in counts.sorted_items():
+    for key, value in sorted(counts.items()):
         parts.append("%s:%d" % (_key_to_text(key), value))
     return " ".join(parts) + "\n"
 
@@ -177,7 +159,7 @@ def _run_chunks(
     threads: int = 1,
     checkpoint: Optional[str] = None,
     chunk_size: Optional[int] = None,
-) -> CountTable:
+) -> Counter:
     """Split the window indices into ranges, walk each, merge tallies.
 
     Chunk boundaries depend only on the domain size (never on the thread
@@ -193,7 +175,7 @@ def _run_chunks(
     ranges = _chunk_ranges(total, chunk_size)
     header = "#census %s points=%d chunk=%d" % (name, total * weight, chunk_size)
     done = _read_checkpoint(checkpoint, header, ranges, weight) if checkpoint else {}
-    tally = CountTable()
+    tally = Counter()
     for counts in done.values():
         tally += counts
     pending = [rng for rng in ranges if rng not in done]
@@ -270,14 +252,14 @@ def _span_with(span: int, vector: int, masks: Sequence[Tuple[int, int]]) -> int:
     return span | image
 
 
-def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> CountTable:
+def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
     """Tally the windows [lo, hi) of one census kind (see the module docstring)."""
     blocks, rows, free, split, lo, hi = args
     columns = [mask for mask, _ in blocks]
     kmask = max(columns)
     width = kmask + 1
     masks = _xor_shift_masks(kmask.bit_length()) if free else []
-    counts = CountTable()
+    counts = Counter()
 
     def tail(span: int, r: int, depth: int, final: List[int]) -> None:
         if depth == 1:
@@ -332,7 +314,7 @@ def enum_gamma(
     budget_bits: int = DEFAULT_BUDGET_BITS,
     checkpoint: Optional[str] = None,
     chunk_size: Optional[int] = None,
-) -> CountTable:
+) -> Counter:
     """Rank distribution of all 2^{k+s-1} s x k coefficient windows."""
     if s < 1 or k < 1:
         raise ValueError("shape must be positive, got %dx%d" % (s, k))
@@ -356,7 +338,7 @@ def enum_quadruple(
     budget_bits: int = DEFAULT_BUDGET_BITS,
     checkpoint: Optional[str] = None,
     chunk_size: Optional[int] = None,
-) -> CountTable:
+) -> Counter:
     """Distribution of corner-deleted rank quadruples over all windows.
 
     The window starts at coefficient alpha_l; the census runs over the
@@ -384,7 +366,7 @@ def enum_sigma(
     budget_bits: int = DEFAULT_BUDGET_BITS,
     checkpoint: Optional[str] = None,
     chunk_size: Optional[int] = None,
-) -> Tuple[CountTable, CountTable]:
+) -> Tuple[Counter, Counter]:
     """Row-append census over all (window, free row) pairs.
 
     Returns (same, up): same[i] counts pairs where the appended row stays
@@ -405,8 +387,8 @@ def enum_sigma(
         checkpoint=checkpoint,
         chunk_size=chunk_size,
     )
-    same = CountTable()
-    up = CountTable()
+    same = Counter()
+    up = Counter()
     for key, value in merged.items():
         kind, i = key
         (same if kind == "same" else up)[i] = value
@@ -422,7 +404,7 @@ def enum_stacked_gamma(
     budget_bits: int = DEFAULT_BUDGET_BITS,
     checkpoint: Optional[str] = None,
     chunk_size: Optional[int] = None,
-) -> CountTable:
+) -> Counter:
     """Rank distribution of the stacked census: a (1+m) x k window block
     with n unconstrained k-bit rows appended, over all 2^{(k+m)+nk} tuples.
 
@@ -499,29 +481,16 @@ def integrate_tally(tally: Mapping[int, int], N: int, power: int = 1) -> DyadicR
     return DyadicRational(total, -N)
 
 
-def repcount_formula(
-    q: int, s: int, k: int, gamma: Optional[Mapping[int, int]] = None
+def repcount_multi_formula(
+    q: int, n: int, k: int, m: int, gamma: Optional[Mapping[int, int]] = None
 ) -> int:
-    """Count of solution q-tuples for the window system, from a rank table.
+    """Count of solution q-tuples for the stacked system, from a rank table.
 
+    With n = 0 the system is the window system of the (1+m) x k block.
     Uses the closed rank distribution by default; pass a census table to
     cross-check one against the other. The dyadic sum must come out an
     integer; anything else signals an inconsistent table.
     """
-    if q < 1 or s < 1 or k < 1:
-        raise ValueError("requires q, s, k >= 1, got q=%d s=%d k=%d" % (q, s, k))
-    if gamma is None:
-        gamma = formulas.gamma_table(s, k)
-    acc = DyadicRational(0)
-    for i, count in gamma.items():
-        acc += DyadicRational(count, -q * i)
-    return (acc * DyadicRational(1, (q - 1) * (k + s) + 1)).to_int()
-
-
-def repcount_multi_formula(
-    q: int, n: int, k: int, m: int, gamma: Optional[Mapping[int, int]] = None
-) -> int:
-    """Count of solution q-tuples for the stacked system, from a rank table."""
     if q < 1 or n < 0 or k < 1 or m < 0:
         raise ValueError(
             "requires q >= 1, n, m >= 0, k >= 1, got q=%d n=%d k=%d m=%d"

@@ -8,9 +8,9 @@ Four subcommands:
   repcount  count polynomial representations by formula, brute force, or integral
 
 Exit status is 0 when every comparison matches, 1 on a mathematical
-mismatch, 2 on usage errors or when an enumeration would exceed the
-point budget.  Output for a given input is byte-identical across runs
-and across worker counts.
+mismatch, 2 on usage errors (a flag the command does not read among
+them) or when an enumeration would exceed the point budget.  Output for
+a given input is byte-identical across runs and across worker counts.
 
 Series arguments are bit strings whose leftmost character is the
 coefficient of T^-1, so `--t 100` means t = T^-1 exactly.
@@ -36,8 +36,6 @@ from .exceptions import (
     NonIntegerResult,
 )
 from .expsum import (
-    f2var_closed,
-    f2var_direct,
     fmulti_closed,
     fmulti_direct,
     g2var_closed,
@@ -64,14 +62,14 @@ def _render(value):
 
 
 def _table_text(table) -> Dict[str, int]:
-    return {_key_to_text(key): count for key, count in table.sorted_items()}
+    return {_key_to_text(key): count for key, count in sorted(table.items())}
 
 
 def _sigma_text(same, up) -> Dict[str, int]:
     out = {}
-    for i, count in same.sorted_items():
+    for i, count in sorted(same.items()):
         out["same,%d" % i] = count
-    for i, count in up.sorted_items():
+    for i, count in sorted(up.items()):
         out["up,%d" % i] = count
     return out
 
@@ -104,14 +102,14 @@ def _verify_window_census(p, args):
     """Window rank census against the closed product form."""
     got = census.enum_gamma(p["s"], p["k"], **_opts(args, "gamma"))
     want = formulas.gamma_table(p["s"], p["k"])
-    return _table_text(got), _table_text(census.CountTable(want))
+    return _table_text(got), _table_text(want)
 
 
 def _verify_profile_census(p, args):
     """Rank profile census of the four nested windows against the closed table."""
     got = census.enum_quadruple(p["l"], p["s"], p["k"], **_opts(args, "quad"))
     want = formulas.quad_table(p["s"], p["k"])
-    return _table_text(got), _table_text(census.CountTable(want))
+    return _table_text(got), _table_text(want)
 
 
 def _g_tally(s, k):
@@ -145,14 +143,14 @@ def _verify_one_extra_row(p, args):
     """Census with one appended row against the printed case tables."""
     got = census.enum_stacked_gamma(1, p["m"], p["k"], **_opts(args, "stacked"))
     want = formulas.stacked1_gamma_table(p["m"], p["k"])
-    return _table_text(got), _table_text(census.CountTable(want))
+    return _table_text(got), _table_text(want)
 
 
 def _verify_stacked_census(p, args):
     """Census with n appended rows against the coefficient expansion."""
     got = census.enum_stacked_gamma(p["n"], p["m"], p["k"], **_opts(args, "stacked"))
     want = formulas.stacked_gamma_table(p["n"], p["m"], p["k"])
-    return _table_text(got), _table_text(census.CountTable(want))
+    return _table_text(got), _table_text(want)
 
 
 def _verify_coefficient_rows(p, args):
@@ -186,7 +184,7 @@ def _verify_unstructured(p, args):
     rows, k = p["rows"], p["k"]
     want = formulas.landsberg_table(rows, k)
     got = census.enum_stacked_gamma(rows - 1, 0, k, **_opts(args, "landsberg"))
-    return _table_text(got), _table_text(census.CountTable(want))
+    return _table_text(got), _table_text(want)
 
 
 def _verify_partition_suite(p, args):
@@ -232,16 +230,16 @@ def _verify_row_split(p, args):
     m, k = p["m"], p["k"]
     same, up = census.enum_sigma(m, k, **_opts(args, "sigma"))
     computed, expected = {}, {}
-    for i, count in same.sorted_items():
+    for i, count in sorted(same.items()):
         computed["same,%d" % i] = count
         expected["same,%d" % i] = (1 << i) * formulas.gamma_closed(1 + m, k, i)
-    for i, count in up.sorted_items():
+    for i, count in sorted(up.items()):
         computed["up,%d" % i] = count
         expected["up,%d" % i] = ((1 << k) - (1 << (i - 1))) * formulas.gamma_closed(
             1 + m, k, i - 1
         )
     merged = same + up
-    for i, count in merged.sorted_items():
+    for i, count in sorted(merged.items()):
         computed["sum,%d" % i] = count
         expected["sum,%d" % i] = formulas.stacked1_gamma_closed(m, k, i)
     return computed, expected
@@ -261,8 +259,12 @@ _VERIFIERS = {
 }
 
 
+_VERIFY_FLAGS = ("s", "k", "n", "m", "q", "l", "rows")
+
+
 def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
     runner, defaults = _VERIFIERS[args.theorem]
+    _refuse_unread(parser, args, _VERIFY_FLAGS, defaults, "verify " + args.theorem)
     params = {"theorem": args.theorem}
     for name, default in defaults.items():
         given = getattr(args, name, None)
@@ -290,22 +292,38 @@ def _require(parser: argparse.ArgumentParser, args, names) -> None:
         parser.error("missing required flag(s): " + ", ".join("--" + n for n in missing))
 
 
+def _refuse_unread(parser: argparse.ArgumentParser, args, flags, read, command) -> None:
+    unread = [name for name in flags if name not in read and getattr(args, name) is not None]
+    if unread:
+        parser.error("%s does not read flag(s): %s"
+                     % (command, ", ".join("--" + n for n in unread)))
+
+
+_CENSUS_FLAGS = ("s", "k", "n", "m", "l")
+_CENSUS_REQUIRED = {
+    "gamma": ("s", "k"),
+    "quad": ("s", "k"),
+    "sigma": ("m", "k"),
+    "stacked": ("n", "m", "k"),
+}
+
+
 def _cmd_census(parser: argparse.ArgumentParser, args) -> int:
+    required = _CENSUS_REQUIRED[args.kind]
+    _require(parser, args, required)
+    read = required + ("l",) if args.kind == "quad" else required
+    _refuse_unread(parser, args, _CENSUS_FLAGS, read, "census " + args.kind)
     if args.kind == "gamma":
-        _require(parser, args, ("s", "k"))
         table = _table_text(census.enum_gamma(args.s, args.k, **_opts(args, "gamma")))
     elif args.kind == "quad":
-        _require(parser, args, ("s", "k"))
         l = 1 if args.l is None else args.l
         table = _table_text(
             census.enum_quadruple(l, args.s, args.k, **_opts(args, "quad"))
         )
     elif args.kind == "sigma":
-        _require(parser, args, ("m", "k"))
         same, up = census.enum_sigma(args.m, args.k, **_opts(args, "sigma"))
         table = _sigma_text(same, up)
     else:
-        _require(parser, args, ("n", "m", "k"))
         table = _table_text(
             census.enum_stacked_gamma(args.n, args.m, args.k, **_opts(args, "stacked"))
         )
@@ -322,11 +340,22 @@ def _cmd_census(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # expsum
 
+_EXPSUM_FLAGS = ("s", "k", "m", "t", "eta", "etas")
+_EXPSUM_REQUIRED = {
+    "h": ("s", "k", "t"),
+    "g": ("s", "k", "t"),
+    "g2": ("m", "k", "t", "eta"),
+    "f2": ("m", "k", "t", "eta"),
+    "fmulti": ("m", "k", "t", "etas"),
+}
+
 
 def _cmd_expsum(parser: argparse.ArgumentParser, args) -> int:
     kind = args.kind
+    required = _EXPSUM_REQUIRED[kind]
+    _require(parser, args, required)
+    _refuse_unread(parser, args, _EXPSUM_FLAGS, required, "expsum " + kind)
     if kind in ("h", "g"):
-        _require(parser, args, ("s", "k", "t"))
         t = _parse_series(args.t, args.k + args.s - 1)
         if kind == "h":
             direct = h_direct(args.s, args.k, t, budget_bits=args.budget_bits)
@@ -334,20 +363,15 @@ def _cmd_expsum(parser: argparse.ArgumentParser, args) -> int:
         else:
             direct = g_direct(args.s, args.k, t, budget_bits=args.budget_bits)
             closed = g_closed(args.s, args.k, t)
-    elif kind in ("g2", "f2"):
-        _require(parser, args, ("m", "k", "t", "eta"))
+    elif kind == "g2":
         t = _parse_series(args.t, args.k + args.m)
         eta = _parse_series(args.eta, args.k)
-        if kind == "g2":
-            direct = g2var_direct(args.m, args.k, t, eta, budget_bits=args.budget_bits)
-            closed = g2var_closed(args.m, args.k, t, eta)
-        else:
-            direct = f2var_direct(args.m, args.k, t, eta, budget_bits=args.budget_bits)
-            closed = f2var_closed(args.m, args.k, t, eta)
-    else:
-        _require(parser, args, ("m", "k", "t", "etas"))
+        direct = g2var_direct(args.m, args.k, t, eta, budget_bits=args.budget_bits)
+        closed = g2var_closed(args.m, args.k, t, eta)
+    else:  # f2 is fmulti with one eta
         t = _parse_series(args.t, args.k + args.m)
-        etas = [_parse_series(part, args.k) for part in args.etas.split(",")]
+        literals = [args.eta] if kind == "f2" else args.etas.split(",")
+        etas = [_parse_series(part, args.k) for part in literals]
         direct = fmulti_direct(args.m, args.k, t, etas, budget_bits=args.budget_bits)
         closed = fmulti_closed(args.m, args.k, t, etas)
     agree = direct == closed
@@ -358,39 +382,35 @@ def _cmd_expsum(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # repcount
 
+# every mode, in the order --check reports them
+_REPCOUNT_MODES = {
+    "formula": lambda q, n, k, m, bits: census.repcount_multi_formula(q, n, k, m),
+    "brute": lambda q, n, k, m, bits: census.repcount_bruteforce(
+        q, n, k, m, budget_bits=bits),
+    "integral": lambda q, n, k, m, bits: census.repcount_integral(
+        q, n, k, m, budget_bits=bits),
+}
+
 
 def _cmd_repcount(parser: argparse.ArgumentParser, args) -> int:
     _require(parser, args, ("q", "n", "k", "m"))
-    q, n, k, m = args.q, args.n, args.k, args.m
-    if args.check:
-        results = [("formula", census.repcount_multi_formula(q, n, k, m))]
+    params = (args.q, args.n, args.k, args.m, args.budget_bits)
+    if not args.check:
+        if args.mode is None:
+            parser.error("either --mode or --check is required")
+        print(_REPCOUNT_MODES[args.mode](*params))
+        return 0
+    results = []
+    for name, count in _REPCOUNT_MODES.items():
         try:
-            results.append(
-                ("brute", census.repcount_bruteforce(q, n, k, m, budget_bits=args.budget_bits))
-            )
+            results.append((name, count(*params)))
         except BudgetExceeded:
             pass
-        try:
-            results.append(
-                ("integral", census.repcount_integral(q, n, k, m, budget_bits=args.budget_bits))
-            )
-        except BudgetExceeded:
-            pass
-        agree = len({value for _, value in results}) == 1
-        fields = ["%s=%d" % pair for pair in results]
-        fields.append("agree=%s" % ("true" if agree else "false"))
-        print(" ".join(fields))
-        return 0 if agree else 1
-    if args.mode is None:
-        parser.error("either --mode or --check is required")
-    if args.mode == "formula":
-        value = census.repcount_multi_formula(q, n, k, m)
-    elif args.mode == "brute":
-        value = census.repcount_bruteforce(q, n, k, m, budget_bits=args.budget_bits)
-    else:
-        value = census.repcount_integral(q, n, k, m, budget_bits=args.budget_bits)
-    print(value)
-    return 0
+    agree = len({value for _, value in results}) == 1
+    fields = ["%s=%d" % pair for pair in results]
+    fields.append("agree=%s" % ("true" if agree else "false"))
+    print(" ".join(fields))
+    return 0 if agree else 1
 
 
 # ---------------------------------------------------------------------------
@@ -422,35 +442,40 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run an empirical census against its closed form")
     verify.add_argument("theorem", choices=sorted(_VERIFIERS),
                         help="which verification suite to run")
-    for flag in ("s", "k", "n", "m", "q", "l", "rows"):
+    for flag in _VERIFY_FLAGS:
         verify.add_argument("--" + flag, type=int)
     common(verify)
 
     cens = sub.add_parser("census", help="print a rank census table")
-    cens.add_argument("kind", choices=("gamma", "quad", "sigma", "stacked"))
-    for flag in ("s", "k", "n", "m", "l"):
+    cens.add_argument("kind", choices=tuple(_CENSUS_REQUIRED))
+    for flag in _CENSUS_FLAGS:
         cens.add_argument("--" + flag, type=int)
     cens.add_argument("--format", choices=("json", "csv"), default="json")
     common(cens)
 
     exps = sub.add_parser(
         "expsum", help="evaluate an exponential sum directly and in closed form")
-    exps.add_argument("kind", choices=("h", "g", "g2", "f2", "fmulti"))
-    for flag in ("s", "k", "n", "m"):
+    exps.add_argument("kind", choices=tuple(_EXPSUM_REQUIRED))
+    for flag in ("s", "k", "m"):
         exps.add_argument("--" + flag, type=int)
     exps.add_argument("--t", help="series argument, leftmost bit is the T^-1 coefficient")
-    exps.add_argument("--eta", help="row series for the two-variable sums")
+    exps.add_argument("--eta", help="row series for g2 and f2 (fmulti with one eta)")
     exps.add_argument("--etas", help="comma-separated row series for fmulti")
     budget(exps)
 
     rep = sub.add_parser(
         "repcount", help="count representations t = sum of products y*z")
-    rep.add_argument("--mode", choices=("formula", "brute", "integral"))
+    rep.add_argument("--mode", choices=tuple(_REPCOUNT_MODES))
     for flag in ("q", "n", "k", "m"):
         rep.add_argument("--" + flag, type=int)
     rep.add_argument("--check", action="store_true",
                      help="run every mode within budget and compare")
-    common(rep)
+    budget(rep)
+    # accepted so that every census-running command takes the same flags
+    rep.add_argument("--threads", type=int, help="accepted and unused: "
+                     "repcount runs in one process")
+    rep.add_argument("--checkpoint", help="accepted and unused: repcount "
+                     "writes no checkpoint")
 
     return parser
 

@@ -8,9 +8,10 @@ forms; the module's central contract is that the two always agree. A
 direct sum refuses to run over more than 2^budget_bits terms.
 
 Naming: h is the full bilinear sum over deg Y <= k-1, deg Z <= s-1; g is
-its top-degree slice (both degrees exact); the two-variable g and f add a
-second series eta with one extra factor, constant (deg U = 0) for g and
-free over U in {0,1} for f; fmulti generalizes f to n extra series.
+its top-degree slice (both degrees exact); the two-variable g adds a
+second series eta with one extra factor, constant (deg U = 0); fmulti adds
+n series eta_j, each with a factor free over U_j in {0,1} (the two-variable
+f is fmulti with one eta).
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "g_boundary_factors",
     "g2var_direct",
     "g2var_closed",
-    "f2var_direct",
-    "f2var_closed",
     "fmulti_direct",
     "fmulti_closed",
 ]
@@ -145,23 +144,6 @@ def g2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
     top = rank_of_rows(rows[:-1])
     full = rank_of_rows(rows)
     return (1 << (k + m + 1 - top)) if top == full else 0
-
-
-def f2var_direct(
-    m: int,
-    k: int,
-    t: UnitSeries,
-    eta: UnitSeries,
-    *,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-) -> int:
-    """Like g2var but with the extra factor summed over U in {0, 1}."""
-    return fmulti_direct(m, k, t, [eta], budget_bits=budget_bits)
-
-
-def f2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
-    """2^(k+m+2-r) with r the rank of the block stacked over the eta row."""
-    return fmulti_closed(m, k, t, [eta])
 
 
 def fmulti_direct(

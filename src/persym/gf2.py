@@ -7,9 +7,9 @@ width, which is all the rank computations here need.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-__all__ = ["BitMatrix", "rank", "kernel_dimension", "transpose", "rank_of_rows"]
+__all__ = ["BitMatrix", "rank", "rank_of_rows"]
 
 
 class BitMatrix:
@@ -31,38 +31,9 @@ class BitMatrix:
         self.ncols = ncols
         self._rows = tuple(packed)
 
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]], ncols: int | None = None) -> "BitMatrix":
-        """Build from nested 0/1 sequences (row-major)."""
-        nrows = len(entries)
-        if ncols is None:
-            ncols = len(entries[0]) if nrows else 0
-        rows = []
-        for row in entries:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            packed = 0
-            for j, e in enumerate(row):
-                if e not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                packed |= e << j
-            rows.append(packed)
-        return cls(nrows, ncols, rows)
-
-    def row(self, i: int) -> int:
-        return self._rows[i]
-
     @property
     def rows(self) -> Tuple[int, ...]:
         return self._rows
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= j < self.ncols):
-            raise IndexError("column index out of range")
-        return (self._rows[i] >> j) & 1
-
-    def to_entries(self) -> List[List[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self._rows]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
@@ -96,18 +67,3 @@ def rank_of_rows(rows: Iterable[int]) -> int:
 def rank(m: BitMatrix) -> int:
     """Row rank of the matrix over GF(2)."""
     return rank_of_rows(m.rows)
-
-
-def kernel_dimension(m: BitMatrix) -> int:
-    """Dimension of the right nullspace {x : Mx = 0}; equals cols - rank."""
-    return m.ncols - rank(m)
-
-
-def transpose(m: BitMatrix) -> BitMatrix:
-    rows = []
-    for j in range(m.ncols):
-        packed = 0
-        for i in range(m.nrows):
-            packed |= ((m.row(i) >> j) & 1) << i
-        rows.append(packed)
-    return BitMatrix(m.ncols, m.nrows, rows)

@@ -8,12 +8,13 @@ precision N. A series never pretends to know coefficients past its
 precision: any operation that would need one raises InsufficientPrecision.
 
 The additive character E sends a series to (-1) raised to its T^-1
-coefficient; every exponential sum in this package is built from it.
+coefficient; every exponential sum in this package is built from its
+value on the fractional part of t*p (`char_E_of_product`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from .exceptions import InsufficientPrecision
 
@@ -21,12 +22,7 @@ __all__ = [
     "Poly2",
     "UnitSeries",
     "poly_mul",
-    "frac_mul",
-    "frac_valuation_exceeds",
-    "char_E",
     "char_E_of_product",
-    "char_chi",
-    "series_add",
 ]
 
 
@@ -154,59 +150,9 @@ def poly_mul(a: Poly2, b: Poly2) -> Poly2:
     return Poly2(out)
 
 
-def frac_mul(t: UnitSeries, p: Poly2, precision: Optional[int] = None) -> UnitSeries:
-    """Fractional part of t*p as a series of the requested precision.
-
-    Output coefficient b_r = sum_j p_j * a_{r+j} (mod 2): multiplying by T^j
-    shifts the tail of t left by j places and the integer part falls away.
-    Default precision is the largest the input supports.
-    """
-    if not p:
-        return UnitSeries(0, t.precision if precision is None else precision)
-    deg = p.bits.bit_length() - 1
-    if precision is None:
-        precision = t.precision - deg
-        if precision < 0:
-            raise InsufficientPrecision(
-                "series stores %d coefficients, fewer than deg p = %d" % (t.precision, deg)
-            )
-    t.require(precision + deg)
-    out = 0
-    for r in range(1, precision + 1):
-        out |= _parity((t.coeffs >> (r - 1)) & p.bits) << (r - 1)
-    return UnitSeries(out, precision)
-
-
-def frac_valuation_exceeds(t: UnitSeries, p: Poly2, s: int) -> bool:
-    """True iff the fractional part of t*p vanishes through T^-s."""
-    if s < 0:
-        raise ValueError("valuation threshold must be nonnegative")
-    return frac_mul(t, p, s).coeffs == 0
-
-
-def char_E(u: UnitSeries) -> int:
-    """Sign (-1)^(a_1): the additive character of the unit interval."""
-    return -1 if u.coefficient(1) else 1
-
-
 def char_E_of_product(t: UnitSeries, p: Poly2) -> int:
-    """char_E of the fractional part of t*p, i.e. (-1)^(sum_j p_j a_{1+j})."""
+    """E of the fractional part of t*p, i.e. (-1)^(sum_j p_j a_{1+j})."""
     if not p:
         return 1
     t.require(1 + (p.bits.bit_length() - 1))
     return -1 if _parity(t.coeffs & p.bits) else 1
-
-
-def char_chi(us: Iterable[UnitSeries]) -> int:
-    """Product character over a tuple of series."""
-    sign = 1
-    for u in us:
-        sign *= char_E(u)
-    return sign
-
-
-def series_add(u: UnitSeries, v: UnitSeries) -> UnitSeries:
-    """Coefficientwise sum, exact through the smaller precision."""
-    precision = min(u.precision, v.precision)
-    mask = (1 << precision) - 1
-    return UnitSeries((u.coeffs ^ v.coeffs) & mask, precision)

@@ -11,8 +11,6 @@ import time
 from persym import census, formulas
 from persym.dyadic import DyadicRational
 from persym.expsum import (
-    f2var_closed,
-    f2var_direct,
     fmulti_closed,
     fmulti_direct,
     g2var_closed,
@@ -97,7 +95,7 @@ def test_criterion_05_representation_count_cross_check():
     problems = []
     for q, s, k in [(1, 2, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2)]:
         brute = census.repcount_bruteforce(q, 0, k, s - 1)
-        formula = census.repcount_formula(q, s, k)
+        formula = census.repcount_multi_formula(q, 0, k, s - 1)
         integral = census.repcount_integral(q, 0, k, s - 1)
         if not brute == formula == integral:
             problems.append((q, s, k, brute, formula, integral))
@@ -130,7 +128,7 @@ def test_criterion_06_exponential_sum_identity_suite():
                 eta = UnitSeries(ev, k)
                 if g2var_direct(m, k, t, eta) != g2var_closed(m, k, t, eta):
                     problems.append(("g2", m, k, tv, ev))
-                if f2var_direct(m, k, t, eta) != f2var_closed(m, k, t, eta):
+                if fmulti_direct(m, k, t, [eta]) != fmulti_closed(m, k, t, [eta]):
                     problems.append(("f2", m, k, tv, ev))
     m, k = 0, 2
     for tv in range(1 << (k + m)):

@@ -1,10 +1,9 @@
 import os
+import sys
 import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from persym import census as C
 from persym import formulas as F
@@ -187,32 +186,6 @@ class TestWalkAgainstNaive:
                 assert got == F.landsberg_table(rows, k)
 
 
-class TestCountTable:
-    def test_missing_keys_count_zero(self):
-        t = C.CountTable({1: 5})
-        assert t[0] == 0 and t[1] == 5
-        assert 0 not in t
-
-    def test_total_and_sorted_items(self):
-        t = C.CountTable({2: 7, 0: 1, 1: 3})
-        assert t.total() == 11
-        assert t.sorted_items() == [(0, 1), (1, 3), (2, 7)]
-
-    def test_addition_merges(self):
-        a = C.CountTable({0: 1, 1: 2})
-        b = C.CountTable({1: 5, 3: 4})
-        assert dict(a + b) == {0: 1, 1: 7, 3: 4}
-
-    @given(
-        st.dictionaries(st.integers(0, 5), st.integers(0, 100)),
-        st.dictionaries(st.integers(0, 5), st.integers(0, 100)),
-        st.dictionaries(st.integers(0, 5), st.integers(0, 100)),
-    )
-    def test_merge_is_associative(self, a, b, c):
-        ta, tb, tc = C.CountTable(a), C.CountTable(b), C.CountTable(c)
-        assert dict((ta + tb) + tc) == dict(ta + (tb + tc))
-
-
 class TestEnumGamma:
     def test_known_tables(self):
         assert dict(C.enum_gamma(2, 3)) == {0: 1, 1: 3, 2: 12}
@@ -362,6 +335,17 @@ class TestPartitioning:
         with pytest.raises(ValueError, match="counts 4 points, not 16"):
             C.enum_stacked_gamma(1, 1, 2, checkpoint=path, chunk_size=4)
 
+    def test_checkpoint_count_below_one_is_rejected(self, tmp_path):
+        # each rewritten line keeps its one-point chunk's sum
+        path = tmp_path / "gamma.ckpt"
+        C.enum_gamma(3, 4, checkpoint=str(path))
+        header, first, *rest = path.read_text().splitlines()
+        assert first == "0 1 0:1"
+        for line in ("0 1 0:-1 1:2", "0 1 0:1 1:0"):
+            path.write_text("\n".join([header, line] + rest) + "\n")
+            with pytest.raises(ValueError, match="below 1"):
+                C.enum_gamma(3, 4, checkpoint=str(path))
+
     def test_checkpoint_chunking_mismatch_is_rejected(self, tmp_path):
         path = str(tmp_path / "gamma.ckpt")
         C.enum_gamma(4, 4, checkpoint=path, chunk_size=16)
@@ -400,6 +384,29 @@ class TestPartitioning:
         path.write_text(text[:5])
         assert dict(C.enum_gamma(3, 3, checkpoint=str(path))) == full
         assert path.read_text() == text
+
+
+class TestRouteIndependence:
+    def test_enumeration_never_calls_formulas(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the enumeration route called persym.formulas")
+
+        # every binding of a public formulas callable, in any persym module
+        closed = {id(getattr(F, name)) for name in F.__all__}
+        for module in [m for key, m in sys.modules.items()
+                       if key == "persym" or key.startswith("persym.")]:
+            for attr, value in list(vars(module).items()):
+                if id(value) in closed:
+                    monkeypatch.setattr(module, attr, refuse)
+        with pytest.raises(AssertionError):
+            C.repcount_multi_formula(1, 0, 2, 1)
+        assert dict(C.enum_gamma(3, 3)) == {0: 1, 1: 3, 2: 12, 3: 16}
+        assert sum(C.enum_quadruple(1, 3, 3).values()) == 1 << 5
+        same, up = C.enum_sigma(1, 2)
+        assert sum(same.values()) + sum(up.values()) == 1 << 5
+        assert sum(C.enum_stacked_gamma(1, 1, 2).values()) == 1 << 5
+        assert C.repcount_bruteforce(2, 1, 2, 1) == 148
+        assert C.repcount_integral(2, 1, 2, 1) == 148
 
 
 class TestPool:
@@ -484,24 +491,23 @@ class TestIntegrateCoset:
 
 class TestRepcounts:
     def test_formula_known_values(self):
-        assert C.repcount_formula(1, 2, 2) == 7
-        assert C.repcount_formula(2, 2, 2) == 64
-        assert C.repcount_formula(1, 3, 4) == (1 << 4) + (1 << 3) - 1
+        assert C.repcount_multi_formula(1, 0, 2, 1) == 7
+        assert C.repcount_multi_formula(2, 0, 2, 1) == 64
+        assert C.repcount_multi_formula(1, 0, 4, 2) == (1 << 4) + (1 << 3) - 1
 
     def test_formula_accepts_census_table(self):
         for q, s, k in [(1, 2, 2), (2, 2, 3), (3, 3, 3)]:
             census = C.enum_gamma(s, k)
-            assert C.repcount_formula(q, s, k, census) == C.repcount_formula(q, s, k)
+            assert C.repcount_multi_formula(q, 0, k, s - 1, census) == (
+                C.repcount_multi_formula(q, 0, k, s - 1))
 
     def test_inconsistent_table_raises(self):
         with pytest.raises(NonIntegerResult):
-            C.repcount_formula(1, 2, 2, {1: 3, 2: 1})
+            C.repcount_multi_formula(1, 0, 2, 1, {1: 3, 2: 1})
 
     def test_multi_formula_known_values(self):
         assert C.repcount_multi_formula(3, 5, 4, 2) == 24413824
         assert C.repcount_multi_formula(1, 1, 3, 2) == 23
-        for q in (1, 2, 3):
-            assert C.repcount_multi_formula(q, 0, 2, 1) == C.repcount_formula(q, 2, 2)
 
     def test_displayed_power_identity(self):
         for q in (1, 2, 3, 5):
@@ -517,19 +523,21 @@ class TestRepcounts:
     def test_bruteforce_matches_formula(self):
         for q, s, k in [(1, 2, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2)]:
             m = s - 1
-            assert C.repcount_bruteforce(q, 0, k, m) == C.repcount_formula(q, s, k)
+            assert C.repcount_bruteforce(q, 0, k, m) == C.repcount_multi_formula(
+                q, 0, k, s - 1)
         assert C.repcount_bruteforce(1, 1, 3, 2) == 23
 
     def test_integral_matches_formula(self):
         for q, s, k in [(1, 2, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2)]:
-            assert C.repcount_integral(q, 0, k, s - 1) == C.repcount_formula(q, s, k)
+            assert C.repcount_integral(q, 0, k, s - 1) == C.repcount_multi_formula(
+                q, 0, k, s - 1)
         assert C.repcount_integral(1, 1, 3, 2) == 23
         assert C.repcount_integral(2, 1, 2, 1) == C.repcount_multi_formula(2, 1, 2, 1)
 
     def test_piecewise_matches_formula(self):
         for q in range(1, 6):
             for k, m in [(2, 1), (3, 1), (3, 2), (4, 0)]:
-                assert F.repcount_piecewise(q, k, m) == C.repcount_formula(q, 1 + m, k)
+                assert F.repcount_piecewise(q, k, m) == C.repcount_multi_formula(q, 0, k, m)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 1, 2])

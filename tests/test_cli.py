@@ -82,6 +82,12 @@ class TestCensusCommand:
         assert code == 2
         assert "--s" in err
 
+    def test_unread_flag_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["census", "gamma", "--s", "2", "--k", "2", "--m", "9", "--n", "4"], capsys)
+        assert code == 2 and out == ""
+        assert "census gamma does not read flag(s): --n, --m" in err
+
     def test_budget_exit(self, capsys):
         code, _, err = run_cli(
             ["census", "gamma", "--s", "9", "--k", "9", "--budget-bits", "10"], capsys
@@ -130,6 +136,11 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "thm3.8", "--k", "1"], capsys)
         assert code == 2
         assert "no case table" in err
+
+    def test_unread_flag_is_usage_error(self, capsys):
+        code, out, err = run_cli(["verify", "thm3.1", "--q", "7", "--n", "3"], capsys)
+        assert code == 2 and out == ""
+        assert "verify thm3.1 does not read flag(s): --n, --q" in err
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(["verify", "bogus"], capsys)
@@ -197,6 +208,19 @@ class TestExpsumCommand:
             capture_output=True, text=True, timeout=20)
         assert result.returncode == 2 and result.stdout == ""
         assert "over the 2^%d budget" % budget in result.stderr
+
+    @pytest.mark.parametrize("argv,message", [
+        (["h", "--s", "2", "--k", "2", "--t", "100", "--m", "4", "--eta", "11"],
+         "expsum h does not read flag(s): --m, --eta"),
+        (["fmulti", "--m", "0", "--k", "2", "--t", "01", "--etas", "10", "--s", "9"],
+         "expsum fmulti does not read flag(s): --s"),
+        (["h", "--s", "2", "--k", "2", "--t", "100", "--n", "3"],
+         "unrecognized arguments: --n 3"),
+    ])
+    def test_unread_flag_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(["expsum"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_disagreement_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "h_closed", lambda s, k, t: 12345)

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from persym.builders import hankel
 from persym.exceptions import BudgetExceeded, InsufficientPrecision
 from persym.expsum import (
-    f2var_closed,
-    f2var_direct,
     fmulti_closed,
     fmulti_direct,
     g2var_closed,
@@ -145,16 +143,16 @@ def test_g2var_frozen_values():
 
 
 def test_f2var_at_zero():
-    assert f2var_direct(0, 1, UnitSeries.zero(1), UnitSeries.zero(1)) == 8
-    assert f2var_closed(0, 1, UnitSeries.zero(1), UnitSeries.zero(1)) == 8
+    assert fmulti_direct(0, 1, UnitSeries.zero(1), [UnitSeries.zero(1)]) == 8
+    assert fmulti_closed(0, 1, UnitSeries.zero(1), [UnitSeries.zero(1)]) == 8
 
 
 def test_f2var_frozen_values():
     assert oracle_f2var(0, 1, [0], [1]) == 4
-    assert f2var_direct(0, 1, UnitSeries.zero(1), S("1")) == 4
-    assert f2var_closed(0, 1, UnitSeries.zero(1), S("1")) == 4
+    assert fmulti_direct(0, 1, UnitSeries.zero(1), [S("1")]) == 4
+    assert fmulti_closed(0, 1, UnitSeries.zero(1), [S("1")]) == 4
 
-    assert f2var_closed(2, 3, UnitSeries.zero(5), UnitSeries.zero(3)) == 128
+    assert fmulti_closed(2, 3, UnitSeries.zero(5), [UnitSeries.zero(3)]) == 128
 
 
 @pytest.mark.parametrize("m,k", [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -162,7 +160,7 @@ def test_two_variable_sums_agree_on_full_grid(m, k):
     for t in grid(k + m):
         for eta in grid(k):
             assert g2var_direct(m, k, t, eta) == g2var_closed(m, k, t, eta)
-            assert f2var_direct(m, k, t, eta) == f2var_closed(m, k, t, eta)
+            assert fmulti_direct(m, k, t, [eta]) == fmulti_closed(m, k, t, [eta])
 
 
 def test_two_variable_sums_match_oracles():
@@ -171,7 +169,7 @@ def test_two_variable_sums_match_oracles():
         for eta in grid(k):
             a, b = alpha_of(t), alpha_of(eta)
             assert g2var_direct(m, k, t, eta) == oracle_g2var(m, k, a, b)
-            assert f2var_direct(m, k, t, eta) == oracle_f2var(m, k, a, b)
+            assert fmulti_direct(m, k, t, [eta]) == oracle_f2var(m, k, a, b)
 
 
 # ----------------------------------------------------------------- fmulti
@@ -192,14 +190,6 @@ def test_fmulti_direct_equals_closed_at_n2():
                 assert fmulti_direct(m, k, t, [e1, e2]) == fmulti_closed(
                     m, k, t, [e1, e2]
                 )
-
-
-def test_fmulti_reduces_to_f2var():
-    m, k = 1, 2
-    for t in grid(k + m):
-        for eta in grid(k):
-            assert fmulti_direct(m, k, t, [eta]) == f2var_direct(m, k, t, eta)
-            assert fmulti_closed(m, k, t, [eta]) == f2var_closed(m, k, t, eta)
 
 
 def test_fmulti_reduces_to_h():
@@ -228,7 +218,7 @@ def test_direct_sums_refuse_more_terms_than_the_budget():
         (lambda b: h_direct(4, 4, t, budget_bits=b), 8),
         (lambda b: g_direct(4, 4, t, budget_bits=b), 6),
         (lambda b: g2var_direct(2, 4, t, eta, budget_bits=b), 7),
-        (lambda b: f2var_direct(2, 4, t, eta, budget_bits=b), 8),
+        (lambda b: fmulti_direct(2, 4, t, [eta], budget_bits=b), 8),
         (lambda b: fmulti_direct(2, 4, t, [eta, eta], budget_bits=b), 9),
     ]
     for direct, bits in cases:

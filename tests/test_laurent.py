@@ -3,18 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from typing import Iterable, Optional
+
 from persym.exceptions import InsufficientPrecision
-from persym.laurent import (
-    Poly2,
-    UnitSeries,
-    char_E,
-    char_E_of_product,
-    char_chi,
-    frac_mul,
-    frac_valuation_exceeds,
-    poly_mul,
-    series_add,
-)
+from persym.laurent import Poly2, UnitSeries, char_E_of_product, poly_mul
 
 from oracles import char_sign, poly_mul as oracle_poly_mul
 
@@ -25,6 +17,60 @@ def S(literal):
 
 def P(literal):
     return Poly2.from_string(literal)
+
+
+# Series operations that only these tests use; the package evaluates
+# characters on t*p directly through char_E_of_product.
+
+
+def frac_mul(t: UnitSeries, p: Poly2, precision: Optional[int] = None) -> UnitSeries:
+    """Fractional part of t*p as a series of the requested precision.
+
+    Output coefficient b_r = sum_j p_j * a_{r+j} (mod 2): multiplying by T^j
+    shifts the tail of t left by j places and the integer part falls away.
+    Default precision is the largest the input supports.
+    """
+    if not p:
+        return UnitSeries(0, t.precision if precision is None else precision)
+    deg = p.bits.bit_length() - 1
+    if precision is None:
+        precision = t.precision - deg
+        if precision < 0:
+            raise InsufficientPrecision(
+                "series stores %d coefficients, fewer than deg p = %d" % (t.precision, deg)
+            )
+    t.require(precision + deg)
+    out = 0
+    for r in range(1, precision + 1):
+        out |= (((t.coeffs >> (r - 1)) & p.bits).bit_count() & 1) << (r - 1)
+    return UnitSeries(out, precision)
+
+
+def frac_valuation_exceeds(t: UnitSeries, p: Poly2, s: int) -> bool:
+    """True iff the fractional part of t*p vanishes through T^-s."""
+    if s < 0:
+        raise ValueError("valuation threshold must be nonnegative")
+    return frac_mul(t, p, s).coeffs == 0
+
+
+def char_E(u: UnitSeries) -> int:
+    """Sign (-1)^(a_1): the additive character of the unit interval."""
+    return -1 if u.coefficient(1) else 1
+
+
+def char_chi(us: Iterable[UnitSeries]) -> int:
+    """Product character over a tuple of series."""
+    sign = 1
+    for u in us:
+        sign *= char_E(u)
+    return sign
+
+
+def series_add(u: UnitSeries, v: UnitSeries) -> UnitSeries:
+    """Coefficientwise sum, exact through the smaller precision."""
+    precision = min(u.precision, v.precision)
+    mask = (1 << precision) - 1
+    return UnitSeries((u.coeffs ^ v.coeffs) & mask, precision)
 
 
 # ---------------------------------------------------------------- polynomials
