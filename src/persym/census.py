@@ -8,8 +8,8 @@ disjoint index ranges; partial tallies merge by plain addition, so any
 partitioning (including a resumed checkpoint file) gives identical
 results. A checkpoint file opens with a header naming its census,
 parameters, domain size and chunk size; a file with another header, or
-a line with a count below 1 or whose counts do not sum to its range's
-point count, is rejected.
+a line with a count below 1, a key the census cannot produce, a repeated
+key, or counts that do not sum to its range's point count, is rejected.
 
 A coset representative of depth N is an N-bit integer whose bit b
 (least significant first) is the coefficient alpha_{l+b} of the series;
@@ -28,12 +28,14 @@ import itertools
 import os
 from collections import Counter
 from multiprocessing import Pool
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from . import formulas
 from .dyadic import DyadicRational
 from .exceptions import DEFAULT_BUDGET_BITS, IncompleteDomain, check_budget
-from .expsum import fmulti_closed, h_closed
+from .expsum import fmulti_closed
 from .laurent import Poly2, UnitSeries, poly_mul
 
 __all__ = [
@@ -88,9 +90,14 @@ def _key_from_text(text: str) -> Key:
 
 
 def _read_checkpoint(
-    path: str, header: str, valid: Iterable[Tuple[int, int]], weight: int
+    path: str,
+    header: str,
+    valid: Iterable[Tuple[int, int]],
+    keys: Container[Key],
+    weight: int,
 ) -> Dict[Tuple[int, int], Counter]:
-    """Finished chunks of a checkpoint file; weight is points per index.
+    """Finished chunks of a checkpoint file; keys are those the census can
+    produce, weight is points per index.
 
     The file must open with this census's header line. A last line
     without a newline was cut off mid-write (the header included): it is
@@ -129,7 +136,15 @@ def _read_checkpoint(
                     "checkpoint range %r has count %d below 1;"
                     " remove %s to start over" % (rng, count, path)
                 )
-            counts[_key_from_text(key_text)] = count
+            key = _key_from_text(key_text)
+            if key not in keys or key in counts:
+                raise ValueError(
+                    "checkpoint range %r has %s key %s;"
+                    " remove %s to start over"
+                    % (rng, "a repeated" if key in counts else "an impossible",
+                       key_text, path)
+                )
+            counts[key] = count
         points = (rng[1] - rng[0]) * weight
         if counts.total() != points:
             raise ValueError(
@@ -174,7 +189,16 @@ def _run_chunks(
         chunk_size = max(1, total >> 6)
     ranges = _chunk_ranges(total, chunk_size)
     header = "#census %s points=%d chunk=%d" % (name, total * weight, chunk_size)
-    done = _read_checkpoint(checkpoint, header, ranges, weight) if checkpoint else {}
+    done = {}
+    if checkpoint:
+        ranks = range(min(rows + free, k) + 1)
+        if split:
+            keys = set(itertools.product(("same", "up"), ranks))
+        elif len(blocks) > 1:
+            keys = set(itertools.product(ranks, repeat=len(blocks)))
+        else:
+            keys = set(ranks)
+        done = _read_checkpoint(checkpoint, header, ranges, keys, weight)
     tally = Counter()
     for counts in done.values():
         tally += counts
@@ -523,15 +547,12 @@ def repcount_integral(
     bits = t_bits + n * k
     check_budget(bits, budget_bits, "integral q=%d n=%d k=%d m=%d" % (q, n, k, m))
     ts = (UnitSeries(tv, t_bits) for tv in range(1 << t_bits))
-    if n == 0:
-        values = (h_closed(1 + m, k, t) for t in ts)
-    else:
-        eta_values = [UnitSeries(v, k) for v in range(1 << k)]
-        values = (
-            fmulti_closed(m, k, t, etas)
-            for t in ts
-            for etas in itertools.product(eta_values, repeat=n)
-        )
+    eta_values = [UnitSeries(v, k) for v in range(1 << k)]
+    values = (
+        fmulti_closed(m, k, t, etas)
+        for t in ts
+        for etas in itertools.product(eta_values, repeat=n)
+    )
     return integrate_tally(Counter(values), bits, q).to_int()
 
 

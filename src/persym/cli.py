@@ -7,9 +7,10 @@ Four subcommands:
   expsum    evaluate an exponential sum directly and in closed form
   repcount  count polynomial representations by formula, brute force, or integral
 
-Exit status is 0 when every comparison matches, 1 on a mathematical
-mismatch, 2 on usage errors (a flag the command does not read among
-them) or when an enumeration would exceed the point budget.  Output for
+Each command kind declares only the flags it reads, so argparse refuses
+any other (`persym <command> <kind> -h` lists them). Exit status is 0
+when every comparison matches, 1 on a mathematical mismatch, 2 on usage
+errors or when an enumeration would exceed the point budget.  Output for
 a given input is byte-identical across runs and across worker counts.
 
 Series arguments are bit strings whose leftmost character is the
@@ -21,7 +22,6 @@ import csv
 import json
 import os
 import sys
-import time
 from collections import Counter
 from typing import Dict, Optional
 
@@ -169,10 +169,16 @@ def _verify_coefficient_rows(p, args):
 
 
 def _verify_multi_count(p, args):
-    """Brute-force representation count against the stacked-census formula."""
+    """Brute-force representation count against the stacked-census formula.
+
+    With n = 0 and m <= k - 1 the paper's piecewise form is checked too.
+    """
     q, n, k, m = p["q"], p["n"], p["k"], p["m"]
     computed = {"R": census.repcount_bruteforce(q, n, k, m, budget_bits=args.budget_bits)}
     expected = {"R": census.repcount_multi_formula(q, n, k, m)}
+    if n == 0 and m <= k - 1:
+        computed["R piecewise"] = formulas.repcount_piecewise(q, k, m)
+        expected["R piecewise"] = expected["R"]
     return computed, expected
 
 
@@ -259,24 +265,16 @@ _VERIFIERS = {
 }
 
 
-_VERIFY_FLAGS = ("s", "k", "n", "m", "q", "l", "rows")
-
-
-def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_verify(args) -> int:
     runner, defaults = _VERIFIERS[args.theorem]
-    _refuse_unread(parser, args, _VERIFY_FLAGS, defaults, "verify " + args.theorem)
     params = {"theorem": args.theorem}
-    for name, default in defaults.items():
-        given = getattr(args, name, None)
-        params[name] = default if given is None else given
-    started = time.monotonic()
+    params.update((name, getattr(args, name)) for name in defaults)
     computed, expected = runner(params, args)
     report = {
         "params": params,
         "computed": computed,
         "expected": expected,
         "match": computed == expected,
-        "runtime_ms": int((time.monotonic() - started) * 1000),
     }
     print(json.dumps(report, separators=(",", ":")))
     return 0 if report["match"] else 1
@@ -285,21 +283,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # census
 
-
-def _require(parser: argparse.ArgumentParser, args, names) -> None:
-    missing = [name for name in names if getattr(args, name, None) is None]
-    if missing:
-        parser.error("missing required flag(s): " + ", ".join("--" + n for n in missing))
-
-
-def _refuse_unread(parser: argparse.ArgumentParser, args, flags, read, command) -> None:
-    unread = [name for name in flags if name not in read and getattr(args, name) is not None]
-    if unread:
-        parser.error("%s does not read flag(s): %s"
-                     % (command, ", ".join("--" + n for n in unread)))
-
-
-_CENSUS_FLAGS = ("s", "k", "n", "m", "l")
+# the flags each kind requires; quad also reads an optional --l
 _CENSUS_REQUIRED = {
     "gamma": ("s", "k"),
     "quad": ("s", "k"),
@@ -308,17 +292,12 @@ _CENSUS_REQUIRED = {
 }
 
 
-def _cmd_census(parser: argparse.ArgumentParser, args) -> int:
-    required = _CENSUS_REQUIRED[args.kind]
-    _require(parser, args, required)
-    read = required + ("l",) if args.kind == "quad" else required
-    _refuse_unread(parser, args, _CENSUS_FLAGS, read, "census " + args.kind)
+def _cmd_census(args) -> int:
     if args.kind == "gamma":
         table = _table_text(census.enum_gamma(args.s, args.k, **_opts(args, "gamma")))
     elif args.kind == "quad":
-        l = 1 if args.l is None else args.l
         table = _table_text(
-            census.enum_quadruple(l, args.s, args.k, **_opts(args, "quad"))
+            census.enum_quadruple(args.l, args.s, args.k, **_opts(args, "quad"))
         )
     elif args.kind == "sigma":
         same, up = census.enum_sigma(args.m, args.k, **_opts(args, "sigma"))
@@ -340,7 +319,6 @@ def _cmd_census(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # expsum
 
-_EXPSUM_FLAGS = ("s", "k", "m", "t", "eta", "etas")
 _EXPSUM_REQUIRED = {
     "h": ("s", "k", "t"),
     "g": ("s", "k", "t"),
@@ -348,13 +326,16 @@ _EXPSUM_REQUIRED = {
     "f2": ("m", "k", "t", "eta"),
     "fmulti": ("m", "k", "t", "etas"),
 }
+# the series flags; the others are integers
+_SERIES_HELP = {
+    "t": "series argument, leftmost bit is the T^-1 coefficient",
+    "eta": "row series (f2 is fmulti with this one row)",
+    "etas": "comma-separated row series",
+}
 
 
-def _cmd_expsum(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_expsum(args) -> int:
     kind = args.kind
-    required = _EXPSUM_REQUIRED[kind]
-    _require(parser, args, required)
-    _refuse_unread(parser, args, _EXPSUM_FLAGS, required, "expsum " + kind)
     if kind in ("h", "g"):
         t = _parse_series(args.t, args.k + args.s - 1)
         if kind == "h":
@@ -392,12 +373,9 @@ _REPCOUNT_MODES = {
 }
 
 
-def _cmd_repcount(parser: argparse.ArgumentParser, args) -> int:
-    _require(parser, args, ("q", "n", "k", "m"))
+def _cmd_repcount(args) -> int:
     params = (args.q, args.n, args.k, args.m, args.budget_bits)
     if not args.check:
-        if args.mode is None:
-            parser.error("either --mode or --check is required")
         print(_REPCOUNT_MODES[args.mode](*params))
         return 0
     results = []
@@ -418,6 +396,7 @@ def _cmd_repcount(parser: argparse.ArgumentParser, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar: each command kind declares only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="persym",
         description="Rank censuses, exponential sums, and representation counts "
@@ -438,59 +417,67 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint", help="append finished chunks to this file "
                        "and resume from it")
 
-    verify = sub.add_parser(
-        "verify", help="run an empirical census against its closed form")
-    verify.add_argument("theorem", choices=sorted(_VERIFIERS),
-                        help="which verification suite to run")
-    for flag in _VERIFY_FLAGS:
-        verify.add_argument("--" + flag, type=int)
-    common(verify)
+    def required(p: argparse.ArgumentParser, flags) -> None:
+        for flag in flags:
+            series = flag in _SERIES_HELP
+            p.add_argument("--" + flag, required=True, type=str if series else int,
+                           help=_SERIES_HELP.get(flag))
 
-    cens = sub.add_parser("census", help="print a rank census table")
-    cens.add_argument("kind", choices=tuple(_CENSUS_REQUIRED))
-    for flag in _CENSUS_FLAGS:
-        cens.add_argument("--" + flag, type=int)
-    cens.add_argument("--format", choices=("json", "csv"), default="json")
-    common(cens)
+    verify = sub.add_parser(
+        "verify", help="run an empirical census against its closed form"
+    ).add_subparsers(dest="theorem", required=True, metavar="suite")
+    for theorem, (runner, defaults) in _VERIFIERS.items():
+        suite = verify.add_parser(theorem, help=runner.__doc__.splitlines()[0])
+        for flag, default in defaults.items():
+            suite.add_argument("--" + flag, type=int, default=default,
+                               help="default: %(default)s")
+        common(suite)
+        suite.set_defaults(run=_cmd_verify)
+
+    cens = sub.add_parser(
+        "census", help="print a rank census table"
+    ).add_subparsers(dest="kind", required=True)
+    for kind, flags in _CENSUS_REQUIRED.items():
+        leaf = cens.add_parser(kind)
+        required(leaf, flags)
+        if kind == "quad":
+            leaf.add_argument("--l", type=int, default=1,
+                              help="first window coefficient (default: 1)")
+        leaf.add_argument("--format", choices=("json", "csv"), default="json")
+        common(leaf)
+        leaf.set_defaults(run=_cmd_census)
 
     exps = sub.add_parser(
-        "expsum", help="evaluate an exponential sum directly and in closed form")
-    exps.add_argument("kind", choices=tuple(_EXPSUM_REQUIRED))
-    for flag in ("s", "k", "m"):
-        exps.add_argument("--" + flag, type=int)
-    exps.add_argument("--t", help="series argument, leftmost bit is the T^-1 coefficient")
-    exps.add_argument("--eta", help="row series for g2 and f2 (fmulti with one eta)")
-    exps.add_argument("--etas", help="comma-separated row series for fmulti")
-    budget(exps)
+        "expsum", help="evaluate an exponential sum directly and in closed form"
+    ).add_subparsers(dest="kind", required=True)
+    for kind, flags in _EXPSUM_REQUIRED.items():
+        leaf = exps.add_parser(kind)
+        required(leaf, flags)
+        budget(leaf)
+        leaf.set_defaults(run=_cmd_expsum)
 
     rep = sub.add_parser(
         "repcount", help="count representations t = sum of products y*z")
-    rep.add_argument("--mode", choices=tuple(_REPCOUNT_MODES))
-    for flag in ("q", "n", "k", "m"):
-        rep.add_argument("--" + flag, type=int)
-    rep.add_argument("--check", action="store_true",
+    how = rep.add_mutually_exclusive_group(required=True)
+    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES))
+    how.add_argument("--check", action="store_true",
                      help="run every mode within budget and compare")
+    required(rep, ("q", "n", "k", "m"))
     budget(rep)
     # accepted so that every census-running command takes the same flags
     rep.add_argument("--threads", type=int, help="accepted and unused: "
                      "repcount runs in one process")
     rep.add_argument("--checkpoint", help="accepted and unused: repcount "
                      "writes no checkpoint")
+    rep.set_defaults(run=_cmd_repcount)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(parser, args)
-        if args.command == "census":
-            return _cmd_census(parser, args)
-        if args.command == "expsum":
-            return _cmd_expsum(parser, args)
-        return _cmd_repcount(parser, args)
+        return args.run(args)
     except (CaseMismatch, NonIntegerResult) as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return 1

@@ -346,6 +346,25 @@ class TestPartitioning:
             with pytest.raises(ValueError, match="below 1"):
                 C.enum_gamma(3, 4, checkpoint=str(path))
 
+    @pytest.mark.parametrize("kind,params,line,message", [
+        # no 3 x 4 window has rank 7
+        ("gamma", (3, 4), "0 1 7:1", "impossible key 7"),
+        ("gamma", (3, 4), "0 1 0:1 0:1", "repeated key 0"),
+        ("quad", (1, 3, 3), "0 1 0,0,0:1", "impossible key 0,0,0"),
+        ("quad", (1, 3, 3), "0 1 0,0,0,4:1", "impossible key 0,0,0,4"),
+        ("sigma", (1, 2), "0 1 same,0:1 down,1:3", "impossible key down,1"),
+        ("stacked", (1, 1, 2), "0 1 0:1 3:3", "impossible key 3"),
+    ])
+    def test_checkpoint_key_the_census_cannot_hold_is_rejected(
+            self, tmp_path, kind, params, line, message):
+        # each rewritten first line keeps its one-index chunk's sum
+        path = tmp_path / "census.ckpt"
+        run_census(kind, params, checkpoint=str(path))
+        header, _, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, line] + rest) + "\n")
+        with pytest.raises(ValueError, match=message):
+            run_census(kind, params, checkpoint=str(path))
+
     def test_checkpoint_chunking_mismatch_is_rejected(self, tmp_path):
         path = str(tmp_path / "gamma.ckpt")
         C.enum_gamma(4, 4, checkpoint=path, chunk_size=16)
