@@ -8,44 +8,18 @@ shape appends unconstrained rows taken from further series.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence
+from typing import List, Sequence, Tuple
 
 from .gf2 import BitMatrix, rank_of_rows
 from .laurent import UnitSeries
 
 __all__ = [
-    "RankProfile",
     "hankel",
     "stacked",
     "rank_profile",
     "hankel_rows",
     "stacked_rows",
 ]
-
-
-class RankProfile(NamedTuple):
-    """Ranks of the four nested corner blocks of a persymmetric matrix.
-
-    j1 is the rank with the last row and column deleted, j2 with the last
-    row deleted, j3 with the last column deleted, j4 of the full matrix.
-    """
-
-    j1: int
-    j2: int
-    j3: int
-    j4: int
-
-    def is_consistent(self) -> bool:
-        """Single deletions move rank by at most one, never downward."""
-        j1, j2, j3, j4 = self
-        return (
-            0 <= j1 <= j2 <= j4
-            and j1 <= j3 <= j4
-            and j2 <= j1 + 1
-            and j3 <= j1 + 1
-            and j4 <= j2 + 1
-            and j4 <= j3 + 1
-        )
 
 
 def hankel_rows(t: UnitSeries, l: int, n: int, m: int) -> List[int]:
@@ -85,17 +59,18 @@ def stacked(t: UnitSeries, etas: Sequence[UnitSeries], m: int, k: int) -> BitMat
     return BitMatrix(1 + m + len(etas), k, stacked_rows(t, etas, m, k))
 
 
-def rank_profile(t: UnitSeries, l: int, n: int, m: int) -> RankProfile:
-    """Ranks of the four corner blocks of the n x m block at offset l."""
+def rank_profile(t: UnitSeries, l: int, n: int, m: int) -> Tuple[int, int, int, int]:
+    """Ranks (j1, j2, j3, j4) of the four corner blocks of the n x m block at
+    offset l: j1 with the last row and column deleted, j2 with the last row
+    deleted, j3 with the last column deleted, j4 of the full block.
+    """
     if n < 1 or m < 1:
         raise ValueError("rank profiles need at least one row and column")
     rows = hankel_rows(t, l, n, m)
     narrow = (1 << (m - 1)) - 1
-    profile = RankProfile(
+    return (
         rank_of_rows(r & narrow for r in rows[: n - 1]),
         rank_of_rows(rows[: n - 1]),
         rank_of_rows(r & narrow for r in rows),
         rank_of_rows(rows),
     )
-    assert profile.is_consistent(), "corner-block slicing produced impossible ranks"
-    return profile

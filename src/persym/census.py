@@ -8,8 +8,9 @@ disjoint index ranges; partial tallies merge by plain addition, so any
 partitioning (including a resumed checkpoint file) gives identical
 results. A checkpoint file opens with a header naming its census,
 parameters, domain size and chunk size; a file with another header, or
-a line with a count below 1, a key the census cannot produce, a repeated
-key, or counts that do not sum to its range's point count, is rejected.
+a line with a field that does not parse, a count below 1, a key the
+census cannot produce, a repeated key, or counts that do not sum to its
+range's point count, is rejected.
 
 A coset representative of depth N is an N-bit integer whose bit b
 (least significant first) is the coefficient alpha_{l+b} of the series;
@@ -27,7 +28,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from multiprocessing import Pool
 from typing import (
     Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -62,16 +62,6 @@ Blocks = Tuple[Tuple[int, bool], ...]
 # Starting a worker pool costs about 15 ms (2-vCPU x86 host, Python 3.11);
 # below this many pending points one process finishes first.
 _POOL_MIN_POINTS = 1 << 14
-
-
-def _chunk_ranges(total: int, chunk_size: int) -> List[Tuple[int, int]]:
-    ranges = []
-    lo = 0
-    while lo < total:
-        hi = min(lo + chunk_size, total)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
 
 
 def _key_to_text(key: Key) -> str:
@@ -121,22 +111,27 @@ def _read_checkpoint(
         fields = line.split()
         if not fields:
             continue
-        rng = tuple(int(field) for field in fields[:2])
+        try:
+            rng = tuple(int(field) for field in fields[:2])
+            entries = [(text, _key_from_text(text), int(count))
+                       for text, _, count in (f.rpartition(":") for f in fields[2:])]
+        except ValueError:
+            raise ValueError(
+                "checkpoint line %r has a malformed field;"
+                " remove %s to start over" % (line, path)
+            ) from None
         if rng not in valid_set:
             raise ValueError(
                 "checkpoint range %r does not match this census;"
                 " remove %s to start over" % (rng, path)
             )
         counts = Counter()
-        for field in fields[2:]:
-            key_text, _, count_text = field.rpartition(":")
-            count = int(count_text)
+        for key_text, key, count in entries:
             if count < 1:
                 raise ValueError(
                     "checkpoint range %r has count %d below 1;"
                     " remove %s to start over" % (rng, count, path)
                 )
-            key = _key_from_text(key_text)
             if key not in keys or key in counts:
                 raise ValueError(
                     "checkpoint range %r has %s key %s;"
@@ -172,6 +167,7 @@ def _run_chunks(
     split: bool = False,
     *,
     threads: int = 1,
+    budget_bits: int = DEFAULT_BUDGET_BITS,
     checkpoint: Optional[str] = None,
     chunk_size: Optional[int] = None,
 ) -> Counter:
@@ -180,14 +176,17 @@ def _run_chunks(
     Chunk boundaries depend only on the domain size (never on the thread
     count) so a checkpoint file written by one run can resume under any
     other worker configuration. name (census kind and parameters) and the
-    chunking form the checkpoint header.
+    chunking form the checkpoint header. A pooled chunk that raises, or a
+    worker that dies, fails the census with a ValueError; the chunks
+    finished before it stay in the checkpoint for a rerun to resume.
     """
     k = max(mask for mask, _ in blocks).bit_length()
+    check_budget(k + rows - 1 + free * k, budget_bits, "census " + name)
     total = 1 << (k + rows - 1)
     weight = 1 << (free * k)
     if chunk_size is None:
         chunk_size = max(1, total >> 6)
-    ranges = _chunk_ranges(total, chunk_size)
+    ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
     header = "#census %s points=%d chunk=%d" % (name, total * weight, chunk_size)
     done = {}
     if checkpoint:
@@ -212,8 +211,11 @@ def _run_chunks(
             out.flush()
         pending_points = sum(hi - lo for lo, hi in pending) * weight
         if threads > 1 and len(pending) > 1 and pending_points >= _POOL_MIN_POINTS:
-            pool = Pool(processes=min(threads, len(pending)))
-            results = pool.imap(_walk_worker, jobs)
+            # imported here, so that runs without a pool skip importing it
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=min(threads, len(pending)))
+            results = pool.map(_walk_worker, jobs)
         else:
             results = map(_walk_worker, jobs)
         for rng, counts in zip(pending, results):
@@ -221,9 +223,15 @@ def _run_chunks(
             if out:
                 out.write(_checkpoint_line(rng, counts))
                 out.flush()
+    except Exception as exc:  # a pooled chunk raised or its worker died
+        if not pool:
+            raise
+        raise ValueError("census %s failed in a worker (%s: %s); a rerun resumes from %s"
+                         % (name, type(exc).__name__, exc, checkpoint or "the start")
+                         ) from exc
     finally:
         if pool:
-            pool.terminate()
+            pool.shutdown(cancel_futures=True)
         if out:
             out.close()
     return tally
@@ -342,12 +350,12 @@ def enum_gamma(
     """Rank distribution of all 2^{k+s-1} s x k coefficient windows."""
     if s < 1 or k < 1:
         raise ValueError("shape must be positive, got %dx%d" % (s, k))
-    check_budget(k + s - 1, budget_bits, "window census %dx%d" % (s, k))
     return _run_chunks(
         "gamma s=%d k=%d" % (s, k),
         (((1 << k) - 1, True),),
         s,
         threads=threads,
+        budget_bits=budget_bits,
         checkpoint=checkpoint,
         chunk_size=chunk_size,
     )
@@ -370,13 +378,13 @@ def enum_quadruple(
     """
     if l < 1 or n < 1 or m < 1:
         raise ValueError("requires l, n, m >= 1, got l=%d n=%d m=%d" % (l, n, m))
-    check_budget(n + m - 1, budget_bits, "quadruple census %dx%d" % (n, m))
     full, narrow = (1 << m) - 1, (1 << (m - 1)) - 1
     return _run_chunks(
         "quad l=%d n=%d m=%d" % (l, n, m),
         ((narrow, False), (full, False), (narrow, True), (full, True)),
         n,
         threads=threads,
+        budget_bits=budget_bits,
         checkpoint=checkpoint,
         chunk_size=chunk_size,
     )
@@ -399,8 +407,6 @@ def enum_sigma(
     """
     if m < 0 or k < 1:
         raise ValueError("requires m >= 0 and k >= 1, got m=%d k=%d" % (m, k))
-    bits = (k + m) + k
-    check_budget(bits, budget_bits, "row-append census m=%d k=%d" % (m, k))
     merged = _run_chunks(
         "sigma m=%d k=%d" % (m, k),
         (((1 << k) - 1, True),),
@@ -408,6 +414,7 @@ def enum_sigma(
         free=1,
         split=True,
         threads=threads,
+        budget_bits=budget_bits,
         checkpoint=checkpoint,
         chunk_size=chunk_size,
     )
@@ -440,14 +447,13 @@ def enum_stacked_gamma(
         raise ValueError(
             "requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k)
         )
-    bits = (k + m) + n * k
-    check_budget(bits, budget_bits, "stacked census n=%d m=%d k=%d" % (n, m, k))
     return _run_chunks(
         "stacked n=%d m=%d k=%d" % (n, m, k),
         (((1 << k) - 1, True),),
         1 + m,
         free=n,
         threads=threads,
+        budget_bits=budget_bits,
         checkpoint=checkpoint,
         chunk_size=chunk_size,
     )
@@ -505,6 +511,14 @@ def integrate_tally(tally: Mapping[int, int], N: int, power: int = 1) -> DyadicR
     return DyadicRational(total, -N)
 
 
+def _check_qnkm(q: int, n: int, k: int, m: int) -> None:
+    if q < 1 or n < 0 or k < 1 or m < 0:
+        raise ValueError(
+            "requires q >= 1, n, m >= 0, k >= 1, got q=%d n=%d k=%d m=%d"
+            % (q, n, k, m)
+        )
+
+
 def repcount_multi_formula(
     q: int, n: int, k: int, m: int, gamma: Optional[Mapping[int, int]] = None
 ) -> int:
@@ -515,11 +529,7 @@ def repcount_multi_formula(
     cross-check one against the other. The dyadic sum must come out an
     integer; anything else signals an inconsistent table.
     """
-    if q < 1 or n < 0 or k < 1 or m < 0:
-        raise ValueError(
-            "requires q >= 1, n, m >= 0, k >= 1, got q=%d n=%d k=%d m=%d"
-            % (q, n, k, m)
-        )
+    _check_qnkm(q, n, k, m)
     if gamma is None:
         gamma = formulas.stacked_gamma_table(n, m, k)
     acc = DyadicRational(0)
@@ -538,11 +548,7 @@ def repcount_integral(
     grid, tallies the values, and integrates their q-th power off the
     tally; the result must be an integer.
     """
-    if q < 1 or n < 0 or k < 1 or m < 0:
-        raise ValueError(
-            "requires q >= 1, n, m >= 0, k >= 1, got q=%d n=%d k=%d m=%d"
-            % (q, n, k, m)
-        )
+    _check_qnkm(q, n, k, m)
     t_bits = k + m
     bits = t_bits + n * k
     check_budget(bits, budget_bits, "integral q=%d n=%d k=%d m=%d" % (q, n, k, m))
@@ -577,11 +583,7 @@ def repcount_bruteforce(
     counted by XOR-convolving the tallies of the first q // 2 factors and
     of the rest.
     """
-    if q < 1 or n < 0 or k < 1 or m < 0:
-        raise ValueError(
-            "requires q >= 1, n, m >= 0, k >= 1, got q=%d n=%d k=%d m=%d"
-            % (q, n, k, m)
-        )
+    _check_qnkm(q, n, k, m)
     factor_bits = k + (m + 1) + n
     check_budget(
         q * factor_bits, budget_bits, "brute count q=%d n=%d k=%d m=%d" % (q, n, k, m)

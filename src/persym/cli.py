@@ -40,6 +40,7 @@ from .expsum import (
     fmulti_direct,
     g2var_closed,
     g2var_direct,
+    g_boundary_factors,
     g_closed,
     g_direct,
     h_closed,
@@ -129,11 +130,18 @@ def _even_moment(s, k, g_tally, quads, q):
 
 
 def _verify_even_moments(p, args):
-    """Even power sums of g against the weighted diagonal profile counts."""
+    """Even power sums of g against the weighted diagonal profile counts.
+
+    Also counts the grid points where g^2 = g1 * g2 (boundary factorisation)."""
     s, k = p["s"], p["k"]
     quads = census.enum_quadruple(1, s, k, **_opts(args, "quad"))
-    gs = _g_tally(s, k)
-    computed, expected = {}, {}
+    depth = k + s - 1
+    gs, factored = Counter(), 0
+    for t in (UnitSeries(v, depth) for v in range(1 << depth)):
+        g, (g1, g2) = g_closed(s, k, t), g_boundary_factors(s, k, t)
+        gs[g] += 1
+        factored += g * g == g1 * g2
+    computed, expected = {"g^2 factors": factored}, {"g^2 factors": 1 << depth}
     for q in range(1, p["q"] + 1):
         computed["q=%d" % q], expected["q=%d" % q] = _even_moment(s, k, gs, quads, q)
     return computed, expected

@@ -3,7 +3,9 @@
 Every integral in this package is a finite sum of integers divided by a
 power of two, so this tiny type (plus big-integer mantissas) is the whole
 numeric tower. Normal form keeps the mantissa odd (or zero with exponent
-zero), which makes equality structural.
+zero), which makes equality structural. The type has only what the
+sums need: +, * and == (an int operand goes on the right) and an exact
+to_int; it is unordered and unhashable.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ class DyadicRational:
             exponent += shift
         self.mantissa = mantissa
         self.exponent = exponent
-
-    @classmethod
-    def from_int(cls, value: int) -> "DyadicRational":
-        return cls(value, 0)
 
     def is_integer(self) -> bool:
         return self.exponent >= 0 or self.mantissa == 0
@@ -58,39 +56,11 @@ class DyadicRational:
             e,
         )
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DyadicRational(-self.mantissa, self.exponent)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return DyadicRational(self.mantissa * other.mantissa, self.exponent + other.exponent)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return DyadicRational(self.mantissa**n, self.exponent * n)
-
-    def _cmp_key(self, other):
-        e = min(self.exponent, other.exponent)
-        return (
-            self.mantissa << (self.exponent - e),
-            other.mantissa << (other.exponent - e),
-        )
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -98,27 +68,8 @@ class DyadicRational:
             return NotImplemented
         return (self.mantissa, self.exponent) == (other.mantissa, other.exponent)
 
-    def __lt__(self, other):
-        a, b = self._cmp_key(self._coerce(other))
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(self._coerce(other))
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._cmp_key(self._coerce(other))
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._cmp_key(self._coerce(other))
-        return a >= b
-
     def __bool__(self):
         return self.mantissa != 0
-
-    def __hash__(self):
-        return hash((self.mantissa, self.exponent))
 
     def __repr__(self):
         return "DyadicRational(%d, %d)" % (self.mantissa, self.exponent)

@@ -80,18 +80,11 @@ def quad_table(s: int, k: int) -> Dict[Tuple[int, int, int, int], int]:
     """All rank quadruples with nonzero count for s x k windows."""
     if not 1 <= s <= k:
         raise ValueError("requires 1 <= s <= k, got s=%d k=%d" % (s, k))
-    table: Dict[Tuple[int, int, int, int], int] = {}
-    for j4 in (0, 1):
-        table[(0, 0, 0, j4)] = 1
+    candidates = [(0, 0, 0, 0), (0, 0, 0, 1), (s - 1, s - 1, s, s)]
     for j in range(1, s):
-        for j4 in (j, j + 1):
-            table[(j, j, j, j4)] = 2 << (2 * j - 2)
-    for j in range(2, s + 1):
-        table[(j - 2, j - 1, j - 1, j)] = 1 << (2 * j - 3)
-    corner = (1 << (k + s - 1)) - (1 << (2 * s - 1))
-    if corner:
-        table[(s - 1, s - 1, s, s)] = corner
-    return table
+        candidates += [(j, j, j, j), (j, j, j, j + 1), (j - 1, j, j, j + 1)]
+    counts = {quad: quad_closed(s, k, *quad) for quad in candidates}
+    return {quad: count for quad, count in counts.items() if count}
 
 
 def stacked1_gamma_closed(m: int, k: int, i: int) -> int:

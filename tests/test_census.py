@@ -1,4 +1,6 @@
+import concurrent.futures
 import os
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -232,6 +234,12 @@ class TestEnumQuadruple:
         with pytest.raises(ValueError):
             C.enum_quadruple(1, 2, 0)
 
+    def test_budget_boundary(self):
+        # a 3 x 4 window has 2^6 coefficient choices
+        assert sum(C.enum_quadruple(1, 3, 4, budget_bits=6).values()) == 1 << 6
+        with pytest.raises(BudgetExceeded, match="census quad l=1 n=3 m=4 needs a 2"):
+            C.enum_quadruple(1, 3, 4, budget_bits=5)
+
 
 class TestEnumSigma:
     def test_smallest_case(self):
@@ -253,6 +261,13 @@ class TestEnumSigma:
     def test_total_covers_grid(self):
         same, up = C.enum_sigma(2, 3)
         assert same.total() + up.total() == 1 << (3 + 2 + 3)
+
+    def test_budget_boundary(self):
+        # 2^(k+m) windows times 2^k free rows
+        same, up = C.enum_sigma(2, 3, budget_bits=8)
+        assert same.total() + up.total() == 1 << 8
+        with pytest.raises(BudgetExceeded, match="census sigma m=2 k=3 needs a 2"):
+            C.enum_sigma(2, 3, budget_bits=7)
 
 
 class TestEnumStacked:
@@ -365,6 +380,16 @@ class TestPartitioning:
         with pytest.raises(ValueError, match=message):
             run_census(kind, params, checkpoint=str(path))
 
+    @pytest.mark.parametrize("line", ["0 1 x:1", "0 1 0:1x", "x 1 0:1", "0 1 :1"])
+    def test_checkpoint_line_with_a_malformed_field_is_rejected(self, tmp_path, line):
+        path = tmp_path / "gamma.ckpt"
+        C.enum_gamma(3, 4, checkpoint=str(path))
+        header, _, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, line] + rest) + "\n")
+        message = "line '%s' has a malformed field; remove %s to start over" % (line, path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            C.enum_gamma(3, 4, checkpoint=str(path))
+
     def test_checkpoint_chunking_mismatch_is_rejected(self, tmp_path):
         path = str(tmp_path / "gamma.ckpt")
         C.enum_gamma(4, 4, checkpoint=path, chunk_size=16)
@@ -428,18 +453,28 @@ class TestRouteIndependence:
         assert C.repcount_integral(2, 1, 2, 1) == 148
 
 
+WALK_WORKER = C._walk_worker
+
+
+def raising_worker(args):
+    """A census worker that fails on the chunk at index 0."""
+    if args[4] == 0:
+        raise RuntimeError("chunk at 0 failed")
+    return WALK_WORKER(args)
+
+
 class TestPool:
     @pytest.fixture
     def pools(self, monkeypatch):
         """Worker counts of the pools the census starts."""
         started = []
-        real = C.Pool
+        real = concurrent.futures.ProcessPoolExecutor
 
-        def spy(processes):
-            started.append(processes)
-            return real(processes=processes)
+        def spy(max_workers):
+            started.append(max_workers)
+            return real(max_workers=max_workers)
 
-        monkeypatch.setattr(C, "Pool", spy)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
         return started
 
     def test_small_domains_run_in_process(self, pools):
@@ -462,6 +497,17 @@ class TestPool:
         assert dict(C.enum_gamma(8, 8, threads=2, checkpoint=str(path))) == (
             F.gamma_table(8, 8))
         assert pools == []
+
+    def test_a_failed_chunk_fails_the_census(self, tmp_path, pools, monkeypatch):
+        path = tmp_path / "gamma.ckpt"
+        monkeypatch.setattr(C, "_walk_worker", raising_worker)
+        with pytest.raises(ValueError, match=re.escape(
+                "census gamma s=8 k=8 failed in a worker (RuntimeError: chunk at 0 failed);"
+                " a rerun resumes from %s" % path)):
+            C.enum_gamma(8, 8, threads=2, checkpoint=str(path))
+        assert pools == [2]
+        monkeypatch.undo()
+        assert dict(C.enum_gamma(8, 8, checkpoint=str(path))) == F.gamma_table(8, 8)
 
 
 class TestIntegrateCoset:

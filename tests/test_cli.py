@@ -111,6 +111,44 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert "key" in err
 
+    @pytest.mark.parametrize("line", ["0 1 x:1", "0 1 0:1x", "x 1 0:1", "0 1 :1"])
+    def test_malformed_checkpoint_field_exits_two(self, tmp_path, capsys, line):
+        argv = ["census", "gamma", "--s", "3", "--k", "4",
+                "--checkpoint", str(tmp_path / "run")]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        ckpt = tmp_path / "run.gamma"
+        header, _, *rest = ckpt.read_text().splitlines()
+        ckpt.write_text("\n".join([header, line] + rest) + "\n")
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "%r has a malformed field; remove %s to start over" % (line, ckpt) in err
+
+    def test_dead_worker_exits_two_and_the_rerun_resumes(self, tmp_path):
+        # the worker of the chunk at index 0 dies without a word
+        script = (
+            "import os, sys\n"
+            "from persym import census, cli\n"
+            "walk = census._walk_worker\n"
+            "def die(args):\n"
+            "    if args[4] == 0:\n"
+            "        os._exit(9)\n"
+            "    return walk(args)\n"
+            "census._walk_worker = die\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        argv = ["census", "gamma", "--s", "8", "--k", "8", "--threads", "2",
+                "--checkpoint", "p"]
+        result = subprocess.run([sys.executable, "-c", script] + argv, cwd=tmp_path,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: census gamma s=8 k=8 failed in a worker")
+        assert "a rerun resumes from p.gamma" in result.stderr
+        result = subprocess.run([sys.executable, "-m", "persym.cli"] + argv, cwd=tmp_path,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0
+        assert json.loads(result.stdout) == {
+            str(i): count for i, count in formulas.gamma_table(8, 8).items()}
+
     def test_budget_exit(self, capsys):
         code, _, err = run_cli(
             ["census", "gamma", "--s", "9", "--k", "9", "--budget-bits", "10"], capsys
@@ -185,6 +223,20 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "thm3.11", "--n", "0"], capsys)
         assert code == 1
         assert json.loads(out)["computed"]["R piecewise"] == 0
+
+    def test_even_moments_check_the_boundary_factors(self, capsys):
+        code, out, _ = run_cli(["verify", "thm3.5", "--s", "3", "--k", "4"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["computed"]["g^2 factors"] == report["expected"]["g^2 factors"] == 64
+
+    def test_boundary_factor_mismatch_exits_one(self, capsys, monkeypatch):
+        # for s = k = 2, g is 0, +-2 or +-4, so no g^2 is 1 * 1
+        monkeypatch.setattr(cli, "g_boundary_factors", lambda s, k, t: (1, 1))
+        code, out, _ = run_cli(["verify", "thm3.5"], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert (report["computed"]["g^2 factors"], report["expected"]["g^2 factors"]) == (0, 8)
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(["verify", "bogus"], capsys)
