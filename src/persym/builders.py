@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .gf2 import BitMatrix, rank_of_rows
+from .gf2 import BitMatrix, echelon
 from .laurent import UnitSeries
 
 __all__ = [
@@ -62,15 +62,16 @@ def stacked(t: UnitSeries, etas: Sequence[UnitSeries], m: int, k: int) -> BitMat
 def rank_profile(t: UnitSeries, l: int, n: int, m: int) -> Tuple[int, int, int, int]:
     """Ranks (j1, j2, j3, j4) of the four corner blocks of the n x m block at
     offset l: j1 with the last row and column deleted, j2 with the last row
-    deleted, j3 with the last column deleted, j4 of the full block.
+    deleted, j3 with the last column deleted, j4 of the full block. The
+    first n-1 rows are reduced once under each column mask; j3 and j4
+    extend those two echelons by the last row.
     """
     if n < 1 or m < 1:
         raise ValueError("rank profiles need at least one row and column")
     rows = hankel_rows(t, l, n, m)
+    last = rows.pop()
     narrow = (1 << (m - 1)) - 1
-    return (
-        rank_of_rows(r & narrow for r in rows[: n - 1]),
-        rank_of_rows(rows[: n - 1]),
-        rank_of_rows(r & narrow for r in rows),
-        rank_of_rows(rows),
-    )
+    low = echelon(r & narrow for r in rows)
+    high = echelon(rows)
+    j3 = len(echelon([last & narrow], low))
+    return len(low), len(high), j3, len(echelon([last], high))

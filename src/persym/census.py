@@ -33,9 +33,10 @@ from typing import (
 )
 
 from . import formulas
+from .builders import hankel_rows
 from .dyadic import DyadicRational
 from .exceptions import DEFAULT_BUDGET_BITS, IncompleteDomain, check_budget
-from .expsum import fmulti_closed
+from .gf2 import echelon
 from .laurent import Poly2, UnitSeries, poly_mul
 
 __all__ = [
@@ -106,8 +107,15 @@ def _read_checkpoint(
             % (data.split(b"\n", 1)[0].decode("ascii", "replace"), header, path)
         )
     complete = data[: data.rfind(b"\n") + 1]
+    try:
+        lines = complete.decode("ascii").splitlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(
+            "checkpoint line %d has a non-ASCII byte; remove %s to start over"
+            % (complete.count(b"\n", 0, err.start) + 1, path)
+        ) from None
     valid_set = set(valid)
-    for line in complete.decode("ascii").splitlines()[1:]:
+    for line in lines[1:]:
         fields = line.split()
         if not fields:
             continue
@@ -544,20 +552,21 @@ def repcount_integral(
 ) -> int:
     """Count of solution q-tuples as an exact coset integral.
 
-    Evaluates the closed character sum once at each point of the full
-    grid, tallies the values, and integrates their q-th power off the
-    tally; the result must be an integer.
+    Evaluates the closed character sum 2^(k+m+n+1-r), r the rank of the t
+    block over the n eta rows, at each grid point, tallies the values and
+    integrates their q-th power off the tally; the result must be an
+    integer. The t block is reduced once per t, only the eta rows per point.
     """
     _check_qnkm(q, n, k, m)
     t_bits = k + m
     bits = t_bits + n * k
     check_budget(bits, budget_bits, "integral q=%d n=%d k=%d m=%d" % (q, n, k, m))
-    ts = (UnitSeries(tv, t_bits) for tv in range(1 << t_bits))
-    eta_values = [UnitSeries(v, k) for v in range(1 << k)]
+    blocks = (echelon(hankel_rows(UnitSeries(tv, t_bits), 1, 1 + m, k))
+              for tv in range(1 << t_bits))
     values = (
-        fmulti_closed(m, k, t, etas)
-        for t in ts
-        for etas in itertools.product(eta_values, repeat=n)
+        1 << (k + m + n + 1 - len(echelon(etas, block)))
+        for block in blocks
+        for etas in itertools.product(range(1 << k), repeat=n)
     )
     return integrate_tally(Counter(values), bits, q).to_int()
 

@@ -21,7 +21,7 @@ from typing import Sequence, Tuple
 
 from .builders import hankel_rows, rank_profile, stacked_rows
 from .exceptions import DEFAULT_BUDGET_BITS, check_budget
-from .gf2 import rank_of_rows
+from .gf2 import echelon, rank_of_rows
 from .laurent import Poly2, UnitSeries, char_E_of_product, poly_mul
 
 __all__ = [
@@ -141,9 +141,9 @@ def g2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
     """2^(k+m+1-r) if appending the eta row preserves the rank, else 0."""
     _check_two_var(m, k)
     rows = stacked_rows(t, [eta], m, k)
-    top = rank_of_rows(rows[:-1])
-    full = rank_of_rows(rows)
-    return (1 << (k + m + 1 - top)) if top == full else 0
+    top = echelon(rows[:-1])
+    r = len(top)
+    return (1 << (k + m + 1 - r)) if len(echelon(rows[-1:], top)) == r else 0
 
 
 def fmulti_direct(

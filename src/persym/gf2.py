@@ -7,9 +7,9 @@ width, which is all the rank computations here need.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-__all__ = ["BitMatrix", "rank", "rank_of_rows"]
+__all__ = ["BitMatrix", "echelon", "rank", "rank_of_rows"]
 
 
 class BitMatrix:
@@ -47,21 +47,26 @@ class BitMatrix:
         return "BitMatrix(%d, %d, %r)" % (self.nrows, self.ncols, list(self._rows))
 
 
-def rank_of_rows(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of a collection of bit-packed rows.
+def echelon(rows: Iterable[int], pivots: Sequence[int] = ()) -> List[int]:
+    """Pivot rows of span(pivots, rows) over GF(2).
 
-    Gaussian elimination with the pivot of each retained row at its lowest
-    set bit; the input is consumed as-is and never mutated.
+    pivots, an earlier result of echelon, comes back first and unmutated.
+    Each new row is reduced against the rows before it and kept, pivot at
+    its lowest set bit, when something is left.
     """
-    pivots: List[int] = []
+    out = list(pivots)
     for row in rows:
-        for p in pivots:
-            low = p & -p
-            if row & low:
+        for p in out:
+            if row & (p & -p):
                 row ^= p
         if row:
-            pivots.append(row)
-    return len(pivots)
+            out.append(row)
+    return out
+
+
+def rank_of_rows(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of a collection of bit-packed rows."""
+    return len(echelon(rows))
 
 
 def rank(m: BitMatrix) -> int:

@@ -128,6 +128,33 @@ def test_rank_profile_matches_sliced_ranks(bits, l, n, m):
     assert j4 <= j2 + 1 and j4 <= j3 + 1
 
 
+def test_rank_profile_matches_sliced_ranks_on_every_small_window():
+    # each corner block is itself a window on the same coefficients, so
+    # every distinct block goes to the oracle once
+    ranks = {}
+
+    def oracle(entries):
+        key = tuple(map(tuple, entries))
+        if key not in ranks:
+            ranks[key] = oracle_rank_minors(entries)
+        return ranks[key]
+
+    for n in range(1, 7):
+        for m in range(1, 7):
+            depth = n + m - 1
+            for bits in range(1 << depth):
+                alpha = [(bits >> b) & 1 for b in range(depth)]
+                entries = oracle_hankel_entries(alpha, 1, n, m)
+                expected = (
+                    oracle([row[: m - 1] for row in entries[: n - 1]]),
+                    oracle(entries[: n - 1]),
+                    oracle([row[: m - 1] for row in entries]),
+                    oracle(entries),
+                )
+                assert rank_profile(UnitSeries(bits, depth), 1, n, m) == expected, (
+                    n, m, bits)
+
+
 @given(st.integers(0, 2**10 - 1), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2))
 def test_stacked_matches_explicit_build(t_bits, m, k, n_etas):
     t = UnitSeries(t_bits & ((1 << (k + m)) - 1), k + m)

@@ -390,6 +390,15 @@ class TestPartitioning:
         with pytest.raises(ValueError, match=re.escape(message)):
             C.enum_gamma(3, 4, checkpoint=str(path))
 
+    def test_checkpoint_line_with_a_non_ascii_byte_is_rejected(self, tmp_path):
+        path = tmp_path / "gamma.ckpt"
+        C.enum_gamma(3, 4, checkpoint=str(path))
+        header, _, *rest = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([header, "0 1 0:1é".encode()] + rest))
+        message = "line 2 has a non-ASCII byte; remove %s to start over" % path
+        with pytest.raises(ValueError, match=re.escape(message)):
+            C.enum_gamma(3, 4, checkpoint=str(path))
+
     def test_checkpoint_chunking_mismatch_is_rejected(self, tmp_path):
         path = str(tmp_path / "gamma.ckpt")
         C.enum_gamma(4, 4, checkpoint=path, chunk_size=16)
@@ -598,6 +607,9 @@ class TestRepcounts:
                 q, 0, k, s - 1)
         assert C.repcount_integral(1, 1, 3, 2) == 23
         assert C.repcount_integral(2, 1, 2, 1) == C.repcount_multi_formula(2, 1, 2, 1)
+
+    def test_integral_at_the_benchmark_shape(self):
+        assert C.repcount_integral(2, 1, 6, 6) == C.repcount_multi_formula(2, 1, 6, 6) == 163456
 
     def test_piecewise_matches_formula(self):
         for q in range(1, 6):

@@ -124,6 +124,18 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert "%r has a malformed field; remove %s to start over" % (line, ckpt) in err
 
+    def test_non_ascii_checkpoint_byte_exits_two(self, tmp_path, capsys):
+        argv = ["census", "gamma", "--s", "3", "--k", "4", "--threads", "1",
+                "--checkpoint", str(tmp_path / "run")]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        ckpt = tmp_path / "run.gamma"
+        header, _, *rest = ckpt.read_bytes().split(b"\n")
+        ckpt.write_bytes(b"\n".join([header, b"0 1 0:1\xc3\xa9"] + rest))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "line 2 has a non-ASCII byte; remove %s to start over" % ckpt in err
+
     def test_dead_worker_exits_two_and_the_rerun_resumes(self, tmp_path):
         # the worker of the chunk at index 0 dies without a word
         script = (

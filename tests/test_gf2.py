@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from persym.gf2 import BitMatrix, rank, rank_of_rows
+from persym.gf2 import BitMatrix, echelon, rank, rank_of_rows
 
 from gf2_helpers import from_entries, kernel_dimension, to_entries, transpose
 from oracles import oracle_rank_minors
@@ -103,3 +103,16 @@ def test_rank_nullity(entries):
 @given(st.lists(st.integers(min_value=0, max_value=255), max_size=8))
 def test_rank_of_rows_matches_matrix_path(rows):
     assert rank_of_rows(rows) == rank(BitMatrix(len(rows), 8, rows))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=31), max_size=5), st.data())
+def test_echelon_extends_a_reduced_prefix(rows, data):
+    split = data.draw(st.integers(0, len(rows)))
+    pivots = echelon(rows[:split])
+    before = list(pivots)
+    out = echelon(rows[split:], pivots)
+    assert len(out) == oracle_rank_minors([[(r >> j) & 1 for j in range(5)] for r in rows])
+    lows = [p & -p for p in out]
+    assert all(lows) and len(set(lows)) == len(lows)
+    assert out[: len(before)] == before
+    assert pivots == before
