@@ -19,12 +19,20 @@ from the top coefficient down: the last row is the top k bits, and each
 lower bit completes one more row, reduced against its prefix's pivots.
 A census kind is data for the walk: corner blocks (column mask, whether
 the last row belongs) whose ranks key the tally; free rows below the
-window, walked depth first through a membership mask of the row space;
-and for sigma, a split by whether the free row raised the rank.
+window; and for sigma, a split by whether the free row raised the rank.
+
+For the free kinds the walk also carries the window block's row space as
+a membership mask (bit x set when the k-bit row x lies in it), extended
+only when a window row adds a pivot. Below a window, every free row
+inside the current row space leaves both it and the rank alone, so those
+rows walk on together as one subtree weighted by their number; only the
+rows outside it are enumerated, each extending the mask. A full row
+space therefore costs one path, whatever the free rows left.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
@@ -261,7 +269,8 @@ def _add_row(masks: Sequence[int], states: Sequence[Tuple[int, ...]], row: int):
     return out
 
 
-def _xor_shift_masks(k: int) -> List[Tuple[int, int]]:
+@functools.cache
+def _xor_shift_masks(k: int) -> Tuple[Tuple[int, int], ...]:
     """For each bit j of a k-bit value: (2^j, mask of values with bit j clear)."""
     masks = []
     for j in range(k):
@@ -271,7 +280,7 @@ def _xor_shift_masks(k: int) -> List[Tuple[int, int]]:
             if not x & d:
                 low |= 1 << x
         masks.append((d, low))
-    return masks
+    return tuple(masks)
 
 
 def _span_with(span: int, vector: int, masks: Sequence[Tuple[int, int]]) -> int:
@@ -298,36 +307,40 @@ def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
     columns = [mask for mask, _ in blocks]
     kmask = max(columns)
     width = kmask + 1
-    masks = _xor_shift_masks(kmask.bit_length()) if free else []
+    masks = _xor_shift_masks(kmask.bit_length()) if free else ()
     counts = Counter()
 
-    def tail(span: int, r: int, depth: int, final: List[int]) -> None:
+    def tail(span: int, r: int, depth: int, mult: int, final: List[int]) -> None:
+        # mult free-row prefixes share the row space span (of rank r); the
+        # rows inside it keep span and r, so they walk on as one subtree
+        inside = span.bit_count()
         if depth == 1:
-            inside = span.bit_count()
-            final[r] += inside
-            final[r + 1] += width - inside
+            final[r] += mult * inside
+            final[r + 1] += mult * (width - inside)
             return
-        for v in range(width):
-            if (span >> v) & 1:
-                tail(span, r, depth - 1, final)
-            else:
-                tail(_span_with(span, v, masks), r + 1, depth - 1, final)
+        tail(span, r, depth - 1, mult * inside, final)
+        if inside < width:
+            for v in range(width):
+                if not (span >> v) & 1:
+                    tail(_span_with(span, v, masks), r + 1, depth - 1, mult, final)
 
-    def walk(v: int, b: int, states) -> None:
-        # the windows [v, v + 2^b): bits b and up fixed, rows b and up reduced
+    def walk(v: int, b: int, states, span: int) -> None:
+        # the windows [v, v + 2^b): bits b and up fixed, rows b and up
+        # reduced; for free kinds span is the window block's membership mask
         if v >= hi or v + (1 << b) <= lo:
             return
         if b:
             b -= 1
             for w in (v, v | 1 << b):
-                walk(w, b, _add_row(columns, states, (w >> b) & kmask))
+                grown = _add_row(columns, states, (w >> b) & kmask)
+                if free and len(grown[0]) > len(states[0]):
+                    walk(w, b, grown, _span_with(span, grown[0][-1], masks))
+                else:
+                    walk(w, b, grown, span)
         elif free:  # free rows extend the one window block
-            span = 1
-            for p in states[0]:
-                span = _span_with(span, p, masks)
             r = len(states[0])
             final = [0] * (r + free + 1)  # counts by rank with the free rows
-            tail(span, r, free, final)
+            tail(span, r, free, 1, final)
             for f, count in enumerate(final):
                 if count:
                     counts[("same" if f == r else "up", f) if split else f] += count
@@ -338,7 +351,9 @@ def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
     # the last row is the top k bits; blocks without it see it as zero
     last = [mask if with_last else 0 for mask, with_last in blocks]
     for top in range(lo >> (rows - 1), ((hi - 1) >> (rows - 1)) + 1):
-        walk(top << (rows - 1), rows - 1, _add_row(last, [()] * len(blocks), top))
+        states = _add_row(last, [()] * len(blocks), top)
+        span = _span_with(1, top, masks) if free else 1
+        walk(top << (rows - 1), rows - 1, states, span)
     return counts
 
 

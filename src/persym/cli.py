@@ -53,6 +53,17 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
+def _worker_count(text: str) -> int:
+    """The --threads value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer of at least 1, got %r" % text)
+    return value
+
+
 def _render(value):
     """JSON-friendly form of a count; dyadic fractions become strings."""
     if isinstance(value, DyadicRational):
@@ -419,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                        % census.DEFAULT_BUDGET_BITS)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=_worker_count, default=_default_threads(),
                        help="worker processes for enumerations (default: all cores)")
         budget(p)
         p.add_argument("--checkpoint", help="append finished chunks to this file "
@@ -473,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     required(rep, ("q", "n", "k", "m"))
     budget(rep)
     # accepted so that every census-running command takes the same flags
-    rep.add_argument("--threads", type=int, help="accepted and unused: "
+    rep.add_argument("--threads", type=_worker_count, help="accepted and unused: "
                      "repcount runs in one process")
     rep.add_argument("--checkpoint", help="accepted and unused: repcount "
                      "writes no checkpoint")

@@ -130,7 +130,7 @@ WALK_GRIDS = [
     ("quad", (1, 1, 3)), ("quad", (1, 3, 1)), ("quad", (1, 3, 3)), ("quad", (2, 2, 3)),
     ("quad", (4, 3, 2)),
     ("sigma", (0, 1)), ("sigma", (0, 2)), ("sigma", (1, 2)), ("sigma", (2, 2)),
-    ("sigma", (1, 3)),
+    ("sigma", (1, 3)), ("sigma", (2, 4)), ("sigma", (3, 4)),
     ("stacked", (0, 0, 2)), ("stacked", (0, 2, 2)), ("stacked", (1, 1, 2)),
     ("stacked", (2, 1, 2)), ("stacked", (2, 0, 2)), ("stacked", (1, 2, 2)),
 ]
@@ -277,7 +277,8 @@ class TestEnumStacked:
 
     def test_engine_matches_naive_build_and_rank(self):
         for n, m, k in [(0, 0, 1), (0, 2, 2), (1, 1, 2), (2, 1, 2), (1, 2, 2),
-                        (2, 0, 2), (1, 1, 3), (3, 1, 2), (2, 2, 3)]:
+                        (2, 0, 2), (1, 1, 3), (3, 1, 2), (2, 2, 3),
+                        (3, 1, 3), (4, 0, 3), (3, 2, 3), (2, 1, 4)]:
             assert dict(C.enum_stacked_gamma(n, m, k)) == naive_stacked_counts(n, m, k)
 
     def test_matches_closed_form(self):
@@ -287,6 +288,11 @@ class TestEnumStacked:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             C.enum_stacked_gamma(5, 2, 4, budget_bits=25)
+
+    def test_many_free_rows_over_a_small_block(self):
+        # 2^33 tuples: the in-span free rows walk as one subtree per row space
+        assert dict(C.enum_stacked_gamma(7, 1, 4, budget_bits=33)) == (
+            F.stacked_gamma_table(7, 1, 4))
 
 
 class TestPartitioning:

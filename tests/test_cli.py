@@ -90,6 +90,17 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert "unrecognized arguments: --m 9 --n 4" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["census", "gamma", "--s", "2", "--k", "2"],
+        ["verify", "thm3.1", "--s", "2", "--k", "2"],
+        ["repcount", "--mode", "formula", "--q", "1", "--n", "0", "--k", "2", "--m", "1"],
+    ], ids=["census", "verify", "repcount"])
+    @pytest.mark.parametrize("threads", ["0", "-4", "x"])
+    def test_threads_below_one_is_usage_error(self, capsys, argv, threads):
+        code, out, err = run_cli(argv + ["--threads", threads], capsys)
+        assert code == 2 and out == ""
+        assert "argument --threads: must be an integer of at least 1" in err
+
     def test_help_lists_only_the_kinds_flags(self, capsys):
         code, out, _ = run_cli(["census", "gamma", "-h"], capsys)
         assert code == 0
