@@ -130,9 +130,10 @@ WALK_GRIDS = [
     ("quad", (1, 1, 3)), ("quad", (1, 3, 1)), ("quad", (1, 3, 3)), ("quad", (2, 2, 3)),
     ("quad", (4, 3, 2)),
     ("sigma", (0, 1)), ("sigma", (0, 2)), ("sigma", (1, 2)), ("sigma", (2, 2)),
-    ("sigma", (1, 3)), ("sigma", (2, 4)), ("sigma", (3, 4)),
+    ("sigma", (1, 3)),
     ("stacked", (0, 0, 2)), ("stacked", (0, 2, 2)), ("stacked", (1, 1, 2)),
     ("stacked", (2, 1, 2)), ("stacked", (2, 0, 2)), ("stacked", (1, 2, 2)),
+    ("sigma", (2, 4)), ("sigma", (3, 4)),
 ]
 
 
