@@ -9,8 +9,8 @@ partitioning (including a resumed checkpoint file) gives identical
 results. A checkpoint file opens with a header naming its census,
 parameters, domain size and chunk size; a file with another header, or
 a line with a field that does not parse, a count below 1, a key the
-census cannot produce, a repeated key, or counts that do not sum to its
-range's point count, is rejected.
+census cannot produce, a repeated key or range, or counts that do not
+sum to its range's point count, is rejected.
 
 A coset representative of depth N is an N-bit integer whose bit b
 (least significant first) is the coefficient alpha_{l+b} of the series;
@@ -21,18 +21,16 @@ A census kind is data for the walk: corner blocks (column mask, whether
 the last row belongs) whose ranks key the tally; free rows below the
 window; and for sigma, a split by whether the free row raised the rank.
 
-For the free kinds the walk also carries the window block's row space as
-a membership mask (bit x set when the k-bit row x lies in it), extended
-only when a window row adds a pivot. Below a window, every free row
-inside the current row space leaves both it and the rank alone, so those
-rows walk on together as one subtree weighted by their number; only the
-rows outside it are enumerated, each extending the mask. A full row
-space therefore costs one path, whatever the free rows left.
+Below a window, the free rows extend the window block's pivots. A free
+row inside the current row space leaves both it and the rank r alone, so
+those 2^r rows walk on together as one subtree weighted by their number;
+every other k-bit row is reduced against the pivots, and its remainder
+walks on as one more pivot. A full row space therefore costs one path,
+whatever the free rows left.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from collections import Counter
@@ -136,10 +134,11 @@ def _read_checkpoint(
                 "checkpoint line %r has a malformed field;"
                 " remove %s to start over" % (line, path)
             ) from None
-        if rng not in valid_set:
+        if rng not in valid_set or rng in done:
             raise ValueError(
-                "checkpoint range %r does not match this census;"
-                " remove %s to start over" % (rng, path)
+                "checkpoint range %r %s; remove %s to start over"
+                % (rng, "appears twice" if rng in done
+                   else "does not match this census", path)
             )
         counts = Counter()
         for key_text, key, count in entries:
@@ -269,78 +268,45 @@ def _add_row(masks: Sequence[int], states: Sequence[Tuple[int, ...]], row: int):
     return out
 
 
-@functools.cache
-def _xor_shift_masks(k: int) -> Tuple[Tuple[int, int], ...]:
-    """For each bit j of a k-bit value: (2^j, mask of values with bit j clear)."""
-    masks = []
-    for j in range(k):
-        d = 1 << j
-        low = 0
-        for x in range(1 << k):
-            if not x & d:
-                low |= 1 << x
-        masks.append((d, low))
-    return tuple(masks)
-
-
-def _span_with(span: int, vector: int, masks: Sequence[Tuple[int, int]]) -> int:
-    """Membership mask of span(current basis, vector).
-
-    span has one bit per k-bit value; adding a basis vector unions in the
-    image of the current span under XOR by that vector, computed as a
-    position permutation of the mask.
-    """
-    image = span
-    j = 0
-    while vector:
-        if vector & 1:
-            d, low = masks[j]
-            image = ((image & low) << d) | ((image & ~low) >> d)
-        vector >>= 1
-        j += 1
-    return span | image
-
-
 def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
     """Tally the windows [lo, hi) of one census kind (see the module docstring)."""
     blocks, rows, free, split, lo, hi = args
     columns = [mask for mask, _ in blocks]
     kmask = max(columns)
     width = kmask + 1
-    masks = _xor_shift_masks(kmask.bit_length()) if free else ()
     counts = Counter()
 
-    def tail(span: int, r: int, depth: int, mult: int, final: List[int]) -> None:
-        # mult free-row prefixes share the row space span (of rank r); the
-        # rows inside it keep span and r, so they walk on as one subtree
-        inside = span.bit_count()
+    def tail(pivots: Tuple[int, ...], depth: int, mult: int, final: List[int]) -> None:
+        # mult free-row prefixes share the row space of pivots; its 2^r rows
+        # keep the space and the rank, so they walk on as one subtree
+        r = len(pivots)
+        inside = 1 << r
         if depth == 1:
             final[r] += mult * inside
             final[r + 1] += mult * (width - inside)
             return
-        tail(span, r, depth - 1, mult * inside, final)
+        tail(pivots, depth - 1, mult * inside, final)
         if inside < width:
-            for v in range(width):
-                if not (span >> v) & 1:
-                    tail(_span_with(span, v, masks), r + 1, depth - 1, mult, final)
+            for row in range(width):
+                reduced = row
+                for p in pivots:  # _add_row's rule, inlined: this loop is hot
+                    if reduced & (p & -p):
+                        reduced ^= p
+                if reduced:
+                    tail(pivots + (reduced,), depth - 1, mult, final)
 
-    def walk(v: int, b: int, states, span: int) -> None:
-        # the windows [v, v + 2^b): bits b and up fixed, rows b and up
-        # reduced; for free kinds span is the window block's membership mask
+    def walk(v: int, b: int, states) -> None:
+        # the windows [v, v + 2^b): bits b and up fixed, rows b and up reduced
         if v >= hi or v + (1 << b) <= lo:
             return
         if b:
             b -= 1
             for w in (v, v | 1 << b):
-                grown = _add_row(columns, states, (w >> b) & kmask)
-                if free and len(grown[0]) > len(states[0]):
-                    walk(w, b, grown, _span_with(span, grown[0][-1], masks))
-                else:
-                    walk(w, b, grown, span)
+                walk(w, b, _add_row(columns, states, (w >> b) & kmask))
         elif free:  # free rows extend the one window block
             r = len(states[0])
             final = [0] * (r + free + 1)  # counts by rank with the free rows
-            tail(span, r, free, 1, final)
+            tail(states[0], free, 1, final)
             for f, count in enumerate(final):
                 if count:
                     counts[("same" if f == r else "up", f) if split else f] += count
@@ -351,9 +317,7 @@ def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
     # the last row is the top k bits; blocks without it see it as zero
     last = [mask if with_last else 0 for mask, with_last in blocks]
     for top in range(lo >> (rows - 1), ((hi - 1) >> (rows - 1)) + 1):
-        states = _add_row(last, [()] * len(blocks), top)
-        span = _span_with(1, top, masks) if free else 1
-        walk(top << (rows - 1), rows - 1, states, span)
+        walk(top << (rows - 1), rows - 1, _add_row(last, [()] * len(blocks), top))
     return counts
 
 

@@ -500,7 +500,8 @@ def main(argv=None) -> int:
     except (CaseMismatch, NonIntegerResult) as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return 1
-    except (BudgetExceeded, InsufficientPrecision, IncompleteDomain, ValueError) as exc:
+    except (BudgetExceeded, InsufficientPrecision, IncompleteDomain, ValueError,
+            OSError) as exc:  # OSError: a checkpoint path that cannot be opened
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -249,7 +249,7 @@ class TestEnumSigma:
         assert dict(up) == {1: 1}
 
     def test_known_identities(self):
-        for m, k in [(0, 2), (1, 2), (1, 3)]:
+        for m, k in [(0, 2), (1, 2), (1, 3), (4, 8)]:
             same, up = C.enum_sigma(m, k)
             for i, count in same.items():
                 assert count == (1 << i) * F.gamma_closed(1 + m, k, i)
@@ -279,11 +279,11 @@ class TestEnumStacked:
     def test_engine_matches_naive_build_and_rank(self):
         for n, m, k in [(0, 0, 1), (0, 2, 2), (1, 1, 2), (2, 1, 2), (1, 2, 2),
                         (2, 0, 2), (1, 1, 3), (3, 1, 2), (2, 2, 3),
-                        (3, 1, 3), (4, 0, 3), (3, 2, 3), (2, 1, 4)]:
+                        (3, 1, 3), (4, 0, 3), (3, 2, 3), (2, 1, 4), (2, 1, 5)]:
             assert dict(C.enum_stacked_gamma(n, m, k)) == naive_stacked_counts(n, m, k)
 
     def test_matches_closed_form(self):
-        for n, m, k in [(2, 2, 2), (3, 0, 3), (2, 1, 4)]:
+        for n, m, k in [(2, 2, 2), (3, 0, 3), (2, 1, 4), (2, 1, 8)]:
             assert dict(C.enum_stacked_gamma(n, m, k)) == F.stacked_gamma_table(n, m, k)
 
     def test_budget(self):
@@ -405,6 +405,16 @@ class TestPartitioning:
         message = "line 2 has a non-ASCII byte; remove %s to start over" % path
         with pytest.raises(ValueError, match=re.escape(message)):
             C.enum_gamma(3, 4, checkpoint=str(path))
+
+    def test_repeated_checkpoint_range_is_rejected(self, tmp_path):
+        # the repeated one-index chunk keeps its sum but not its counts
+        path = tmp_path / "gamma.ckpt"
+        C.enum_gamma(3, 3, checkpoint=str(path))
+        with open(path, "a") as handle:
+            handle.write("0 1 3:1\n")
+        message = "range (0, 1) appears twice; remove %s to start over" % path
+        with pytest.raises(ValueError, match=re.escape(message)):
+            C.enum_gamma(3, 3, checkpoint=str(path))
 
     def test_checkpoint_chunking_mismatch_is_rejected(self, tmp_path):
         path = str(tmp_path / "gamma.ckpt")

@@ -147,6 +147,30 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert "line 2 has a non-ASCII byte; remove %s to start over" % ckpt in err
 
+    def test_repeated_checkpoint_range_exits_two(self, tmp_path, capsys):
+        argv = ["census", "gamma", "--s", "3", "--k", "3",
+                "--checkpoint", str(tmp_path / "run")]
+        code, first, _ = run_cli(argv, capsys)
+        assert code == 0 and first == '{"0":1,"1":3,"2":12,"3":16}\n'
+        ckpt = tmp_path / "run.gamma"
+        with open(ckpt, "a") as handle:
+            handle.write("0 1 3:1\n")
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "range (0, 1) appears twice; remove %s to start over" % ckpt in err
+
+    @pytest.mark.parametrize("base,is_dir", [("missing/x", False), ("x", True)],
+                             ids=["missing-directory", "directory"])
+    def test_checkpoint_that_cannot_be_opened_exits_two(
+            self, tmp_path, capsys, base, is_dir):
+        ckpt = tmp_path / (base + ".gamma")
+        if is_dir:
+            ckpt.mkdir()
+        code, out, err = run_cli(["census", "gamma", "--s", "2", "--k", "2",
+                                  "--checkpoint", str(tmp_path / base)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(ckpt) in err
+
     def test_dead_worker_exits_two_and_the_rerun_resumes(self, tmp_path):
         # the worker of the chunk at index 0 dies without a word
         script = (

@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -58,3 +59,23 @@ def test_names_without_a_caller_are_still_exported_and_uncalled():
         module, _, name = qualified.rpartition(".")
         assert name in importlib.import_module(module).__all__
         assert name not in referenced_names()
+
+
+def tracer_targets():
+    """perfbench/tracer.py's TARGETS, loaded by path (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+@pytest.mark.parametrize("span,module,attr", tracer_targets())
+def test_every_traced_name_resolves(span, module, attr):
+    # the tracer patches Class.method on the class itself, anything else by name
+    owner = importlib.import_module(module)
+    if "." in attr:
+        cls, method = attr.split(".")
+        assert method in vars(getattr(owner, cls))
+    else:
+        assert hasattr(owner, attr)
