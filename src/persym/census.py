@@ -21,12 +21,10 @@ A census kind is data for the walk: corner blocks (column mask, whether
 the last row belongs) whose ranks key the tally; free rows below the
 window; and for sigma, a split by whether the free row raised the rank.
 
-Below a window, the free rows extend the window block's pivots. A free
-row inside the current row space leaves both it and the rank r alone, so
-those 2^r rows walk on together as one subtree weighted by their number;
-every other k-bit row is reduced against the pivots, and its remainder
-walks on as one more pivot. A full row space therefore costs one path,
-whatever the free rows left.
+The walk visits windows only. A free k-bit row keeps a rank-f row space
+when it lies inside it (2^f rows) and raises the rank to f + 1 otherwise
+(2^k - 2^f rows), so each chunk expands its tally of window ranks by
+that rule once per free row before it returns.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import itertools
 import os
 from collections import Counter
 from typing import (
-    Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Container, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from . import formulas
@@ -67,7 +65,7 @@ Blocks = Tuple[Tuple[int, bool], ...]
 # chunked enumeration driver
 
 # Starting a worker pool costs about 15 ms (2-vCPU x86 host, Python 3.11);
-# below this many pending points one process finishes first.
+# below this many pending windows one process finishes first.
 _POOL_MIN_POINTS = 1 << 14
 
 
@@ -224,8 +222,8 @@ def _run_chunks(
         if out and out.tell() == 0:
             out.write(header + "\n")
             out.flush()
-        pending_points = sum(hi - lo for lo, hi in pending) * weight
-        if threads > 1 and len(pending) > 1 and pending_points >= _POOL_MIN_POINTS:
+        pending_windows = sum(hi - lo for lo, hi in pending)
+        if threads > 1 and len(pending) > 1 and pending_windows >= _POOL_MIN_POINTS:
             # imported here, so that runs without a pool skip importing it
             from concurrent.futures import ProcessPoolExecutor
 
@@ -273,27 +271,7 @@ def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
     blocks, rows, free, split, lo, hi = args
     columns = [mask for mask, _ in blocks]
     kmask = max(columns)
-    width = kmask + 1
     counts = Counter()
-
-    def tail(pivots: Tuple[int, ...], depth: int, mult: int, final: List[int]) -> None:
-        # mult free-row prefixes share the row space of pivots; its 2^r rows
-        # keep the space and the rank, so they walk on as one subtree
-        r = len(pivots)
-        inside = 1 << r
-        if depth == 1:
-            final[r] += mult * inside
-            final[r + 1] += mult * (width - inside)
-            return
-        tail(pivots, depth - 1, mult * inside, final)
-        if inside < width:
-            for row in range(width):
-                reduced = row
-                for p in pivots:  # _add_row's rule, inlined: this loop is hot
-                    if reduced & (p & -p):
-                        reduced ^= p
-                if reduced:
-                    tail(pivots + (reduced,), depth - 1, mult, final)
 
     def walk(v: int, b: int, states) -> None:
         # the windows [v, v + 2^b): bits b and up fixed, rows b and up reduced
@@ -303,13 +281,6 @@ def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
             b -= 1
             for w in (v, v | 1 << b):
                 walk(w, b, _add_row(columns, states, (w >> b) & kmask))
-        elif free:  # free rows extend the one window block
-            r = len(states[0])
-            final = [0] * (r + free + 1)  # counts by rank with the free rows
-            tail(states[0], free, 1, final)
-            for f, count in enumerate(final):
-                if count:
-                    counts[("same" if f == r else "up", f) if split else f] += count
         else:
             ranks = tuple(map(len, states))
             counts[ranks if len(ranks) > 1 else ranks[0]] += 1
@@ -318,6 +289,18 @@ def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
     last = [mask if with_last else 0 for mask, with_last in blocks]
     for top in range(lo >> (rows - 1), ((hi - 1) >> (rows - 1)) + 1):
         walk(top << (rows - 1), rows - 1, _add_row(last, [()] * len(blocks), top))
+    if free:  # a free row keeps a rank-f row space in 2^f ways, raises it in the rest
+        k = kmask.bit_length()
+        grown = Counter({("same", r): count for r, count in counts.items()})
+        for _ in range(free):
+            step, grown = grown, Counter()
+            for (label, f), count in step.items():
+                grown[label, f] += count << f
+                if f < k:
+                    grown["up", f + 1] += count * ((1 << k) - (1 << f))
+        counts = Counter()
+        for (label, f), count in grown.items():
+            counts[(label, f) if split else f] += count
     return counts
 
 

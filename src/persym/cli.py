@@ -145,6 +145,8 @@ def _verify_even_moments(p, args):
 
     Also counts the grid points where g^2 = g1 * g2 (boundary factorisation)."""
     s, k = p["s"], p["k"]
+    if p["q"] < 1:
+        raise ValueError("--q must be at least 1, got %d" % p["q"])
     quads = census.enum_quadruple(1, s, k, **_opts(args, "quad"))
     depth = k + s - 1
     gs, factored = Counter(), 0
@@ -174,6 +176,8 @@ def _verify_stacked_census(p, args):
 
 def _verify_coefficient_rows(p, args):
     """Coefficient recurrence against the closed alternating sum and stored rows."""
+    if p["n"] < 1:
+        raise ValueError("--n must be at least 1, got %d" % p["n"])
     computed, expected = {}, {}
     for n in range(1, p["n"] + 1):
         rec = [formulas.a_coeff_recurrence(n, j) for j in range(n + 1)]

@@ -133,7 +133,7 @@ WALK_GRIDS = [
     ("sigma", (1, 3)),
     ("stacked", (0, 0, 2)), ("stacked", (0, 2, 2)), ("stacked", (1, 1, 2)),
     ("stacked", (2, 1, 2)), ("stacked", (2, 0, 2)), ("stacked", (1, 2, 2)),
-    ("sigma", (2, 4)), ("sigma", (3, 4)),
+    ("sigma", (2, 4)), ("sigma", (3, 4)), ("stacked", (3, 1, 3)),
 ]
 
 
@@ -291,9 +291,12 @@ class TestEnumStacked:
             C.enum_stacked_gamma(5, 2, 4, budget_bits=25)
 
     def test_many_free_rows_over_a_small_block(self):
-        # 2^33 tuples: the in-span free rows walk as one subtree per row space
+        # 2^33 and 2^32 tuples: only the windows are walked, and each chunk
+        # expands its window-rank tally by one step per free row
         assert dict(C.enum_stacked_gamma(7, 1, 4, budget_bits=33)) == (
             F.stacked_gamma_table(7, 1, 4))
+        assert dict(C.enum_stacked_gamma(3, 0, 8, budget_bits=32)) == (
+            F.landsberg_table(4, 8))
 
 
 class TestPartitioning:
@@ -475,6 +478,7 @@ class TestRouteIndependence:
         same, up = C.enum_sigma(1, 2)
         assert sum(same.values()) + sum(up.values()) == 1 << 5
         assert sum(C.enum_stacked_gamma(1, 1, 2).values()) == 1 << 5
+        assert sum(C.enum_stacked_gamma(3, 0, 2).values()) == 1 << 8
         assert C.repcount_bruteforce(2, 1, 2, 1) == 148
         assert C.repcount_integral(2, 1, 2, 1) == 148
 
@@ -507,12 +511,15 @@ class TestPool:
         assert dict(C.enum_gamma(3, 4, threads=2)) == F.gamma_table(3, 4)
         assert dict(C.enum_stacked_gamma(2, 1, 3, threads=2, chunk_size=4)) == (
             F.stacked_gamma_table(2, 1, 3))
+        # 2^{16} free-row tuples over only 2^6 windows: the cutoff counts windows
+        assert dict(C.enum_stacked_gamma(2, 1, 5, threads=2)) == (
+            F.stacked_gamma_table(2, 1, 5))
         assert pools == []
 
     def test_large_domains_use_the_pool(self, pools):
         assert dict(C.enum_gamma(8, 8, threads=2)) == F.gamma_table(8, 8)
-        assert dict(C.enum_stacked_gamma(2, 1, 5, threads=2)) == (
-            F.stacked_gamma_table(2, 1, 5))
+        same, up = C.enum_sigma(6, 8, threads=2)  # 2^{14} windows
+        assert dict(same + up) == F.stacked_gamma_table(1, 6, 8)
         assert pools == [2, 2]
 
     def test_only_pending_points_count(self, tmp_path, pools):

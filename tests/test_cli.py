@@ -285,6 +285,13 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert (report["computed"]["g^2 factors"], report["expected"]["g^2 factors"]) == (0, 8)
 
+    @pytest.mark.parametrize("suite,flag", [("thm3.5", "q"), ("cor3.10", "n")])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_parameter_that_checks_nothing_is_usage_error(self, capsys, suite, flag, value):
+        code, out, err = run_cli(["verify", suite, "--" + flag, value], capsys)
+        assert code == 2 and out == ""
+        assert "--%s must be at least 1" % flag in err
+
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(["verify", "bogus"], capsys)
         assert code == 2
