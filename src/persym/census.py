@@ -14,14 +14,25 @@ sum to its range's point count, is rejected.
 
 A coset representative of depth N is an N-bit integer whose bit b
 (least significant first) is the coefficient alpha_{l+b} of the series;
-window row i is its k bits from bit i up. All rank censuses are one walk
-from the top coefficient down: the last row is the top k bits, and each
-lower bit completes one more row, reduced against its prefix's pivots.
-A census kind is data for the walk: corner blocks (column mask, whether
-the last row belongs) whose ranks key the tally; free rows below the
-window; and for sigma, a split by whether the free row raised the rank.
+window row i is its k bits from bit i up, so entry (i, j) is bit i + j.
+All rank censuses run one kernel over bit-sliced words: lane x of a word
+stands for window base + x, the word covering an aligned block of 2^b
+windows, so one big-int operation acts on all its windows. An entry bit
+p < b is the same lane mask in every word; a bit p >= b is all ones or
+all zeros, from bit p of base. The kernel eliminates column by column in
+every lane at once, taking each pivot from the topmost row that holds none
+yet, and keeps each lane's rank as a thermometer code (one mask per rank
+r: the lanes of rank at least r), so it can read the rank of any column
+prefix. A census kind is data for the kernel: corner blocks (column mask,
+whether the last row belongs) whose ranks key the tally; free rows below
+the window; and for sigma, a split by whether the free row raised the
+rank. A block of mask width w reads the ranks after w columns. Since no
+row is ever reduced by a row below it, the rows above the last are
+eliminated as they would be alone, so a block without the last row takes
+one off those ranks where the last row holds a pivot, and the four quad
+blocks share one elimination.
 
-The walk visits windows only. A free k-bit row keeps a rank-f row space
+The kernel visits windows only. A free k-bit row keeps a rank-f row space
 when it lies inside it (2^f rows) and raises the rank to f + 1 otherwise
 (2^k - 2^f rows), so each chunk expands its tally of window ranks by
 that rule once per free row before it returns.
@@ -29,12 +40,11 @@ that rule once per free row before it returns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
-from typing import (
-    Container, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union,
-)
+from typing import Container, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from . import formulas
 from .builders import hankel_rows
@@ -64,9 +74,10 @@ Blocks = Tuple[Tuple[int, bool], ...]
 # ---------------------------------------------------------------------------
 # chunked enumeration driver
 
-# Starting a worker pool costs about 15 ms (2-vCPU x86 host, Python 3.11);
-# below this many pending windows one process finishes first.
-_POOL_MIN_POINTS = 1 << 14
+# Below this many pending windows one process finishes first: on a 2-vCPU
+# x86 host (Python 3.11) `census gamma` at --threads 1 against 2 took
+# 0.26 s against 0.30 s at 2^21 windows and 0.39 s against 0.35 s at 2^22.
+_POOL_MIN_POINTS = 1 << 22
 
 
 def _key_to_text(key: Key) -> str:
@@ -251,46 +262,76 @@ def _run_chunks(
 
 
 # ---------------------------------------------------------------------------
-# the window walk (top level so it crosses process boundaries)
+# the lane kernel (top level so it crosses process boundaries)
+
+# a word holds at most 2^16 lanes: at 2^26 windows 2^18 lanes saved about
+# a tenth of the time and raised peak memory from 15 to 21 MiB
+_LANE_BITS = 16
 
 
-def _add_row(masks: Sequence[int], states: Sequence[Tuple[int, ...]], row: int):
-    """Each block's pivots after reducing its columns of one more row."""
-    out = []
-    for mask, pivots in zip(masks, states):
-        reduced = row & mask
-        for p in pivots:
-            if reduced & (p & -p):
-                reduced ^= p
-        out.append(pivots + (reduced,) if reduced else pivots)
-    return out
+@functools.lru_cache(maxsize=None)
+def _lane_masks(b: int) -> Tuple[int, ...]:
+    """M_p for p < b: bit x of M_p is bit p of x, over 2^b lanes."""
+    full = (1 << (1 << b)) - 1
+    return tuple(full // ((1 << (2 << p)) - 1) * (((1 << (1 << p)) - 1) << (1 << p))
+                 for p in range(b))
 
 
 def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
     """Tally the windows [lo, hi) of one census kind (see the module docstring)."""
     blocks, rows, free, split, lo, hi = args
-    columns = [mask for mask, _ in blocks]
-    kmask = max(columns)
+    k = max(blocks)[0].bit_length()
+    depth = k + rows - 1
+    b = min(_LANE_BITS, depth, (hi - lo - 1).bit_length())
+    lanes = 1 << b
+    full = (1 << lanes) - 1
+    masks = _lane_masks(b)
+    reads = [(mask.bit_length(), with_last) for mask, with_last in blocks]
+    widths = {w for w, _ in reads if w < k}
+    top = min(rows, k)
     counts = Counter()
-
-    def walk(v: int, b: int, states) -> None:
-        # the windows [v, v + 2^b): bits b and up fixed, rows b and up reduced
-        if v >= hi or v + (1 << b) <= lo:
-            return
-        if b:
-            b -= 1
-            for w in (v, v | 1 << b):
-                walk(w, b, _add_row(columns, states, (w >> b) & kmask))
-        else:
-            ranks = tuple(map(len, states))
-            counts[ranks if len(ranks) > 1 else ranks[0]] += 1
-
-    # the last row is the top k bits; blocks without it see it as zero
-    last = [mask if with_last else 0 for mask, with_last in blocks]
-    for top in range(lo >> (rows - 1), ((hi - 1) >> (rows - 1)) + 1):
-        walk(top << (rows - 1), rows - 1, _add_row(last, [()] * len(blocks), top))
+    for base in range(lo >> b << b, hi, lanes):
+        start = max(lo - base, 0)
+        valid = ((1 << (min(hi - base, lanes) - start)) - 1) << start
+        bits = [*masks, *[full if base >> p & 1 else 0 for p in range(b, depth)]]
+        a = [bits[i:i + k] for i in range(rows)]  # a[i][j]: entry (i, j) per lane
+        unused = [full] * rows  # lanes where row i holds no pivot yet
+        ge = [valid] + [0] * (top + 1)  # ge[r]: lanes whose rank is at least r
+        seen = {}  # width: (ge, lanes whose last row holds a pivot)
+        for j in range(k):
+            if j in widths:
+                seen[j] = (ge[:], full ^ unused[-1])
+            spare = full  # lanes whose column-j pivot is still to come
+            pc = [0] * k  # per lane, the later columns of the column-j pivot row
+            for i in range(rows):
+                row = a[i]
+                hit = row[j] & unused[i]
+                if hit:
+                    piv = hit & spare
+                    above = hit ^ piv  # lanes whose pivot row lies above row i
+                    if above:
+                        for c in range(j + 1, k):
+                            row[c] ^= above & pc[c]
+                    if piv:
+                        for c in range(j + 1, k):
+                            pc[c] |= piv & row[c]
+                        unused[i] ^= piv
+                        spare ^= piv
+            if spare != full:
+                found = full ^ spare
+                for r in range(min(j + 1, top), 0, -1):
+                    ge[r] |= ge[r - 1] & found
+        seen[k] = (ge, full ^ unused[-1])
+        joint = [((), valid)]
+        for width, with_last in reads:
+            ge, last = seen[width]
+            if not with_last:  # the last row's pivot, if any, leaves the block
+                ge = [(ge[r] & (full ^ last)) | (ge[r + 1] & last) for r in range(top + 1)] + [0]
+            joint = [(key + (r,), both) for key, lanes_in in joint for r in range(top + 1)
+                     if (both := lanes_in & (ge[r] ^ ge[r + 1]))]
+        for key, lanes_in in joint:
+            counts[key if len(key) > 1 else key[0]] += lanes_in.bit_count()
     if free:  # a free row keeps a rank-f row space in 2^f ways, raises it in the rest
-        k = kmask.bit_length()
         grown = Counter({("same", r): count for r, count in counts.items()})
         for _ in range(free):
             step, grown = grown, Counter()

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from persym import builders, gf2
 from persym import census as C
 from persym import formulas as F
 from persym.builders import hankel, rank_profile, stacked
@@ -32,16 +33,9 @@ def naive_window_tallies(kind, params):
     each window with every free row and keys the pair by whether the row
     raised the window's rank.
     """
-    if kind == "gamma":
-        s, k = params
-        depth = k + s - 1
-        return [{rank(hankel(UnitSeries(v, depth), 1, s, k)): 1}
-                for v in range(1 << depth)]
-    if kind == "quad":
-        l, n, m = params
-        precision = l + n + m - 2
-        return [{tuple(rank_profile(UnitSeries(v << (l - 1), precision), l, n, m)): 1}
-                for v in range(1 << (n + m - 1))]
+    if kind in ("gamma", "quad"):
+        depth = sum(params[-2:]) - 1
+        return [{naive_window_key(kind, params, v): 1} for v in range(1 << depth)]
     if kind == "sigma":
         m, k = params
         tallies = []
@@ -67,6 +61,16 @@ def naive_window_tallies(kind, params):
             counts[r] = counts.get(r, 0) + 1
         tallies.append(counts)
     return tallies
+
+
+def naive_window_key(kind, params, v):
+    """Build-and-rank key of window v: its rank for gamma (s, k), its
+    corner-deleted rank profile for quad (l, n, m)."""
+    if kind == "gamma":
+        s, k = params
+        return rank(hankel(UnitSeries(v, k + s - 1), 1, s, k))
+    l, n, m = params
+    return tuple(rank_profile(UnitSeries(v << (l - 1), l + n + m - 2), l, n, m))
 
 
 def merged_tally(tallies):
@@ -187,6 +191,24 @@ class TestWalkAgainstNaive:
             for k in range(1, 5):
                 got = dict(C.enum_stacked_gamma(rows - 1, 0, k))
                 assert got == F.landsberg_table(rows, k)
+
+
+class TestLaneWords:
+    """Chunks over 2^16 windows cover more than one lane word."""
+
+    @pytest.mark.parametrize("kind,params", [("gamma", (8, 10)), ("quad", (1, 9, 9))])
+    @pytest.mark.parametrize("chunk_size", [40000, 65537])
+    def test_chunks_that_straddle_a_word_match_naive(self, tmp_path, kind, params, chunk_size):
+        table = F.gamma_table(*params) if kind == "gamma" else F.quad_table(*params[1:])
+        path = str(tmp_path / "lanes.ckpt")
+        assert run_census(kind, params, checkpoint=path, chunk_size=chunk_size) == table
+        chunks = checkpoint_chunks(path)
+        word = 1 << 16
+        straddling = [rng for rng in chunks if rng[0] // word != (rng[1] - 1) // word]
+        assert straddling
+        for lo, hi in straddling:
+            want = Counter(naive_window_key(kind, params, v) for v in range(lo, hi))
+            assert chunks[(lo, hi)] == want, (lo, hi)
 
 
 class TestEnumGamma:
@@ -482,6 +504,26 @@ class TestRouteIndependence:
         assert C.repcount_bruteforce(2, 1, 2, 1) == 148
         assert C.repcount_integral(2, 1, 2, 1) == 148
 
+    def test_rank_censuses_never_call_gf2_or_builders(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rank census called persym.gf2 or persym.builders")
+
+        want = [F.gamma_table(3, 4), F.quad_table(3, 3),
+                F.stacked_gamma_table(1, 1, 3), F.stacked_gamma_table(2, 1, 2)]
+        # every binding of a public gf2 or builders callable, in any persym module
+        oracles = {id(getattr(module, name))
+                   for module in (gf2, builders) for name in module.__all__}
+        for module in [m for key, m in sys.modules.items()
+                       if key == "persym" or key.startswith("persym.")]:
+            for attr, value in list(vars(module).items()):
+                if id(value) in oracles:
+                    monkeypatch.setattr(module, attr, refuse)
+        with pytest.raises(AssertionError):
+            C.repcount_integral(2, 1, 2, 1)
+        same, up = C.enum_sigma(1, 3)
+        assert [dict(C.enum_gamma(3, 4)), dict(C.enum_quadruple(1, 3, 3)), dict(same + up),
+                dict(C.enum_stacked_gamma(2, 1, 2))] == want
+
 
 WALK_WORKER = C._walk_worker
 
@@ -517,30 +559,30 @@ class TestPool:
         assert pools == []
 
     def test_large_domains_use_the_pool(self, pools):
-        assert dict(C.enum_gamma(8, 8, threads=2)) == F.gamma_table(8, 8)
-        same, up = C.enum_sigma(6, 8, threads=2)  # 2^{14} windows
-        assert dict(same + up) == F.stacked_gamma_table(1, 6, 8)
+        assert dict(C.enum_gamma(11, 12, threads=2)) == F.gamma_table(11, 12)
+        same, up = C.enum_sigma(16, 6, threads=2)  # 2^{22} windows
+        assert dict(same + up) == F.stacked_gamma_table(1, 16, 6)
         assert pools == [2, 2]
 
     def test_only_pending_points_count(self, tmp_path, pools):
         path = tmp_path / "gamma.ckpt"
-        C.enum_gamma(8, 8, checkpoint=str(path))
+        C.enum_gamma(11, 12, checkpoint=str(path))
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-4]))  # 4 chunks of 2^9 windows left
-        assert dict(C.enum_gamma(8, 8, threads=2, checkpoint=str(path))) == (
-            F.gamma_table(8, 8))
+        path.write_text("".join(lines[:-4]))  # 4 chunks of 2^16 windows left
+        assert dict(C.enum_gamma(11, 12, threads=2, checkpoint=str(path))) == (
+            F.gamma_table(11, 12))
         assert pools == []
 
     def test_a_failed_chunk_fails_the_census(self, tmp_path, pools, monkeypatch):
         path = tmp_path / "gamma.ckpt"
         monkeypatch.setattr(C, "_walk_worker", raising_worker)
         with pytest.raises(ValueError, match=re.escape(
-                "census gamma s=8 k=8 failed in a worker (RuntimeError: chunk at 0 failed);"
+                "census gamma s=11 k=12 failed in a worker (RuntimeError: chunk at 0 failed);"
                 " a rerun resumes from %s" % path)):
-            C.enum_gamma(8, 8, threads=2, checkpoint=str(path))
+            C.enum_gamma(11, 12, threads=2, checkpoint=str(path))
         assert pools == [2]
         monkeypatch.undo()
-        assert dict(C.enum_gamma(8, 8, checkpoint=str(path))) == F.gamma_table(8, 8)
+        assert dict(C.enum_gamma(11, 12, checkpoint=str(path))) == F.gamma_table(11, 12)
 
 
 class TestIntegrateCoset:

@@ -183,18 +183,18 @@ class TestCensusCommand:
             "    return walk(args)\n"
             "census._walk_worker = die\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
-        argv = ["census", "gamma", "--s", "8", "--k", "8", "--threads", "2",
+        argv = ["census", "gamma", "--s", "11", "--k", "12", "--threads", "2",
                 "--checkpoint", "p"]
         result = subprocess.run([sys.executable, "-c", script] + argv, cwd=tmp_path,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 2 and result.stdout == ""
-        assert result.stderr.startswith("error: census gamma s=8 k=8 failed in a worker")
+        assert result.stderr.startswith("error: census gamma s=11 k=12 failed in a worker")
         assert "a rerun resumes from p.gamma" in result.stderr
         result = subprocess.run([sys.executable, "-m", "persym.cli"] + argv, cwd=tmp_path,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0
         assert json.loads(result.stdout) == {
-            str(i): count for i, count in formulas.gamma_table(8, 8).items()}
+            str(i): count for i, count in formulas.gamma_table(11, 12).items()}
 
     def test_budget_exit(self, capsys):
         code, _, err = run_cli(
