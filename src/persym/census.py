@@ -210,6 +210,8 @@ def _run_chunks(
     weight = 1 << (free * k)
     if chunk_size is None:
         chunk_size = max(1, total >> 6)
+    elif chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1, got %d" % chunk_size)
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
     header = "#census %s points=%d chunk=%d" % (name, total * weight, chunk_size)
     done = {}
@@ -409,16 +411,16 @@ def enum_sigma(
     budget_bits: int = DEFAULT_BUDGET_BITS,
     checkpoint: Optional[str] = None,
     chunk_size: Optional[int] = None,
-) -> Tuple[Counter, Counter]:
+) -> Counter:
     """Row-append census over all (window, free row) pairs.
 
-    Returns (same, up): same[i] counts pairs where the appended row stays
-    inside the rank-i row space of the (1+m) x k window block; up[i]
-    counts pairs where the row lifts a rank i-1 block to rank i.
+    Key ("same", i) counts pairs where the appended row stays inside the
+    rank-i row space of the (1+m) x k window block; ("up", i) counts
+    pairs where the row lifts a rank i-1 block to rank i.
     """
     if m < 0 or k < 1:
         raise ValueError("requires m >= 0 and k >= 1, got m=%d k=%d" % (m, k))
-    merged = _run_chunks(
+    return _run_chunks(
         "sigma m=%d k=%d" % (m, k),
         (((1 << k) - 1, True),),
         1 + m,
@@ -429,12 +431,6 @@ def enum_sigma(
         checkpoint=checkpoint,
         chunk_size=chunk_size,
     )
-    same = Counter()
-    up = Counter()
-    for key, value in merged.items():
-        kind, i = key
-        (same if kind == "same" else up)[i] = value
-    return same, up
 
 
 def enum_stacked_gamma(

@@ -77,49 +77,45 @@ def _table_text(table) -> Dict[str, int]:
     return {_key_to_text(key): count for key, count in sorted(table.items())}
 
 
-def _sigma_text(same, up) -> Dict[str, int]:
-    out = {}
-    for i, count in sorted(same.items()):
-        out["same,%d" % i] = count
-    for i, count in sorted(up.items()):
-        out["up,%d" % i] = count
-    return out
-
-
 def _parse_series(literal: str, depth: int) -> UnitSeries:
     series = UnitSeries.from_string(literal)
     series.require(depth)
     return series.truncate(depth)
 
 
+# census kind: (its enumeration in persym.census, its parameters in call order);
+# the enumeration is looked up by name at each call, so a rebinding is seen
+_CENSUS_KINDS = {
+    "gamma": ("enum_gamma", ("s", "k")),
+    "quad": ("enum_quadruple", ("l", "s", "k")),
+    "sigma": ("enum_sigma", ("m", "k")),
+    "stacked": ("enum_stacked_gamma", ("n", "m", "k")),
+}
+
+
+def _census(kind: str, params, args, label: Optional[str] = None) -> Counter:
+    """Census kind at params, checkpointed to --checkpoint plus .label (or .kind)."""
+    checkpoint = args.checkpoint
+    if checkpoint is not None:
+        checkpoint = "%s.%s" % (checkpoint, label or kind)
+    return getattr(census, _CENSUS_KINDS[kind][0])(
+        *params, threads=args.threads, budget_bits=args.budget_bits, checkpoint=checkpoint)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _ck(args, label: str) -> Optional[str]:
-    if args.checkpoint is None:
-        return None
-    return "%s.%s" % (args.checkpoint, label)
-
-
-def _opts(args, label: str) -> dict:
-    return {
-        "threads": args.threads,
-        "budget_bits": args.budget_bits,
-        "checkpoint": _ck(args, label),
-    }
-
-
 def _verify_window_census(p, args):
     """Window rank census against the closed product form."""
-    got = census.enum_gamma(p["s"], p["k"], **_opts(args, "gamma"))
+    got = _census("gamma", (p["s"], p["k"]), args)
     want = formulas.gamma_table(p["s"], p["k"])
     return _table_text(got), _table_text(want)
 
 
 def _verify_profile_census(p, args):
     """Rank profile census of the four nested windows against the closed table."""
-    got = census.enum_quadruple(p["l"], p["s"], p["k"], **_opts(args, "quad"))
+    got = _census("quad", (p["l"], p["s"], p["k"]), args)
     want = formulas.quad_table(p["s"], p["k"])
     return _table_text(got), _table_text(want)
 
@@ -147,7 +143,7 @@ def _verify_even_moments(p, args):
     s, k = p["s"], p["k"]
     if p["q"] < 1:
         raise ValueError("--q must be at least 1, got %d" % p["q"])
-    quads = census.enum_quadruple(1, s, k, **_opts(args, "quad"))
+    quads = _census("quad", (1, s, k), args)
     depth = k + s - 1
     gs, factored = Counter(), 0
     for t in (UnitSeries(v, depth) for v in range(1 << depth)):
@@ -162,14 +158,14 @@ def _verify_even_moments(p, args):
 
 def _verify_one_extra_row(p, args):
     """Census with one appended row against the printed case tables."""
-    got = census.enum_stacked_gamma(1, p["m"], p["k"], **_opts(args, "stacked"))
+    got = _census("stacked", (1, p["m"], p["k"]), args)
     want = formulas.stacked1_gamma_table(p["m"], p["k"])
     return _table_text(got), _table_text(want)
 
 
 def _verify_stacked_census(p, args):
     """Census with n appended rows against the coefficient expansion."""
-    got = census.enum_stacked_gamma(p["n"], p["m"], p["k"], **_opts(args, "stacked"))
+    got = _census("stacked", (p["n"], p["m"], p["k"]), args)
     want = formulas.stacked_gamma_table(p["n"], p["m"], p["k"])
     return _table_text(got), _table_text(want)
 
@@ -212,7 +208,7 @@ def _verify_unstructured(p, args):
     """
     rows, k = p["rows"], p["k"]
     want = formulas.landsberg_table(rows, k)
-    got = census.enum_stacked_gamma(rows - 1, 0, k, **_opts(args, "landsberg"))
+    got = _census("stacked", (rows - 1, 0, k), args, "landsberg")
     return _table_text(got), _table_text(want)
 
 
@@ -221,7 +217,7 @@ def _verify_partition_suite(p, args):
     s, k = p["s"], p["k"]
     if s < 2 or k < 2:
         raise ValueError("the partition suite needs s, k >= 2")
-    quads = census.enum_quadruple(1, s, k, **_opts(args, "quad"))
+    quads = _census("quad", (1, s, k), args)
     computed, expected = {}, {}
     gs = _g_tally(s, k)
     for q in (0, 1, 2):
@@ -239,8 +235,8 @@ def _verify_partition_suite(p, args):
             + quads[(j, j, j + 1, j + 1)]
         )
         expected["skew j=%d" % j] = 0
-    narrow = census.enum_gamma(s, k - 1, **_opts(args, "narrow"))
-    short = census.enum_gamma(s - 1, k, **_opts(args, "short"))
+    narrow = _census("gamma", (s, k - 1), args, "narrow")
+    short = _census("gamma", (s - 1, k), args, "short")
     for i in range(s - 1):
         computed["shrink i=%d" % i] = narrow[i]
         expected["shrink i=%d" % i] = short[i]
@@ -257,21 +253,21 @@ def _verify_partition_suite(p, args):
 def _verify_row_split(p, args):
     """Split of the one-extra-row census by whether the row stays in span."""
     m, k = p["m"], p["k"]
-    same, up = census.enum_sigma(m, k, **_opts(args, "sigma"))
-    computed, expected = {}, {}
-    for i, count in sorted(same.items()):
-        computed["same,%d" % i] = count
-        expected["same,%d" % i] = (1 << i) * formulas.gamma_closed(1 + m, k, i)
-    for i, count in sorted(up.items()):
-        computed["up,%d" % i] = count
-        expected["up,%d" % i] = ((1 << k) - (1 << (i - 1))) * formulas.gamma_closed(
-            1 + m, k, i - 1
-        )
-    merged = same + up
-    for i, count in sorted(merged.items()):
-        computed["sum,%d" % i] = count
-        expected["sum,%d" % i] = formulas.stacked1_gamma_closed(m, k, i)
-    return computed, expected
+    tally = _census("sigma", (m, k), args)
+    merged = Counter()
+    for (_, i), count in tally.items():
+        merged[i] += count
+    computed = _table_text(tally)
+    computed.update(("sum,%d" % i, count) for i, count in sorted(merged.items()))
+    # expected keys come from the formulas alone, so a rank the census lost shows
+    ranks = range(min(k, m + 2) + 1)
+    expected = {"same,%d" % i: (1 << i) * formulas.gamma_closed(1 + m, k, i)
+                for i in ranks}
+    expected.update(("up,%d" % i, ((1 << k) - (1 << (i - 1)))
+                     * formulas.gamma_closed(1 + m, k, i - 1)) for i in ranks[1:])
+    expected.update(("sum,%d" % i, formulas.stacked1_gamma_closed(m, k, i))
+                    for i in ranks)
+    return computed, {key: count for key, count in expected.items() if count}
 
 
 _VERIFIERS = {
@@ -306,29 +302,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # census
 
-# the flags each kind requires; quad also reads an optional --l
-_CENSUS_REQUIRED = {
-    "gamma": ("s", "k"),
-    "quad": ("s", "k"),
-    "sigma": ("m", "k"),
-    "stacked": ("n", "m", "k"),
-}
-
 
 def _cmd_census(args) -> int:
-    if args.kind == "gamma":
-        table = _table_text(census.enum_gamma(args.s, args.k, **_opts(args, "gamma")))
-    elif args.kind == "quad":
-        table = _table_text(
-            census.enum_quadruple(args.l, args.s, args.k, **_opts(args, "quad"))
-        )
-    elif args.kind == "sigma":
-        same, up = census.enum_sigma(args.m, args.k, **_opts(args, "sigma"))
-        table = _sigma_text(same, up)
-    else:
-        table = _table_text(
-            census.enum_stacked_gamma(args.n, args.m, args.k, **_opts(args, "stacked"))
-        )
+    params = [getattr(args, flag) for flag in _CENSUS_KINDS[args.kind][1]]
+    table = _table_text(_census(args.kind, params, args))
     if args.format == "json":
         print(json.dumps(table, separators=(",", ":")))
     else:
@@ -460,10 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     cens = sub.add_parser(
         "census", help="print a rank census table"
     ).add_subparsers(dest="kind", required=True)
-    for kind, flags in _CENSUS_REQUIRED.items():
+    for kind, (_, flags) in _CENSUS_KINDS.items():
         leaf = cens.add_parser(kind)
-        required(leaf, flags)
-        if kind == "quad":
+        required(leaf, [flag for flag in flags if flag != "l"])
+        if "l" in flags:
             leaf.add_argument("--l", type=int, default=1,
                               help="first window coefficient (default: 1)")
         leaf.add_argument("--format", choices=("json", "csv"), default="json")

@@ -82,15 +82,18 @@ def merged_tally(tallies):
 
 
 def run_census(kind, params, **opts):
-    """Run one census kind, returning a single tally (sigma as same/up keys)."""
-    if kind == "sigma":
-        same, up = C.enum_sigma(*params, **opts)
-        out = {("same", i): count for i, count in same.items()}
-        out.update({("up", i): count for i, count in up.items()})
-        return out
-    enum = {"gamma": C.enum_gamma, "quad": C.enum_quadruple,
+    """Run one census kind, returning its tally as a dict."""
+    enum = {"gamma": C.enum_gamma, "quad": C.enum_quadruple, "sigma": C.enum_sigma,
             "stacked": C.enum_stacked_gamma}[kind]
     return dict(enum(*params, **opts))
+
+
+def split_sigma(tally):
+    """The sigma tally as (same, up) Counters keyed by rank."""
+    same, up = Counter(), Counter()
+    for (label, i), count in tally.items():
+        (same if label == "same" else up)[i] = count
+    return same, up
 
 
 def parse_key(text):
@@ -266,13 +269,13 @@ class TestEnumQuadruple:
 
 class TestEnumSigma:
     def test_smallest_case(self):
-        same, up = C.enum_sigma(0, 1)
+        same, up = split_sigma(C.enum_sigma(0, 1))
         assert dict(same) == {0: 1, 1: 2}
         assert dict(up) == {1: 1}
 
     def test_known_identities(self):
         for m, k in [(0, 2), (1, 2), (1, 3), (4, 8)]:
-            same, up = C.enum_sigma(m, k)
+            same, up = split_sigma(C.enum_sigma(m, k))
             for i, count in same.items():
                 assert count == (1 << i) * F.gamma_closed(1 + m, k, i)
             for i, count in up.items():
@@ -282,12 +285,12 @@ class TestEnumSigma:
             assert dict(same + up) == F.stacked_gamma_table(1, m, k)
 
     def test_total_covers_grid(self):
-        same, up = C.enum_sigma(2, 3)
+        same, up = split_sigma(C.enum_sigma(2, 3))
         assert same.total() + up.total() == 1 << (3 + 2 + 3)
 
     def test_budget_boundary(self):
         # 2^(k+m) windows times 2^k free rows
-        same, up = C.enum_sigma(2, 3, budget_bits=8)
+        same, up = split_sigma(C.enum_sigma(2, 3, budget_bits=8))
         assert same.total() + up.total() == 1 << 8
         with pytest.raises(BudgetExceeded, match="census sigma m=2 k=3 needs a 2"):
             C.enum_sigma(2, 3, budget_bits=7)
@@ -327,6 +330,13 @@ class TestPartitioning:
         for chunk_size in (1, 3, 7, 16):
             got = dict(C.enum_stacked_gamma(2, 1, 3, chunk_size=chunk_size))
             assert got == base
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_is_refused_before_the_checkpoint(self, tmp_path, chunk_size):
+        path = tmp_path / "gamma.ckpt"
+        with pytest.raises(ValueError, match="chunk_size must be at least 1, got %d" % chunk_size):
+            C.enum_gamma(3, 3, checkpoint=str(path), chunk_size=chunk_size)
+        assert not path.exists()
 
     def test_threads_do_not_change_results(self):
         assert dict(C.enum_gamma(3, 4, threads=3)) == F.gamma_table(3, 4)
@@ -497,7 +507,7 @@ class TestRouteIndependence:
             C.repcount_multi_formula(1, 0, 2, 1)
         assert dict(C.enum_gamma(3, 3)) == {0: 1, 1: 3, 2: 12, 3: 16}
         assert sum(C.enum_quadruple(1, 3, 3).values()) == 1 << 5
-        same, up = C.enum_sigma(1, 2)
+        same, up = split_sigma(C.enum_sigma(1, 2))
         assert sum(same.values()) + sum(up.values()) == 1 << 5
         assert sum(C.enum_stacked_gamma(1, 1, 2).values()) == 1 << 5
         assert sum(C.enum_stacked_gamma(3, 0, 2).values()) == 1 << 8
@@ -520,7 +530,7 @@ class TestRouteIndependence:
                     monkeypatch.setattr(module, attr, refuse)
         with pytest.raises(AssertionError):
             C.repcount_integral(2, 1, 2, 1)
-        same, up = C.enum_sigma(1, 3)
+        same, up = split_sigma(C.enum_sigma(1, 3))
         assert [dict(C.enum_gamma(3, 4)), dict(C.enum_quadruple(1, 3, 3)), dict(same + up),
                 dict(C.enum_stacked_gamma(2, 1, 2))] == want
 
@@ -560,7 +570,7 @@ class TestPool:
 
     def test_large_domains_use_the_pool(self, pools):
         assert dict(C.enum_gamma(11, 12, threads=2)) == F.gamma_table(11, 12)
-        same, up = C.enum_sigma(16, 6, threads=2)  # 2^{22} windows
+        same, up = split_sigma(C.enum_sigma(16, 6, threads=2))  # 2^{22} windows
         assert dict(same + up) == F.stacked_gamma_table(1, 16, 6)
         assert pools == [2, 2]
 

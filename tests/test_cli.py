@@ -2,11 +2,12 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from persym import cli, formulas
+from persym import census, cli, formulas
 
 
 def run_cli(argv, capsys):
@@ -41,6 +42,22 @@ class TestCensusCommand:
         code, out, _ = run_cli(["census", "sigma", "--m", "0", "--k", "1"], capsys)
         assert code == 0
         assert json.loads(out) == {"same,0": 1, "same,1": 2, "up,1": 1}
+
+    @pytest.mark.parametrize("argv,out", [
+        (["sigma", "--m", "1", "--k", "2"],
+         '{"same,0":1,"same,1":6,"same,2":16,"up,1":3,"up,2":6}\n'),
+        (["sigma", "--m", "1", "--k", "2", "--format", "csv"],
+         'key,count\n"same,0",1\n"same,1",6\n"same,2",16\n"up,1",3\n"up,2",6\n'),
+        (["quad", "--s", "2", "--k", "3"],
+         '{"0,0,0,0":1,"0,0,0,1":1,"0,1,1,2":2,"1,1,1,1":2,"1,1,1,2":2,"1,1,2,2":8}\n'),
+        (["quad", "--l", "2", "--s", "2", "--k", "2", "--format", "csv"],
+         'key,count\n"0,0,0,0",1\n"0,0,0,1",1\n"0,1,1,2",2\n"1,1,1,1",2\n"1,1,1,2",2\n'),
+        (["stacked", "--n", "2", "--m", "1", "--k", "2"], '{"0":1,"1":21,"2":106}\n'),
+        (["stacked", "--n", "2", "--m", "1", "--k", "2", "--format", "csv"],
+         "key,count\n0,1\n1,21\n2,106\n"),
+    ], ids=["sigma-json", "sigma-csv", "quad-json", "quad-csv", "stacked-json", "stacked-csv"])
+    def test_exact_output_bytes(self, capsys, argv, out):
+        assert run_cli(["census"] + argv, capsys)[:2] == (0, out)
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -101,12 +118,19 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert "argument --threads: must be an integer of at least 1" in err
 
-    def test_help_lists_only_the_kinds_flags(self, capsys):
-        code, out, _ = run_cli(["census", "gamma", "-h"], capsys)
+    @pytest.mark.parametrize("kind,own", [
+        ("gamma", {"s", "k"}), ("quad", {"l", "s", "k"}), ("sigma", {"m", "k"}),
+        ("stacked", {"n", "m", "k"}),
+    ], ids=["gamma", "quad", "sigma", "stacked"])
+    def test_help_lists_only_the_kinds_flags(self, capsys, kind, own):
+        code, out, _ = run_cli(["census", kind, "-h"], capsys)
         assert code == 0
         flags = set(re.findall(r"--(\w+)", out))
-        assert {"s", "k"} <= flags
-        assert not flags & {"n", "m", "l"}
+        assert flags - {"help", "format", "threads", "budget", "checkpoint"} == own
+
+    def test_every_enumeration_is_one_kind(self):
+        enums = [name for name in census.__all__ if name.startswith("enum_")]
+        assert sorted(name for name, _ in cli._CENSUS_KINDS.values()) == sorted(enums)
 
     @pytest.mark.parametrize("line", ["0 1 7:1", "0 1 0:1 0:1"])
     def test_impossible_or_repeated_checkpoint_key_exits_two(self, tmp_path, capsys, line):
@@ -237,6 +261,32 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "thm3.1"], capsys)
         assert code == 1
         assert json.loads(out)["match"] is False
+
+    def test_row_split_report_bytes(self, capsys):
+        code, out, _ = run_cli(["verify", "sigma6.x"], capsys)
+        assert code == 0
+        assert out == (
+            '{"params":{"theorem":"sigma6.x","m":1,"k":2},'
+            '"computed":{"same,0":1,"same,1":6,"same,2":16,"up,1":3,"up,2":6,'
+            '"sum,0":1,"sum,1":9,"sum,2":22},'
+            '"expected":{"same,0":1,"same,1":6,"same,2":16,"up,1":3,"up,2":6,'
+            '"sum,0":1,"sum,1":9,"sum,2":22},"match":true}\n')
+
+    @pytest.mark.parametrize("lost", [lambda key: key[1] == 3, lambda key: True],
+                             ids=["top-rank", "everything"])
+    def test_row_split_census_that_loses_keys_exits_one(self, capsys, monkeypatch, lost):
+        enum_sigma = census.enum_sigma
+
+        def lossy(m, k, **opts):
+            tally = enum_sigma(m, k, **opts)
+            return Counter({key: count for key, count in tally.items() if not lost(key)})
+
+        monkeypatch.setattr(census, "enum_sigma", lossy)
+        code, out, _ = run_cli(["verify", "sigma6.x", "--m", "2", "--k", "3"], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["match"] is False
+        assert {"same,3", "up,3", "sum,3"} <= set(report["expected"]) - set(report["computed"])
 
     def test_uncovered_case_table_is_an_error(self, capsys):
         code, _, err = run_cli(["verify", "thm3.8", "--k", "1"], capsys)
