@@ -189,6 +189,7 @@ def _run_chunks(
     rows: int,
     free: int = 0,
     split: bool = False,
+    /,
     *,
     threads: int = 1,
     budget_bits: int = DEFAULT_BUDGET_BITS,
@@ -196,6 +197,13 @@ def _run_chunks(
     chunk_size: Optional[int] = None,
 ) -> Counter:
     """Split the window indices into ranges, walk each, merge tallies.
+
+    The kind's data (name, blocks, rows, free, split) is positional only, so
+    no forwarded option reaches it. The keyword options every enum_* forwards
+    are declared here only: threads=1 (worker processes, at least 1),
+    budget_bits=DEFAULT_BUDGET_BITS (refuse over 2^budget_bits points),
+    checkpoint=None (a file to append finished chunks to and resume from),
+    chunk_size=None (windows per chunk; None means total >> 6, at least 1).
 
     Chunk boundaries depend only on the domain size (never on the thread
     count) so a checkpoint file written by one run can resume under any
@@ -208,6 +216,8 @@ def _run_chunks(
     check_budget(k + rows - 1 + free * k, budget_bits, "census " + name)
     total = 1 << (k + rows - 1)
     weight = 1 << (free * k)
+    if threads < 1:
+        raise ValueError("threads must be at least 1, got %d" % threads)
     if chunk_size is None:
         chunk_size = max(1, total >> 6)
     elif chunk_size < 1:
@@ -351,39 +361,14 @@ def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
 # public censuses
 
 
-def enum_gamma(
-    s: int,
-    k: int,
-    *,
-    threads: int = 1,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-    checkpoint: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-) -> Counter:
+def enum_gamma(s: int, k: int, **options) -> Counter:
     """Rank distribution of all 2^{k+s-1} s x k coefficient windows."""
     if s < 1 or k < 1:
         raise ValueError("shape must be positive, got %dx%d" % (s, k))
-    return _run_chunks(
-        "gamma s=%d k=%d" % (s, k),
-        (((1 << k) - 1, True),),
-        s,
-        threads=threads,
-        budget_bits=budget_bits,
-        checkpoint=checkpoint,
-        chunk_size=chunk_size,
-    )
+    return _run_chunks("gamma s=%d k=%d" % (s, k), (((1 << k) - 1, True),), s, **options)
 
 
-def enum_quadruple(
-    l: int,
-    n: int,
-    m: int,
-    *,
-    threads: int = 1,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-    checkpoint: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-) -> Counter:
+def enum_quadruple(l: int, n: int, m: int, **options) -> Counter:
     """Distribution of corner-deleted rank quadruples over all windows.
 
     The window starts at coefficient alpha_l; the census runs over the
@@ -392,26 +377,11 @@ def enum_quadruple(
     if l < 1 or n < 1 or m < 1:
         raise ValueError("requires l, n, m >= 1, got l=%d n=%d m=%d" % (l, n, m))
     full, narrow = (1 << m) - 1, (1 << (m - 1)) - 1
-    return _run_chunks(
-        "quad l=%d n=%d m=%d" % (l, n, m),
-        ((narrow, False), (full, False), (narrow, True), (full, True)),
-        n,
-        threads=threads,
-        budget_bits=budget_bits,
-        checkpoint=checkpoint,
-        chunk_size=chunk_size,
-    )
+    blocks = ((narrow, False), (full, False), (narrow, True), (full, True))
+    return _run_chunks("quad l=%d n=%d m=%d" % (l, n, m), blocks, n, **options)
 
 
-def enum_sigma(
-    m: int,
-    k: int,
-    *,
-    threads: int = 1,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-    checkpoint: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-) -> Counter:
+def enum_sigma(m: int, k: int, **options) -> Counter:
     """Row-append census over all (window, free row) pairs.
 
     Key ("same", i) counts pairs where the appended row stays inside the
@@ -420,29 +390,11 @@ def enum_sigma(
     """
     if m < 0 or k < 1:
         raise ValueError("requires m >= 0 and k >= 1, got m=%d k=%d" % (m, k))
-    return _run_chunks(
-        "sigma m=%d k=%d" % (m, k),
-        (((1 << k) - 1, True),),
-        1 + m,
-        free=1,
-        split=True,
-        threads=threads,
-        budget_bits=budget_bits,
-        checkpoint=checkpoint,
-        chunk_size=chunk_size,
-    )
+    return _run_chunks("sigma m=%d k=%d" % (m, k), (((1 << k) - 1, True),), 1 + m,
+                       1, True, **options)
 
 
-def enum_stacked_gamma(
-    n: int,
-    m: int,
-    k: int,
-    *,
-    threads: int = 1,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-    checkpoint: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-) -> Counter:
+def enum_stacked_gamma(n: int, m: int, k: int, **options) -> Counter:
     """Rank distribution of the stacked census: a (1+m) x k window block
     with n unconstrained k-bit rows appended, over all 2^{(k+m)+nk} tuples.
 
@@ -454,16 +406,8 @@ def enum_stacked_gamma(
         raise ValueError(
             "requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k)
         )
-    return _run_chunks(
-        "stacked n=%d m=%d k=%d" % (n, m, k),
-        (((1 << k) - 1, True),),
-        1 + m,
-        free=n,
-        threads=threads,
-        budget_bits=budget_bits,
-        checkpoint=checkpoint,
-        chunk_size=chunk_size,
-    )
+    return _run_chunks("stacked n=%d m=%d k=%d" % (n, m, k), (((1 << k) - 1, True),),
+                       1 + m, n, **options)
 
 
 # ---------------------------------------------------------------------------

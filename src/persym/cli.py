@@ -64,6 +64,13 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _checkpoint_path(text: str) -> str:
+    """The --checkpoint value: a nonempty path (each census adds .<label>)."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a nonempty path")
+    return text
+
+
 def _render(value):
     """JSON-friendly form of a count; dyadic fractions become strings."""
     if isinstance(value, DyadicRational):
@@ -78,9 +85,7 @@ def _table_text(table) -> Dict[str, int]:
 
 
 def _parse_series(literal: str, depth: int) -> UnitSeries:
-    series = UnitSeries.from_string(literal)
-    series.require(depth)
-    return series.truncate(depth)
+    return UnitSeries.from_string(literal).truncate(depth)
 
 
 # census kind: (its enumeration in persym.census, its parameters in call order);
@@ -414,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=_worker_count, default=_default_threads(),
                        help="worker processes for enumerations (default: all cores)")
         budget(p)
-        p.add_argument("--checkpoint", help="append finished chunks to this file "
-                       "and resume from it")
+        p.add_argument("--checkpoint", type=_checkpoint_path, help="append finished "
+                       "chunks to this file and resume from it")
 
     def required(p: argparse.ArgumentParser, flags) -> None:
         for flag in flags:

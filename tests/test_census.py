@@ -338,6 +338,13 @@ class TestPartitioning:
             C.enum_gamma(3, 3, checkpoint=str(path), chunk_size=chunk_size)
         assert not path.exists()
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_is_refused_before_the_checkpoint(self, tmp_path, threads):
+        path = tmp_path / "gamma.ckpt"
+        with pytest.raises(ValueError, match="threads must be at least 1, got %d" % threads):
+            C.enum_gamma(3, 3, checkpoint=str(path), threads=threads)
+        assert not path.exists()
+
     def test_threads_do_not_change_results(self):
         assert dict(C.enum_gamma(3, 4, threads=3)) == F.gamma_table(3, 4)
         assert dict(C.enum_stacked_gamma(2, 1, 3, threads=2, chunk_size=4)) == dict(
@@ -489,6 +496,44 @@ class TestPartitioning:
         path.write_text(text[:5])
         assert dict(C.enum_gamma(3, 3, checkpoint=str(path))) == full
         assert path.read_text() == text
+
+
+# a tiny grid for each enumeration, 2^4 or 2^5 points
+TINY = {"enum_gamma": (2, 3), "enum_quadruple": (1, 2, 3), "enum_sigma": (1, 2),
+        "enum_stacked_gamma": (1, 1, 2)}
+ENUMS = [name for name in C.__all__ if name.startswith("enum_")]
+
+
+class TestOptionForwarding:
+    """Every enum_* forwards the driver's keyword options and nothing else."""
+
+    @pytest.mark.parametrize("name", ENUMS)
+    @pytest.mark.parametrize("option", ["threads", "checkpoint", "chunk_size"])
+    def test_each_option_gives_the_default_tally(self, tmp_path, name, option):
+        enum, params = getattr(C, name), TINY[name]
+        value = {"threads": 2, "checkpoint": str(tmp_path / "ckpt"), "chunk_size": 3}[option]
+        assert enum(*params, **{option: value}) == enum(*params)
+        if option == "checkpoint":
+            assert (tmp_path / "ckpt").read_text().startswith("#census ")
+
+    @pytest.mark.parametrize("name", ENUMS)
+    def test_budget_below_the_domain_is_refused(self, name):
+        with pytest.raises(BudgetExceeded):
+            getattr(C, name)(*TINY[name], budget_bits=3)
+
+    @pytest.mark.parametrize("name", ENUMS)
+    @pytest.mark.parametrize("keyword", [
+        {"thread": 2}, {"name": "gamma s=1 k=1"}, {"blocks": ((1, True),)}, {"rows": 1},
+        {"free": 1}, {"split": True},
+    ], ids=["thread", "name", "blocks", "rows", "free", "split"])
+    def test_unknown_or_kernel_keyword_is_refused(self, name, keyword):
+        with pytest.raises(TypeError):
+            getattr(C, name)(*TINY[name], **keyword)
+
+    @pytest.mark.parametrize("name", ENUMS)
+    def test_positional_option_is_refused(self, name):
+        with pytest.raises(TypeError):
+            getattr(C, name)(*TINY[name], 1)
 
 
 class TestRouteIndependence:

@@ -195,6 +195,17 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(ckpt) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["census", "gamma", "--s", "2", "--k", "2"],
+        ["verify", "lemmas5.x"],
+    ], ids=["census", "verify"])
+    def test_empty_checkpoint_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv + ["--checkpoint", ""], capsys)
+        assert code == 2 and out == ""
+        assert "argument --checkpoint: must be a nonempty path" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dead_worker_exits_two_and_the_rerun_resumes(self, tmp_path):
         # the worker of the chunk at index 0 dies without a word
         script = (
