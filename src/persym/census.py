@@ -7,10 +7,10 @@ brute-force representation counts. Censuses are data-parallel over
 disjoint index ranges; partial tallies merge by plain addition, so any
 partitioning (including a resumed checkpoint file) gives identical
 results. A checkpoint file opens with a header naming its census,
-parameters, domain size and chunk size; a file with another header, or
+parameters, window count and chunk size; a file with another header, or
 a line with a field that does not parse, a count below 1, a key the
 census cannot produce, a repeated key or range, or counts that do not
-sum to its range's point count, is rejected.
+sum to its range's window count, is rejected.
 
 A coset representative of depth N is an N-bit integer whose bit b
 (least significant first) is the coefficient alpha_{l+b} of the series;
@@ -23,19 +23,20 @@ all zeros, from bit p of base. The kernel eliminates column by column in
 every lane at once, taking each pivot from the topmost row that holds none
 yet, and keeps each lane's rank as a thermometer code (one mask per rank
 r: the lanes of rank at least r), so it can read the rank of any column
-prefix. A census kind is data for the kernel: corner blocks (column mask,
+prefix. A census kind is data for the kernel: corner blocks (column count,
 whether the last row belongs) whose ranks key the tally; free rows below
 the window; and for sigma, a split by whether the free row raised the
-rank. A block of mask width w reads the ranks after w columns. Since no
+rank. A block of w columns reads the ranks after w columns. Since no
 row is ever reduced by a row below it, the rows above the last are
 eliminated as they would be alone, so a block without the last row takes
 one off those ranks where the last row holds a pivot, and the four quad
 blocks share one elimination.
 
-The kernel visits windows only. A free k-bit row keeps a rank-f row space
-when it lies inside it (2^f rows) and raises the rank to f + 1 otherwise
-(2^k - 2^f rows), so each chunk expands its tally of window ranks by
-that rule once per free row before it returns.
+The kernel visits windows only, and chunks and checkpoints hold window
+tallies. A free k-bit row keeps a rank-f row space when it lies inside it
+(2^f rows) and raises the rank to f + 1 otherwise (2^k - 2^f rows), so
+the driver expands the merged window tally by that rule once per free
+row, after the last chunk.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 Key = Union[int, Tuple]
-# (column mask, whether the last window row belongs to the block)
+# (column count, whether the last window row belongs to the block)
 Blocks = Tuple[Tuple[int, bool], ...]
 
 
@@ -87,12 +88,8 @@ def _key_to_text(key: Key) -> str:
 
 
 def _key_from_text(text: str) -> Key:
-    if "," in text:
-        return tuple(
-            int(part) if part.lstrip("-").isdigit() else part
-            for part in text.split(",")
-        )
-    return int(text)
+    parts = tuple(int(part) for part in text.split(","))
+    return parts if len(parts) > 1 else parts[0]
 
 
 def _read_checkpoint(
@@ -100,10 +97,9 @@ def _read_checkpoint(
     header: str,
     valid: Iterable[Tuple[int, int]],
     keys: Container[Key],
-    weight: int,
 ) -> Dict[Tuple[int, int], Counter]:
     """Finished chunks of a checkpoint file; keys are those the census can
-    produce, weight is points per index.
+    produce, and a chunk's counts sum to its window count.
 
     The file must open with this census's header line. A last line
     without a newline was cut off mid-write (the header included): it is
@@ -164,7 +160,7 @@ def _read_checkpoint(
                        key_text, path)
                 )
             counts[key] = count
-        points = (rng[1] - rng[0]) * weight
+        points = rng[1] - rng[0]
         if counts.total() != points:
             raise ValueError(
                 "checkpoint range %r counts %d points, not %d;"
@@ -196,7 +192,8 @@ def _run_chunks(
     checkpoint: Optional[str] = None,
     chunk_size: Optional[int] = None,
 ) -> Counter:
-    """Split the window indices into ranges, walk each, merge tallies.
+    """Split the window indices into ranges, walk each, merge the window
+    tallies, then expand the free rows once (see the module docstring).
 
     The kind's data (name, blocks, rows, free, split) is positional only, so
     no forwarded option reaches it. The keyword options every enum_* forwards
@@ -212,10 +209,9 @@ def _run_chunks(
     worker that dies, fails the census with a ValueError; the chunks
     finished before it stay in the checkpoint for a rerun to resume.
     """
-    k = max(mask for mask, _ in blocks).bit_length()
+    k = max(width for width, _ in blocks)
     check_budget(k + rows - 1 + free * k, budget_bits, "census " + name)
     total = 1 << (k + rows - 1)
-    weight = 1 << (free * k)
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
     if chunk_size is None:
@@ -223,22 +219,17 @@ def _run_chunks(
     elif chunk_size < 1:
         raise ValueError("chunk_size must be at least 1, got %d" % chunk_size)
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
-    header = "#census %s points=%d chunk=%d" % (name, total * weight, chunk_size)
+    header = "#census %s points=%d chunk=%d" % (name, total, chunk_size)
     done = {}
     if checkpoint:
-        ranks = range(min(rows + free, k) + 1)
-        if split:
-            keys = set(itertools.product(("same", "up"), ranks))
-        elif len(blocks) > 1:
-            keys = set(itertools.product(ranks, repeat=len(blocks)))
-        else:
-            keys = set(ranks)
-        done = _read_checkpoint(checkpoint, header, ranges, keys, weight)
+        ranks = range(min(rows, k) + 1)
+        keys = set(itertools.product(ranks, repeat=len(blocks)) if len(blocks) > 1 else ranks)
+        done = _read_checkpoint(checkpoint, header, ranges, keys)
     tally = Counter()
     for counts in done.values():
         tally += counts
     pending = [rng for rng in ranges if rng not in done]
-    jobs = [(blocks, rows, free, split) + rng for rng in pending]
+    jobs = [(blocks, rows) + rng for rng in pending]
     out = open(checkpoint, "a", encoding="ascii") if checkpoint else None
     pool = None
     try:
@@ -270,6 +261,13 @@ def _run_chunks(
             pool.shutdown(cancel_futures=True)
         if out:
             out.close()
+    # a free row keeps a rank-f row space in 2^f ways and raises it in the rest
+    for _ in range(free):
+        step, tally = tally, Counter()
+        for f, count in step.items():
+            tally[("same", f) if split else f] += count << f
+            if f < k:
+                tally[("up", f + 1) if split else f + 1] += count * ((1 << k) - (1 << f))
     return tally
 
 
@@ -289,17 +287,17 @@ def _lane_masks(b: int) -> Tuple[int, ...]:
                  for p in range(b))
 
 
-def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
-    """Tally the windows [lo, hi) of one census kind (see the module docstring)."""
-    blocks, rows, free, split, lo, hi = args
-    k = max(blocks)[0].bit_length()
+def _walk_worker(args: Tuple[Blocks, int, int, int]) -> Counter:
+    """Tally the window ranks of [lo, hi) for one census kind's blocks; the
+    driver expands free rows (see the module docstring)."""
+    blocks, rows, lo, hi = args
+    k = max(blocks)[0]
     depth = k + rows - 1
     b = min(_LANE_BITS, depth, (hi - lo - 1).bit_length())
     lanes = 1 << b
     full = (1 << lanes) - 1
     masks = _lane_masks(b)
-    reads = [(mask.bit_length(), with_last) for mask, with_last in blocks]
-    widths = {w for w, _ in reads if w < k}
+    widths = {w for w, _ in blocks if w < k}
     top = min(rows, k)
     counts = Counter()
     for base in range(lo >> b << b, hi, lanes):
@@ -335,7 +333,7 @@ def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
                     ge[r] |= ge[r - 1] & found
         seen[k] = (ge, full ^ unused[-1])
         joint = [((), valid)]
-        for width, with_last in reads:
+        for width, with_last in blocks:
             ge, last = seen[width]
             if not with_last:  # the last row's pivot, if any, leaves the block
                 ge = [(ge[r] & (full ^ last)) | (ge[r + 1] & last) for r in range(top + 1)] + [0]
@@ -343,17 +341,6 @@ def _walk_worker(args: Tuple[Blocks, int, int, bool, int, int]) -> Counter:
                      if (both := lanes_in & (ge[r] ^ ge[r + 1]))]
         for key, lanes_in in joint:
             counts[key if len(key) > 1 else key[0]] += lanes_in.bit_count()
-    if free:  # a free row keeps a rank-f row space in 2^f ways, raises it in the rest
-        grown = Counter({("same", r): count for r, count in counts.items()})
-        for _ in range(free):
-            step, grown = grown, Counter()
-            for (label, f), count in step.items():
-                grown[label, f] += count << f
-                if f < k:
-                    grown["up", f + 1] += count * ((1 << k) - (1 << f))
-        counts = Counter()
-        for (label, f), count in grown.items():
-            counts[(label, f) if split else f] += count
     return counts
 
 
@@ -365,7 +352,7 @@ def enum_gamma(s: int, k: int, **options) -> Counter:
     """Rank distribution of all 2^{k+s-1} s x k coefficient windows."""
     if s < 1 or k < 1:
         raise ValueError("shape must be positive, got %dx%d" % (s, k))
-    return _run_chunks("gamma s=%d k=%d" % (s, k), (((1 << k) - 1, True),), s, **options)
+    return _run_chunks("gamma s=%d k=%d" % (s, k), ((k, True),), s, **options)
 
 
 def enum_quadruple(l: int, n: int, m: int, **options) -> Counter:
@@ -376,8 +363,7 @@ def enum_quadruple(l: int, n: int, m: int, **options) -> Counter:
     """
     if l < 1 or n < 1 or m < 1:
         raise ValueError("requires l, n, m >= 1, got l=%d n=%d m=%d" % (l, n, m))
-    full, narrow = (1 << m) - 1, (1 << (m - 1)) - 1
-    blocks = ((narrow, False), (full, False), (narrow, True), (full, True))
+    blocks = ((m - 1, False), (m, False), (m - 1, True), (m, True))
     return _run_chunks("quad l=%d n=%d m=%d" % (l, n, m), blocks, n, **options)
 
 
@@ -390,8 +376,7 @@ def enum_sigma(m: int, k: int, **options) -> Counter:
     """
     if m < 0 or k < 1:
         raise ValueError("requires m >= 0 and k >= 1, got m=%d k=%d" % (m, k))
-    return _run_chunks("sigma m=%d k=%d" % (m, k), (((1 << k) - 1, True),), 1 + m,
-                       1, True, **options)
+    return _run_chunks("sigma m=%d k=%d" % (m, k), ((k, True),), 1 + m, 1, True, **options)
 
 
 def enum_stacked_gamma(n: int, m: int, k: int, **options) -> Counter:
@@ -406,8 +391,8 @@ def enum_stacked_gamma(n: int, m: int, k: int, **options) -> Counter:
         raise ValueError(
             "requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k)
         )
-    return _run_chunks("stacked n=%d m=%d k=%d" % (n, m, k), (((1 << k) - 1, True),),
-                       1 + m, n, **options)
+    return _run_chunks("stacked n=%d m=%d k=%d" % (n, m, k), ((k, True),), 1 + m, n,
+                       **options)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,8 @@ def _verify_window_census(p, args):
 
 def _verify_profile_census(p, args):
     """Rank profile census of the four nested windows against the closed table."""
+    if not 1 <= p["s"] <= p["k"]:
+        raise ValueError("requires 1 <= s <= k, got s=%d k=%d" % (p["s"], p["k"]))
     got = _census("quad", (p["l"], p["s"], p["k"]), args)
     want = formulas.quad_table(p["s"], p["k"])
     return _table_text(got), _table_text(want)
@@ -212,16 +214,17 @@ def _verify_unstructured(p, args):
     A rows x k matrix is one k-bit row with rows - 1 free rows below it.
     """
     rows, k = p["rows"], p["k"]
-    want = formulas.landsberg_table(rows, k)
+    if rows < 1:
+        raise ValueError("--rows must be at least 1, got %d" % rows)
     got = _census("stacked", (rows - 1, 0, k), args, "landsberg")
-    return _table_text(got), _table_text(want)
+    return _table_text(got), _table_text(formulas.landsberg_table(rows, k))
 
 
 def _verify_partition_suite(p, args):
     """Deletion and parity identities tying the window censuses together."""
     s, k = p["s"], p["k"]
-    if s < 2 or k < 2:
-        raise ValueError("the partition suite needs s, k >= 2")
+    if not 2 <= s <= k:  # the deletion identities are stated for s <= k
+        raise ValueError("the partition suite needs 2 <= s <= k, got s=%d k=%d" % (s, k))
     quads = _census("quad", (1, s, k), args)
     computed, expected = {}, {}
     gs = _g_tally(s, k)

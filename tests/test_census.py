@@ -63,6 +63,16 @@ def naive_window_tallies(kind, params):
     return tallies
 
 
+def naive_window_ranks(kind, params):
+    """Per-window build-and-rank tallies of what a chunk holds, one dict per
+    window index: naive_window_tallies for gamma and quad, the rank of the
+    (1+m) x k window block for sigma (m, k) and stacked (n, m, k)."""
+    if kind in ("gamma", "quad"):
+        return naive_window_tallies(kind, params)
+    m, k = params[-2:]
+    return [{rank(hankel(UnitSeries(tv, k + m), 1, 1 + m, k)): 1} for tv in range(1 << (k + m))]
+
+
 def naive_window_key(kind, params, v):
     """Build-and-rank key of window v: its rank for gamma (s, k), its
     corner-deleted rank profile for quad (l, n, m)."""
@@ -151,6 +161,7 @@ class TestWalkAgainstNaive:
     @pytest.mark.parametrize("chunk_size", ["whole", 1, 3, 7, None])
     def test_each_chunk_matches_naive(self, tmp_path, kind, params, chunk_size):
         windows = naive_window_tallies(kind, params)
+        ranks = naive_window_ranks(kind, params)
         size = len(windows) if chunk_size == "whole" else chunk_size
         path = str(tmp_path / "walk.ckpt")
         total = run_census(kind, params, checkpoint=path, chunk_size=size)
@@ -161,33 +172,34 @@ class TestWalkAgainstNaive:
             (lo, min(lo + step, len(windows))) for lo in range(0, len(windows), step)
         ]
         for (lo, hi), counts in chunks.items():
-            assert counts == merged_tally(windows[lo:hi]), (lo, hi)
+            assert counts == merged_tally(ranks[lo:hi]), (lo, hi)
 
     @pytest.mark.parametrize("kind,params", WALK_GRIDS)
     def test_two_workers_match_naive(self, tmp_path, kind, params):
         windows = naive_window_tallies(kind, params)
+        ranks = naive_window_ranks(kind, params)
         path = str(tmp_path / "walk.ckpt")
         total = run_census(kind, params, threads=2, checkpoint=path, chunk_size=3)
         assert total == merged_tally(windows)
         for (lo, hi), counts in checkpoint_chunks(path).items():
-            assert counts == merged_tally(windows[lo:hi]), (lo, hi)
+            assert counts == merged_tally(ranks[lo:hi]), (lo, hi)
 
     @pytest.mark.parametrize("kind,params", [
         ("gamma", (3, 4)), ("quad", (1, 3, 3)), ("sigma", (1, 2)), ("stacked", (2, 1, 2)),
     ])
     def test_resume_from_checkpoint_in_line_format(self, tmp_path, kind, params):
         windows = naive_window_tallies(kind, params)
+        ranks = naive_window_ranks(kind, params)
         path = tmp_path / "walk.ckpt"
-        points = sum(merged_tally(windows).values())
         with open(path, "w") as handle:
-            handle.write(checkpoint_header(kind, params, points, 3))
-            for lo in range(0, len(windows), 6):
-                hi = min(lo + 3, len(windows))
-                handle.write(checkpoint_line(lo, hi, merged_tally(windows[lo:hi])))
+            handle.write(checkpoint_header(kind, params, len(ranks), 3))
+            for lo in range(0, len(ranks), 6):
+                hi = min(lo + 3, len(ranks))
+                handle.write(checkpoint_line(lo, hi, merged_tally(ranks[lo:hi])))
         resumed = run_census(kind, params, checkpoint=str(path), chunk_size=3)
         assert resumed == merged_tally(windows)
         for (lo, hi), counts in checkpoint_chunks(str(path)).items():
-            assert counts == merged_tally(windows[lo:hi]), (lo, hi)
+            assert counts == merged_tally(ranks[lo:hi]), (lo, hi)
 
     def test_all_matrices_census_is_a_stacked_census(self):
         for rows in range(1, 5):
@@ -391,12 +403,13 @@ class TestPartitioning:
             C.enum_gamma(4, 4, checkpoint=path, chunk_size=64)
 
     def test_checkpoint_line_with_wrong_weight_is_rejected(self, tmp_path):
-        # a stacked line counts (hi - lo) windows times 2^{nk} free-row tuples
+        # a stacked line counts its hi - lo windows, not the 2^{nk} free-row
+        # tuples over each that a line in the older expanded form counted
         path = str(tmp_path / "stacked.ckpt")
         with open(path, "w") as handle:
-            handle.write(checkpoint_header("stacked", (1, 1, 2), 32, 4))
-            handle.write("0 4 0:1 1:3\n")
-        with pytest.raises(ValueError, match="counts 4 points, not 16"):
+            handle.write(checkpoint_header("stacked", (1, 1, 2), 8, 4))
+            handle.write("0 4 0:1 1:5 2:10\n")
+        with pytest.raises(ValueError, match="counts 16 points, not 4"):
             C.enum_stacked_gamma(1, 1, 2, checkpoint=path, chunk_size=4)
 
     def test_checkpoint_count_below_one_is_rejected(self, tmp_path):
@@ -416,7 +429,7 @@ class TestPartitioning:
         ("gamma", (3, 4), "0 1 0:1 0:1", "repeated key 0"),
         ("quad", (1, 3, 3), "0 1 0,0,0:1", "impossible key 0,0,0"),
         ("quad", (1, 3, 3), "0 1 0,0,0,4:1", "impossible key 0,0,0,4"),
-        ("sigma", (1, 2), "0 1 same,0:1 down,1:3", "impossible key down,1"),
+        ("sigma", (1, 2), "0 1 3:1", "impossible key 3"),
         ("stacked", (1, 1, 2), "0 1 0:1 3:3", "impossible key 3"),
     ])
     def test_checkpoint_key_the_census_cannot_hold_is_rejected(
@@ -429,7 +442,8 @@ class TestPartitioning:
         with pytest.raises(ValueError, match=message):
             run_census(kind, params, checkpoint=str(path))
 
-    @pytest.mark.parametrize("line", ["0 1 x:1", "0 1 0:1x", "x 1 0:1", "0 1 :1"])
+    @pytest.mark.parametrize("line", ["0 1 x:1", "0 1 0:1x", "x 1 0:1", "0 1 :1",
+                                      "0 1 same,0:1"])
     def test_checkpoint_line_with_a_malformed_field_is_rejected(self, tmp_path, line):
         path = tmp_path / "gamma.ckpt"
         C.enum_gamma(3, 4, checkpoint=str(path))
@@ -496,6 +510,68 @@ class TestPartitioning:
         path.write_text(text[:5])
         assert dict(C.enum_gamma(3, 3, checkpoint=str(path))) == full
         assert path.read_text() == text
+
+
+# the checkpoint of one tiny census per kind at chunk_size=4: every line
+# holds the window tally of its chunk, before any free row is expanded
+CHECKPOINT_BYTES = {
+    ("gamma", (2, 3)): b"#census gamma s=2 k=3 points=16 chunk=4\n"
+                       b"0 4 0:1 1:1 2:2\n4 8 2:4\n8 12 1:1 2:3\n12 16 1:1 2:3\n",
+    ("quad", (1, 2, 3)): b"#census quad l=1 n=2 m=3 points=16 chunk=4\n"
+                         b"0 4 0,0,0,0:1 1,1,1,1:1 1,1,2,2:2\n"
+                         b"4 8 0,1,1,2:1 1,1,1,2:1 1,1,2,2:2\n"
+                         b"8 12 0,0,0,1:1 1,1,1,2:1 1,1,2,2:2\n"
+                         b"12 16 0,1,1,2:1 1,1,1,1:1 1,1,2,2:2\n",
+    ("sigma", (1, 2)): b"#census sigma m=1 k=2 points=8 chunk=4\n"
+                       b"0 4 0:1 1:1 2:2\n4 8 1:2 2:2\n",
+    ("stacked", (1, 1, 2)): b"#census stacked n=1 m=1 k=2 points=8 chunk=4\n"
+                            b"0 4 0:1 1:1 2:2\n4 8 1:2 2:2\n",
+}
+
+# the same censuses in the older form, whose lines held the tally after the
+# free-row expansion: gamma and quad are unchanged, sigma and stacked differ
+OLDER_CHECKPOINT_BYTES = {
+    ("sigma", (1, 2)): b"#census sigma m=1 k=2 points=32 chunk=4\n"
+                       b"0 4 same,0:1 same,1:2 same,2:8 up,1:3 up,2:2\n"
+                       b"4 8 same,1:4 same,2:8 up,2:4\n",
+    ("stacked", (1, 1, 2)): b"#census stacked n=1 m=1 k=2 points=32 chunk=4\n"
+                            b"0 4 0:1 1:5 2:10\n4 8 1:4 2:12\n",
+}
+
+
+class TestCheckpointFormat:
+    """The bytes a checkpoint holds, and which older files still resume."""
+
+    @pytest.mark.parametrize("kind,params", list(CHECKPOINT_BYTES))
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_checkpoint_bytes_after_a_run_and_a_resume(self, tmp_path, kind, params, threads):
+        path = tmp_path / "census.ckpt"
+        data = CHECKPOINT_BYTES[kind, params]
+        opts = {"threads": threads, "checkpoint": str(path), "chunk_size": 4}
+        full = run_census(kind, params, **opts)
+        assert path.read_bytes() == data
+        path.write_bytes(b"".join(data.splitlines(keepends=True)[:2]))
+        assert run_census(kind, params, **opts) == full
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("kind,params", list(OLDER_CHECKPOINT_BYTES))
+    def test_older_expanded_checkpoint_is_refused_untouched(self, tmp_path, kind, params):
+        path = tmp_path / "census.ckpt"
+        data = OLDER_CHECKPOINT_BYTES[kind, params]
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="header"):
+            run_census(kind, params, checkpoint=str(path), chunk_size=4)
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("kind,params,table", [
+        ("gamma", (2, 3), F.gamma_table(2, 3)), ("quad", (1, 2, 3), F.quad_table(2, 3)),
+    ])
+    def test_older_window_checkpoint_resumes(self, tmp_path, kind, params, table):
+        # an older gamma or quad file has the same bytes as a new one
+        path = tmp_path / "census.ckpt"
+        path.write_bytes(CHECKPOINT_BYTES[kind, params])
+        assert run_census(kind, params, checkpoint=str(path), chunk_size=4) == table
+        assert path.read_bytes() == CHECKPOINT_BYTES[kind, params]
 
 
 # a tiny grid for each enumeration, 2^4 or 2^5 points
@@ -585,7 +661,7 @@ WALK_WORKER = C._walk_worker
 
 def raising_worker(args):
     """A census worker that fails on the chunk at index 0."""
-    if args[4] == 0:
+    if args[-2] == 0:
         raise RuntimeError("chunk at 0 failed")
     return WALK_WORKER(args)
 

@@ -213,7 +213,7 @@ class TestCensusCommand:
             "from persym import census, cli\n"
             "walk = census._walk_worker\n"
             "def die(args):\n"
-            "    if args[4] == 0:\n"
+            "    if args[-2] == 0:\n"
             "        os._exit(9)\n"
             "    return walk(args)\n"
             "census._walk_worker = die\n"
@@ -346,12 +346,42 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert (report["computed"]["g^2 factors"], report["expected"]["g^2 factors"]) == (0, 8)
 
-    @pytest.mark.parametrize("suite,flag", [("thm3.5", "q"), ("cor3.10", "n")])
+    @pytest.mark.parametrize("suite,flag", [("thm3.5", "q"), ("cor3.10", "n"),
+                                            ("landsberg", "rows")])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_parameter_that_checks_nothing_is_usage_error(self, capsys, suite, flag, value):
         code, out, err = run_cli(["verify", suite, "--" + flag, value], capsys)
         assert code == 2 and out == ""
         assert "--%s must be at least 1" % flag in err
+
+    @pytest.mark.parametrize("s,k", [(3, 2), (5, 4)])
+    def test_partition_suite_refuses_s_above_k(self, capsys, monkeypatch, s, k):
+        # the deletion identities are stated for s <= k; no census runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a census ran")
+
+        for name in ("enum_gamma", "enum_quadruple"):
+            monkeypatch.setattr(census, name, refuse)
+        code, out, err = run_cli(["verify", "lemmas5.x", "--s", str(s), "--k", str(k)], capsys)
+        assert code == 2 and out == ""
+        assert "needs 2 <= s <= k, got s=%d k=%d" % (s, k) in err
+
+    def test_profile_suite_refuses_s_above_k_before_the_census(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quad census ran")
+
+        monkeypatch.setattr(census, "enum_quadruple", refuse)
+        code, out, err = run_cli(["verify", "thm3.3", "--s", "12", "--k", "11"], capsys)
+        assert code == 2 and out == ""
+        assert "error: requires 1 <= s <= k, got s=12 k=11" in err
+
+    def test_landsberg_over_budget_is_refused_before_the_closed_table(self):
+        # the closed table at 1000 x 1000 alone takes minutes of big-int work
+        result = subprocess.run(
+            [sys.executable, "-m", "persym.cli", "verify", "landsberg", "--rows", "1000",
+             "--k", "1000"], capture_output=True, text=True, timeout=10)
+        assert result.returncode == 2 and result.stdout == ""
+        assert "budget" in result.stderr
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(["verify", "bogus"], capsys)
