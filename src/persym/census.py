@@ -87,8 +87,16 @@ def _key_to_text(key: Key) -> str:
     return str(key)
 
 
+def _decimal(text: str) -> int:
+    """The int that %d writes as text; a sign, padding or underscore is refused."""
+    value = int(text)
+    if "%d" % value != text:
+        raise ValueError("%r is not a canonical decimal" % text)
+    return value
+
+
 def _key_from_text(text: str) -> Key:
-    parts = tuple(int(part) for part in text.split(","))
+    parts = tuple(_decimal(part) for part in text.split(","))
     return parts if len(parts) > 1 else parts[0]
 
 
@@ -131,8 +139,8 @@ def _read_checkpoint(
         if not fields:
             continue
         try:
-            rng = tuple(int(field) for field in fields[:2])
-            entries = [(text, _key_from_text(text), int(count))
+            rng = tuple(_decimal(field) for field in fields[:2])
+            entries = [(text, _key_from_text(text), _decimal(count))
                        for text, _, count in (f.rpartition(":") for f in fields[2:])]
         except ValueError:
             raise ValueError(

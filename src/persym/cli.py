@@ -182,8 +182,9 @@ def _verify_coefficient_rows(p, args):
     if p["n"] < 1:
         raise ValueError("--n must be at least 1, got %d" % p["n"])
     computed, expected = {}, {}
-    for n in range(1, p["n"] + 1):
-        rec = [formulas.a_coeff_recurrence(n, j) for j in range(n + 1)]
+    for n, rec in enumerate(formulas.a_coeff_rows(p["n"])):
+        if n == 0:
+            continue  # no free row: nothing to compare
         computed["closed n=%d" % n] = [
             formulas.a_coeff_closed(n, j) for j in range(n + 1)
         ]

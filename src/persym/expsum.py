@@ -2,10 +2,10 @@
 
 Every sum here has a direct form (a literal iteration over polynomial
 tuples, summing character values term by term) and a closed form (a signed
-power of two read off the rank of a structured matrix). The direct forms
-deliberately take no shortcuts so they can serve as oracles for the closed
-forms; the module's central contract is that the two always agree. A
-direct sum refuses to run over more than 2^budget_bits terms.
+power of two read off the rank of a structured matrix), and the two must
+always agree. A direct form visits every term along a Gray order, forms
+its product and takes its E on its own; it reads no rank and sums nothing
+by orthogonality. It refuses to run over more than 2^budget_bits terms.
 
 Naming: h is the full bilinear sum over deg Y <= k-1, deg Z <= s-1; g is
 its top-degree slice (both degrees exact); the two-variable g adds a
@@ -16,13 +16,12 @@ f is fmulti with one eta).
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence, Tuple
 
 from .builders import hankel_rows, rank_profile, stacked_rows
 from .exceptions import DEFAULT_BUDGET_BITS, check_budget
 from .gf2 import echelon, rank_of_rows
-from .laurent import Poly2, UnitSeries, char_E_of_product, poly_mul
+from .laurent import UnitSeries
 
 __all__ = [
     "h_direct",
@@ -37,14 +36,25 @@ __all__ = [
 ]
 
 
-def _all_polys(count_bits: int):
-    """Every polynomial of degree < count_bits, zero included."""
-    return (Poly2(v) for v in range(1 << count_bits))
+def _walk(a: int, start: int, shifts: Sequence[int]) -> int:
+    """Sum of (-1)^popcount(a & p) over p = start ^ (XOR of a subset of shifts),
+    one term per subset in reflected Gray order: one XOR and one popcount each.
 
-
-def _monic_polys(degree: int):
-    """Every polynomial of exactly this degree (leading coefficient 1)."""
-    return (Poly2(v) for v in range(1 << degree, 1 << (degree + 1)))
+    The flips of the first 12 shifts recur between flips of the rest, so
+    that sequence is listed once (at most 4095 entries)."""
+    flips: list = []
+    for d in shifts[:12]:
+        flips = [*flips, d, *flips]
+    high = shifts[12:]
+    p, odd = start, 0
+    for i in range(1 << len(high)):
+        if i:
+            p ^= high[(i & -i).bit_length() - 1]
+        odd += (a & p).bit_count() & 1
+        for d in flips:
+            p ^= d
+            odd += (a & p).bit_count() & 1
+    return (1 << len(shifts)) - 2 * odd
 
 
 def h_direct(
@@ -55,11 +65,8 @@ def h_direct(
         raise ValueError("h is defined for s, k >= 1")
     check_budget(k + s, budget_bits, "direct h sum s=%d k=%d" % (s, k))
     t.require(k + s - 1)
-    total = 0
-    for y in _all_polys(k):
-        for z in _all_polys(s):
-            total += char_E_of_product(t, poly_mul(y, z))
-    return total
+    # Z runs over subsets of {T^j : j < s}, so YZ runs over XORs of Y T^j
+    return sum(_walk(t.coeffs, 0, [y << j for j in range(s)]) for y in range(1 << k))
 
 
 def h_closed(s: int, k: int, t: UnitSeries) -> int:
@@ -77,11 +84,8 @@ def g_direct(
         raise ValueError("g is defined for s, k >= 2")
     check_budget(k + s - 2, budget_bits, "direct g sum s=%d k=%d" % (s, k))
     t.require(k + s - 1)
-    total = 0
-    for y in _monic_polys(k - 1):
-        for z in _monic_polys(s - 1):
-            total += char_E_of_product(t, poly_mul(y, z))
-    return total
+    return sum(_walk(t.coeffs, y << (s - 1), [y << j for j in range(s - 1)])
+               for y in range(1 << (k - 1), 1 << k))
 
 
 def g_closed(s: int, k: int, t: UnitSeries) -> int:
@@ -129,12 +133,9 @@ def g2var_direct(
     check_budget(k + m + 1, budget_bits, "direct g2 sum m=%d k=%d" % (m, k))
     t.require(k + m)
     eta.require(k)
-    total = 0
-    for y in _all_polys(k):
-        e_eta = char_E_of_product(eta, y)
-        for z in _all_polys(m + 1):
-            total += char_E_of_product(t, poly_mul(y, z)) * e_eta
-    return total
+    a, (offset,) = _pack(t, [eta], m, k)  # one popcount gives E(tYZ)E(etaY)
+    return sum(_walk(a, y << offset, [y << j for j in range(m + 1)])
+               for y in range(1 << k))
 
 
 def g2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
@@ -163,20 +164,9 @@ def fmulti_direct(
     t.require(k + m)
     for eta in etas:
         eta.require(k)
-    units = (Poly2(0), Poly2(1))
-    total = 0
-    for y in _all_polys(k):
-        eta_signs = [
-            tuple(char_E_of_product(eta, poly_mul(y, u)) for u in units) for eta in etas
-        ]
-        for z in _all_polys(m + 1):
-            base = char_E_of_product(t, poly_mul(y, z))
-            for choice in product((0, 1), repeat=len(etas)):
-                term = base
-                for signs, c in zip(eta_signs, choice):
-                    term *= signs[c]
-                total += term
-    return total
+    a, offsets = _pack(t, etas, m, k)  # U_j = 1 adds Y to eta_j's field
+    return sum(_walk(a, 0, [y << j for j in range(m + 1)] + [y << o for o in offsets])
+               for y in range(1 << k))
 
 
 def fmulti_closed(m: int, k: int, t: UnitSeries, etas: Sequence[UnitSeries]) -> int:
@@ -184,6 +174,15 @@ def fmulti_closed(m: int, k: int, t: UnitSeries, etas: Sequence[UnitSeries]) -> 
     _check_two_var(m, k)
     r = rank_of_rows(stacked_rows(t, etas, m, k))
     return 1 << (k + m + len(etas) + 1 - r)
+
+
+def _pack(t: UnitSeries, etas: Sequence[UnitSeries], m: int, k: int) -> Tuple[int, list]:
+    """t's first k+m coefficients with k of each eta_j above; each eta's offset."""
+    offsets = [k + m + j * k for j in range(len(etas))]
+    a = t.coeffs & ((1 << (k + m)) - 1)
+    for eta, offset in zip(etas, offsets):
+        a |= (eta.coeffs & ((1 << k) - 1)) << offset
+    return a, offsets
 
 
 def _check_two_var(m: int, k: int) -> None:

@@ -8,7 +8,7 @@ verification suites and in the test corpus.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .dyadic import DyadicRational
 from .exceptions import CaseMismatch, NonIntegerResult
@@ -20,6 +20,7 @@ __all__ = [
     "quad_table",
     "stacked1_gamma_closed",
     "stacked1_gamma_table",
+    "a_coeff_rows",
     "a_coeff_recurrence",
     "a_coeff_closed",
     "a_coeff_table",
@@ -152,20 +153,25 @@ def stacked1_gamma_table(m: int, k: int) -> Dict[int, int]:
     return table
 
 
-def a_coeff_recurrence(n: int, j: int) -> int:
-    """Row-stacking coefficient a_j for n free rows, by the triangle recurrence.
+def a_coeff_rows(n: int) -> Iterator[List[int]]:
+    """Rows 0..n of the row-stacking coefficients, by the triangle recurrence.
 
     Row n is built from row n-1 by a_j -> 2^j a_j + a_{j-1} with both ends
-    pinned to 1.
+    pinned to 1; entry j of row n is a_j for n free rows.
     """
+    row = [1]
+    yield row
+    for size in range(1, n + 1):
+        row = [1] + [(1 << j) * row[j] + row[j - 1] for j in range(1, size)] + [1]
+        yield row
+
+
+def a_coeff_recurrence(n: int, j: int) -> int:
+    """Row-stacking coefficient a_j for n free rows, by the triangle recurrence."""
     if n < 0 or not 0 <= j <= n:
         raise ValueError("requires 0 <= j <= n, got n=%d j=%d" % (n, j))
-    row = [1]
-    for size in range(1, n + 1):
-        prev = row
-        row = [1] * (size + 1)
-        for jj in range(1, size):
-            row[jj] = (1 << jj) * prev[jj] + prev[jj - 1]
+    for row in a_coeff_rows(n):
+        pass  # keep row n
     return row[j]
 
 

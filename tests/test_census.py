@@ -442,8 +442,11 @@ class TestPartitioning:
         with pytest.raises(ValueError, match=message):
             run_census(kind, params, checkpoint=str(path))
 
-    @pytest.mark.parametrize("line", ["0 1 x:1", "0 1 0:1x", "x 1 0:1", "0 1 :1",
-                                      "0 1 same,0:1"])
+    @pytest.mark.parametrize("line", [
+        "0 1 x:1", "0 1 0:1x", "x 1 0:1", "0 1 :1", "0 1 same,0:1",
+        # int() reads each of these, but %d never writes them
+        "0 1 0:+1", "0 1 0:01", "0 1 0:1_0", "0 1 +0:1", "0 1 00:1", "0 1 -0:1",
+        "+0 1 0:1", "0 01 0:1", "0 0_1 0:1", "-0 1 0:1"])
     def test_checkpoint_line_with_a_malformed_field_is_rejected(self, tmp_path, line):
         path = tmp_path / "gamma.ckpt"
         C.enum_gamma(3, 4, checkpoint=str(path))

@@ -146,7 +146,8 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert "key" in err
 
-    @pytest.mark.parametrize("line", ["0 1 x:1", "0 1 0:1x", "x 1 0:1", "0 1 :1"])
+    @pytest.mark.parametrize("line", ["0 1 x:1", "0 1 0:1x", "x 1 0:1", "0 1 :1",
+                                      "0 1 0:+1"])
     def test_malformed_checkpoint_field_exits_two(self, tmp_path, capsys, line):
         argv = ["census", "gamma", "--s", "3", "--k", "4",
                 "--checkpoint", str(tmp_path / "run")]

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import sys
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from persym import builders, gf2
 from persym.builders import hankel
 from persym.exceptions import BudgetExceeded, InsufficientPrecision
 from persym.expsum import (
@@ -18,7 +22,7 @@ from persym.expsum import (
 )
 from persym.laurent import UnitSeries
 
-from oracles import oracle_f2var, oracle_g, oracle_g2var, oracle_h
+from oracles import oracle_f2var, oracle_fmulti, oracle_g, oracle_g2var, oracle_h
 
 
 def S(literal):
@@ -225,3 +229,71 @@ def test_direct_sums_refuse_more_terms_than_the_budget():
         with pytest.raises(BudgetExceeded):
             direct(bits - 1)
         assert direct(bits) == 1 << bits  # every term of the sum at t = 0 is 1
+
+
+# ------------------------------------------------------------ oracle grids
+
+# every parameter set whose full grid of series holds at most 2^12 terms
+H_CASES = [(s, k) for s in range(1, 6) for k in range(1, 6) if 2 * (s + k) - 1 <= 12]
+G_CASES = [(s, k) for s in range(2, 6) for k in range(2, 6) if 2 * (s + k) - 3 <= 12]
+TWO_VAR_CASES = [(m, k) for m in range(4) for k in range(1, 5) if 3 * k + 2 * m + 1 <= 12]
+FMULTI_CASES = [(n, m, k) for n in (1, 2) for m in range(3) for k in range(1, 4)
+                if (n + 2) * k + 2 * m + n + 1 <= 12]
+
+
+def long_grid(bits, extra):
+    """Every series of this depth, carrying `extra` more coefficients, all 1."""
+    tail = ((1 << extra) - 1) << bits
+    return [UnitSeries(v | tail, bits + extra) for v in range(1 << bits)]
+
+
+@pytest.mark.parametrize("extra", [0, 2, 3])
+@pytest.mark.parametrize("s,k", H_CASES)
+def test_h_direct_matches_oracle_on_every_small_grid(s, k, extra):
+    for t in long_grid(k + s - 1, extra):
+        assert h_direct(s, k, t) == oracle_h(s, k, alpha_of(t))
+
+
+@pytest.mark.parametrize("extra", [0, 2, 3])
+@pytest.mark.parametrize("s,k", G_CASES)
+def test_g_direct_matches_oracle_on_every_small_grid(s, k, extra):
+    for t in long_grid(k + s - 1, extra):
+        assert g_direct(s, k, t) == oracle_g(s, k, alpha_of(t))
+
+
+@pytest.mark.parametrize("extra", [0, 2, 3])
+@pytest.mark.parametrize("m,k", TWO_VAR_CASES)
+def test_g2var_direct_matches_oracle_on_every_small_grid(m, k, extra):
+    # t's coefficients past k+m must not reach eta's factor, nor eta's past k
+    for t, eta in product(long_grid(k + m, extra), long_grid(k, 5 - extra)):
+        assert g2var_direct(m, k, t, eta) == oracle_g2var(m, k, alpha_of(t), alpha_of(eta))
+
+
+@pytest.mark.parametrize("extra", [0, 2, 3])
+@pytest.mark.parametrize("n,m,k", FMULTI_CASES)
+def test_fmulti_direct_matches_oracle_on_every_small_grid(n, m, k, extra):
+    for t, *etas in product(long_grid(k + m, extra), *[long_grid(k, 5 - extra)] * n):
+        want = oracle_fmulti(m, k, alpha_of(t), [alpha_of(eta) for eta in etas])
+        assert fmulti_direct(m, k, t, etas) == want
+
+
+def test_direct_sums_never_call_gf2_or_builders(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a direct sum called persym.gf2 or persym.builders")
+
+    # every binding of a public gf2 or builders callable, in any persym module
+    oracles = {id(getattr(module, name))
+               for module in (gf2, builders) for name in module.__all__}
+    for module in [m for key, m in sys.modules.items()
+                   if key == "persym" or key.startswith("persym.")]:
+        for attr, value in list(vars(module).items()):
+            if id(value) in oracles:
+                monkeypatch.setattr(module, attr, refuse)
+    t, eta = S("1011010"), S("110")
+    with pytest.raises(AssertionError):
+        h_closed(3, 3, t)
+    a, b = alpha_of(t), alpha_of(eta)
+    assert h_direct(3, 3, t) == oracle_h(3, 3, a)
+    assert g_direct(3, 3, t) == oracle_g(3, 3, a)
+    assert g2var_direct(2, 3, t, eta) == oracle_g2var(2, 3, a, b)
+    assert fmulti_direct(2, 3, t, [eta, t]) == oracle_fmulti(2, 3, a, [b, a])
