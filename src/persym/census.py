@@ -488,23 +488,42 @@ def repcount_integral(
 ) -> int:
     """Count of solution q-tuples as an exact coset integral.
 
-    Evaluates the closed character sum 2^(k+m+n+1-r), r the rank of the t
-    block over the n eta rows, at each grid point, tallies the values and
-    integrates their q-th power off the tally; the result must be an
-    integer. The t block is reduced once per t, only the eta rows per point.
+    At each grid point (t, eta_1..eta_n) the closed character sum is
+    2^(k+m+n+1-r), r the rank of the t block over the n eta rows; the
+    values are tallied and the q-th power integrated off the tally, and
+    the result must be an integer.
+
+    Each t block is reduced once (echelon of its hankel_rows). Reducing an
+    eta row against it clears the block's pivot columns without leaving
+    the span, so r is the block's rank plus the rank of the reduced eta
+    rows. The reduced rows are exactly the rows on the block's free
+    (non-pivot) columns, each reached from 2^(block rank) eta rows. So the
+    t blocks are tallied by their free columns, and each n-tuple of rows
+    on those columns is ranked once per distinct set of free columns,
+    weighted by the points that reduce to it.
     """
     _check_qnkm(q, n, k, m)
     t_bits = k + m
     bits = t_bits + n * k
     check_budget(bits, budget_bits, "integral q=%d n=%d k=%d m=%d" % (q, n, k, m))
-    blocks = (echelon(hankel_rows(UnitSeries(tv, t_bits), 1, 1 + m, k))
-              for tv in range(1 << t_bits))
-    values = (
-        1 << (k + m + n + 1 - len(echelon(etas, block)))
-        for block in blocks
-        for etas in itertools.product(range(1 << k), repeat=n)
-    )
-    return integrate_tally(Counter(values), bits, q).to_int()
+    frees: Counter = Counter()  # free columns of the t block -> number of t
+    for tv in range(1 << t_bits):
+        free = (1 << k) - 1
+        for row in echelon(hankel_rows(UnitSeries(tv, t_bits), 1, 1 + m, k)):
+            free ^= row & -row
+        frees[free] += 1
+    values: Counter = Counter()
+    for free, count in frees.items():
+        block_rank = k - free.bit_count()
+        forms = [0]
+        for j in range(k):
+            if free >> j & 1:
+                forms += [form | 1 << j for form in forms]
+        weight = count << (block_rank * n)
+        for etas in itertools.product(forms, repeat=n):
+            r = block_rank + len(echelon(etas))
+            values[1 << (k + m + n + 1 - r)] += weight
+    return integrate_tally(values, bits, q).to_int()
 
 
 def _xor_convolve(a: Mapping[int, int], b: Mapping[int, int]) -> Counter:

@@ -40,9 +40,10 @@ from .expsum import (
     fmulti_direct,
     g2var_closed,
     g2var_direct,
-    g_boundary_factors,
+    g_boundary_vectors,
     g_closed,
     g_direct,
+    g_vector,
     h_closed,
     h_direct,
 )
@@ -127,12 +128,6 @@ def _verify_profile_census(p, args):
     return _table_text(got), _table_text(want)
 
 
-def _g_tally(s, k):
-    """Tally of the closed g over the whole window grid."""
-    depth = k + s - 1
-    return Counter(g_closed(s, k, UnitSeries(v, depth)) for v in range(1 << depth))
-
-
 def _even_moment(s, k, g_tally, quads, q):
     """Integral of g^{2q} over the window grid, and the weighted (j,j,j,j) sum."""
     lhs = census.integrate_tally(g_tally, k + s - 1, 2 * q)
@@ -146,18 +141,18 @@ def _even_moment(s, k, g_tally, quads, q):
 def _verify_even_moments(p, args):
     """Even power sums of g against the weighted diagonal profile counts.
 
-    Also counts the grid points where g^2 = g1 * g2 (boundary factorisation)."""
+    Also counts the grid points where g^2 = g1 * g2 (boundary factorisation).
+    g, g1 and g2 are the direct sums over the whole grid, so the power sums
+    set the exponential sum itself against the census."""
     s, k = p["s"], p["k"]
     if p["q"] < 1:
         raise ValueError("--q must be at least 1, got %d" % p["q"])
+    g = g_vector(s, k)
+    g1, g2 = g_boundary_vectors(s, k)
+    factored = sum(a * a == b * c for a, b, c in zip(g, g1, g2))
+    gs = Counter(g)
     quads = _census("quad", (1, s, k), args)
-    depth = k + s - 1
-    gs, factored = Counter(), 0
-    for t in (UnitSeries(v, depth) for v in range(1 << depth)):
-        g, (g1, g2) = g_closed(s, k, t), g_boundary_factors(s, k, t)
-        gs[g] += 1
-        factored += g * g == g1 * g2
-    computed, expected = {"g^2 factors": factored}, {"g^2 factors": 1 << depth}
+    computed, expected = {"g^2 factors": factored}, {"g^2 factors": 1 << (k + s - 1)}
     for q in range(1, p["q"] + 1):
         computed["q=%d" % q], expected["q=%d" % q] = _even_moment(s, k, gs, quads, q)
     return computed, expected
@@ -226,9 +221,9 @@ def _verify_partition_suite(p, args):
     s, k = p["s"], p["k"]
     if not 2 <= s <= k:  # the deletion identities are stated for s <= k
         raise ValueError("the partition suite needs 2 <= s <= k, got s=%d k=%d" % (s, k))
+    gs = Counter(g_vector(s, k))
     quads = _census("quad", (1, s, k), args)
     computed, expected = {}, {}
-    gs = _g_tally(s, k)
     for q in (0, 1, 2):
         power = 2 * q + 1
         total = sum(count * value**power for value, count in gs.items())
@@ -476,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted so that every census-running command takes the same flags
     rep.add_argument("--threads", type=_worker_count, help="accepted and unused: "
                      "repcount runs in one process")
-    rep.add_argument("--checkpoint", help="accepted and unused: repcount "
-                     "writes no checkpoint")
+    rep.add_argument("--checkpoint", type=_checkpoint_path, help="accepted and "
+                     "unused: repcount writes no checkpoint")
     rep.set_defaults(run=_cmd_repcount)
 
     return parser

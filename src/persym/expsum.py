@@ -12,14 +12,20 @@ its top-degree slice (both degrees exact); the two-variable g adds a
 second series eta with one extra factor, constant (deg U = 0); fmulti adds
 n series eta_j, each with a factor free over U_j in {0,1} (the two-variable
 f is fmulti with one eta).
+
+g and its two boundary sums also have whole-grid forms: the direct sum at
+every point of the depth k+s-1 grid at once, by one Walsh-Hadamard
+transform of the tally of the products YZ. These hold one int per grid
+point, so they refuse grids over 2^GRID_MAX_BITS points.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from operator import add, sub
+from typing import List, Sequence, Tuple
 
 from .builders import hankel_rows, rank_profile, stacked_rows
-from .exceptions import DEFAULT_BUDGET_BITS, check_budget
+from .exceptions import DEFAULT_BUDGET_BITS, BudgetExceeded, check_budget
 from .gf2 import echelon, rank_of_rows
 from .laurent import UnitSeries
 
@@ -28,7 +34,8 @@ __all__ = [
     "h_closed",
     "g_direct",
     "g_closed",
-    "g_boundary_factors",
+    "g_vector",
+    "g_boundary_vectors",
     "g2var_direct",
     "g2var_closed",
     "fmulti_direct",
@@ -104,20 +111,78 @@ def g_closed(s: int, k: int, t: UnitSeries) -> int:
     return -(1 << (s + k - j1 - 2))
 
 
-def g_boundary_factors(s: int, k: int, t: UnitSeries) -> Tuple[int, int]:
-    """The two boundary sums whose product is g^2.
+# a whole-grid vector holds one int per grid point: `verify thm3.5` keeps
+# three, and peaks at about 120 MiB at 2^20 points
+GRID_MAX_BITS = 20
 
-    The first factor relaxes the Y degree (deg Y <= k-2) and is computed
-    as a difference of closed h values; the second relaxes the Z degree
-    and is computed from its own rank gate. Tests hold their product to
-    g_direct squared pointwise.
+
+def _wht(v: List[int]) -> None:
+    """Walsh-Hadamard transform in place: v[t] becomes the sum over p of
+    v[p] * (-1)^popcount(t & p), for len(v) a power of two (Yates 1937).
+
+    Each level pairs v[i] with v[i + h] through list slices and map(add/sub):
+    strided slices while a level has fewer pair offsets (h) than blocks
+    (len(v) / 2h), contiguous ones after, so each level takes at most
+    about sqrt(len(v)) slice operations.
     """
+    n, h = len(v), 1
+    while h < n:
+        step = 2 * h
+        if h * step < n:
+            for r in range(h):
+                a, b = v[r::step], v[r + h::step]
+                v[r::step] = map(add, a, b)
+                v[r + h::step] = map(sub, a, b)
+        else:
+            for lo in range(0, n, step):
+                mid, hi = lo + h, lo + step
+                a, b = v[lo:mid], v[mid:hi]
+                v[lo:mid] = map(add, a, b)
+                v[mid:hi] = map(sub, a, b)
+        h = step
+
+
+def _grid_sums(bits: int, ys: range, free: int, z_top: bool, what: str) -> List[int]:
+    """Sum of E(tYZ) at every point t of the depth-bits grid, index t.coeffs.
+
+    Y runs over ys; Z over the polynomials of degree < free, plus T^free
+    when z_top. Since E(tYZ) = (-1)^popcount(t & YZ), the sums are the
+    transform of the tally of the products YZ; each Y's products are listed
+    by doubling over Z's shifts, so no rank is read.
+    """
+    if bits > GRID_MAX_BITS:
+        raise BudgetExceeded(
+            "%s holds a 2^%d point grid, over the fixed 2^%d point ceiling of a "
+            "whole-grid sum" % (what, bits, GRID_MAX_BITS))
+    tally = [0] * (1 << bits)
+    for y in ys:
+        products = [y << free if z_top else 0]
+        for j in range(free):
+            products += [p ^ (y << j) for p in products]
+        for p in products:
+            tally[p] += 1
+    _wht(tally)
+    return tally
+
+
+def g_vector(s: int, k: int) -> List[int]:
+    """g at every point of the depth k+s-1 grid (index: the coefficient bits
+    of t), summed directly: deg Y = k-1 and deg Z = s-1, both exact."""
     if s < 2 or k < 2:
-        raise ValueError("boundary factors exist for s, k >= 2")
-    g1 = h_closed(s, k - 1, t) - h_closed(s - 1, k - 1, t)
-    j1, j2, _j3, _j4 = rank_profile(t, 1, s, k)
-    g2 = (1 << (k + s - 2 - j1)) if j1 == j2 else 0
-    return g1, g2
+        raise ValueError("g is defined for s, k >= 2")
+    return _grid_sums(k + s - 1, range(1 << (k - 1), 1 << k), s - 1, True,
+                      "g s=%d k=%d" % (s, k))
+
+
+def g_boundary_vectors(s: int, k: int) -> Tuple[List[int], List[int]]:
+    """The two boundary sums whose product is g^2, at every point of the
+    depth k+s-1 grid, summed directly: g1 relaxes the Y degree (deg Y <= k-2,
+    deg Z = s-1), g2 the Z degree (deg Y = k-1, deg Z <= s-2)."""
+    if s < 2 or k < 2:
+        raise ValueError("boundary sums exist for s, k >= 2")
+    what = "g boundary sums s=%d k=%d" % (s, k)
+    return (_grid_sums(k + s - 1, range(1 << (k - 1)), s - 1, True, what),
+            _grid_sums(k + s - 1, range(1 << (k - 1), 1 << k), s - 1, False, what))
 
 
 def g2var_direct(

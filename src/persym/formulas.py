@@ -8,6 +8,7 @@ verification suites and in the test corpus.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterator, List, Tuple
 
 from .dyadic import DyadicRational
@@ -175,8 +176,12 @@ def a_coeff_recurrence(n: int, j: int) -> int:
     return row[j]
 
 
+@functools.lru_cache(maxsize=1024)
 def gaussian_binomial(n: int, r: int) -> int:
-    """Number of r-dimensional subspaces of an n-dimensional F2 space."""
+    """Number of r-dimensional subspaces of an n-dimensional F2 space.
+
+    Cached, since a_coeff_closed(n, j) reads row n+1 of these at every j.
+    """
     if n < 0 or r < 0:
         raise ValueError("requires n, r >= 0, got n=%d r=%d" % (n, r))
     if r > n:

@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive and self-contained: list-based
-polynomials, minor-expansion rank, literal character sums. Nothing imports
+polynomials, minor-expansion rank (and, for grids too large for it, a plain
+elimination on the highest set bit), literal character sums. Nothing imports
 the package under test, so agreement between these oracles and the package
 is evidence, not circularity.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cache
 from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
@@ -127,6 +130,49 @@ def oracle_f2var(m: int, k: int, alpha: Sequence[int], beta: Sequence[int]) -> i
     return oracle_fmulti(m, k, alpha, [beta])
 
 
+# ------------------------------------------------- rank-gated closed forms
+
+# Bit-packed rows here: bit j of a row is column j, and bit b of a series'
+# coefficient bits v is the coefficient of T^-(b+1).
+
+
+def _rank_bits(rows: Sequence[int]) -> int:
+    """GF(2) rank of bit-packed rows, pivoting on the highest set bit."""
+    pivots: dict = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def _window_rows(v: int, rows: int, cols: int) -> List[int]:
+    """Bit-packed rows of the rows x cols window, entry (i, j) = bit i + j of v."""
+    return [(v >> i) & ((1 << cols) - 1) for i in range(rows)]
+
+
+def g_boundary_factors(s: int, k: int, t) -> Tuple[int, int]:
+    """The two boundary sums whose product is g^2, in closed form at series t.
+
+    The first factor relaxes the Y degree (deg Y <= k-2) and is a
+    difference of closed h values, h = 2^(k+s-r) at window rank r; the
+    second relaxes the Z degree and is computed from its own rank gate.
+    """
+    if s < 2 or k < 2:
+        raise ValueError("boundary factors exist for s, k >= 2")
+
+    def rank(rows: int, cols: int) -> int:
+        return _rank_bits(_window_rows(t.coeffs, rows, cols))
+
+    g1 = (1 << (k + s - 1 - rank(s, k - 1))) - (1 << (k + s - 2 - rank(s - 1, k - 1)))
+    j1, j2 = rank(s - 1, k - 1), rank(s - 1, k)
+    g2 = (1 << (k + s - 2 - j1)) if j1 == j2 else 0
+    return g1, g2
+
+
 # ------------------------------------------------------ solution counting
 
 
@@ -152,6 +198,29 @@ def oracle_repcount(q: int, n: int, k: int, m: int) -> int:
         if ok:
             count += 1
     return count
+
+
+def oracle_repcount_integral(q: int, n: int, k: int, m: int) -> int:
+    """The representation count as a coset integral, one rank per point.
+
+    At each point (t, eta_1..eta_n) of the 2^(k+m+nk) grid the closed
+    character sum is 2^(k+m+n+1-r), r the rank of the (1+m) x k window of
+    t over the n eta rows; the count is the mean of its q-th power.
+    """
+    total = sum(count * value**q for value, count in _coset_values(n, k, m).items())
+    count, rem = divmod(total, 1 << (k + m + n * k))
+    assert rem == 0, "the integral is not an integer"
+    return count
+
+
+@cache
+def _coset_values(n: int, k: int, m: int) -> Counter:
+    values: Counter = Counter()
+    for tv in range(1 << (k + m)):
+        block = _window_rows(tv, 1 + m, k)
+        for etas in product(range(1 << k), repeat=n):
+            values[1 << (k + m + n + 1 - _rank_bits(block + list(etas)))] += 1
+    return values
 
 
 def _poly_sum(polys) -> Tuple[int, ...]:

@@ -15,7 +15,6 @@ from persym.expsum import (
     fmulti_direct,
     g2var_closed,
     g2var_direct,
-    g_boundary_factors,
     g_closed,
     g_direct,
     h_closed,
@@ -24,6 +23,7 @@ from persym.expsum import (
 from persym.gf2 import rank_of_rows
 from persym.laurent import UnitSeries
 
+from oracles import g_boundary_factors
 from test_census import split_sigma
 
 BUDGETS = {1: 60, 2: 30, 3: 1, 4: 600, 5: 60, 6: 120, 7: 30, 8: 30, 9: 10, 10: 5}

@@ -17,7 +17,7 @@ from persym.expsum import g_closed, h_closed
 from persym.gf2 import rank
 from persym.laurent import UnitSeries
 
-from oracles import oracle_repcount
+from oracles import oracle_repcount, oracle_repcount_integral
 
 
 def naive_stacked_counts(n, m, k):
@@ -844,6 +844,12 @@ class TestRepcounts:
                     q = 1 + bits % 3
                     want = C.integrate_coset([v**q for v in values], bits).to_int()
                     assert C.repcount_integral(q, n, k, m) == want, (q, n, k, m)
+
+    @pytest.mark.parametrize("n,k,m", [(n, k, m) for n in range(4) for k in range(1, 13)
+                                       for m in range(12) if k + m + n * k <= 12])
+    def test_integral_matches_the_per_point_loop(self, n, k, m):
+        for q in (1, 2, 3):
+            assert C.repcount_integral(q, n, k, m) == oracle_repcount_integral(q, n, k, m)
 
     def test_integral_streams(self):
         want = C.repcount_multi_formula(2, 1, 6, 4)

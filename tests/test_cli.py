@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from persym import census, cli, formulas
+from persym import census, cli, expsum, formulas
 
 
 def run_cli(argv, capsys):
@@ -199,7 +199,8 @@ class TestCensusCommand:
     @pytest.mark.parametrize("argv", [
         ["census", "gamma", "--s", "2", "--k", "2"],
         ["verify", "lemmas5.x"],
-    ], ids=["census", "verify"])
+        ["repcount", "--mode", "formula", "--q", "2", "--n", "1", "--k", "3", "--m", "2"],
+    ], ids=["census", "verify", "repcount"])
     def test_empty_checkpoint_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(argv + ["--checkpoint", ""], capsys)
@@ -341,11 +342,21 @@ class TestVerifyCommand:
 
     def test_boundary_factor_mismatch_exits_one(self, capsys, monkeypatch):
         # for s = k = 2, g is 0, +-2 or +-4, so no g^2 is 1 * 1
-        monkeypatch.setattr(cli, "g_boundary_factors", lambda s, k, t: (1, 1))
+        monkeypatch.setattr(cli, "g_boundary_vectors", lambda s, k: ([1] * 8, [1] * 8))
         code, out, _ = run_cli(["verify", "thm3.5"], capsys)
         assert code == 1
         report = json.loads(out)
         assert (report["computed"]["g^2 factors"], report["expected"]["g^2 factors"]) == (0, 8)
+
+    @pytest.mark.parametrize("suite", ["thm3.5", "lemmas5.x"])
+    def test_grid_over_the_transform_ceiling_exits_two(self, capsys, monkeypatch, suite):
+        monkeypatch.setattr(expsum, "GRID_MAX_BITS", 6)
+        # s = 3, k = 5 is a 2^7 point grid: one bit over
+        code, out, err = run_cli(["verify", suite, "--s", "3", "--k", "5"], capsys)
+        assert code == 2 and out == ""
+        assert "2^7 point grid, over the fixed 2^6 point ceiling" in err
+        code, out, _ = run_cli(["verify", suite, "--s", "3", "--k", "4"], capsys)
+        assert code == 0 and json.loads(out)["match"] is True
 
     @pytest.mark.parametrize("suite,flag", [("thm3.5", "q"), ("cor3.10", "n"),
                                             ("landsberg", "rows")])

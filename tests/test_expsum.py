@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import random
 import sys
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from persym import builders, gf2
+from persym import builders, census, expsum, formulas, gf2
 from persym.builders import hankel
 from persym.exceptions import BudgetExceeded, InsufficientPrecision
 from persym.expsum import (
@@ -14,15 +15,23 @@ from persym.expsum import (
     fmulti_direct,
     g2var_closed,
     g2var_direct,
-    g_boundary_factors,
+    g_boundary_vectors,
     g_closed,
     g_direct,
+    g_vector,
     h_closed,
     h_direct,
 )
 from persym.laurent import UnitSeries
 
-from oracles import oracle_f2var, oracle_fmulti, oracle_g, oracle_g2var, oracle_h
+from oracles import (
+    g_boundary_factors,
+    oracle_f2var,
+    oracle_fmulti,
+    oracle_g,
+    oracle_g2var,
+    oracle_h,
+)
 
 
 def S(literal):
@@ -297,3 +306,72 @@ def test_direct_sums_never_call_gf2_or_builders(monkeypatch):
     assert g_direct(3, 3, t) == oracle_g(3, 3, a)
     assert g2var_direct(2, 3, t, eta) == oracle_g2var(2, 3, a, b)
     assert fmulti_direct(2, 3, t, [eta, t]) == oracle_fmulti(2, 3, a, [b, a])
+
+
+# ------------------------------------------------------- whole-grid sums
+
+
+@pytest.mark.parametrize("bits", range(9))
+def test_wht_equals_the_naive_transform(bits):
+    rng = random.Random(bits)
+    for _ in range(3):
+        v = [rng.randint(-9, 9) for _ in range(1 << bits)]
+        want = [sum(c * (-1) ** (t & p).bit_count() for p, c in enumerate(v))
+                for t in range(1 << bits)]
+        expsum._wht(v)
+        assert v == want
+
+
+# every (s, k) whose grid holds at most 2^12 points
+GRID_CASES = [(s, k) for s in range(2, 12) for k in range(2, 12) if s + k - 1 <= 12]
+
+
+@pytest.mark.parametrize("s,k", GRID_CASES)
+def test_grid_vectors_match_the_closed_forms_at_every_point(s, k):
+    g, (g1, g2) = g_vector(s, k), g_boundary_vectors(s, k)
+    assert len(g) == len(g1) == len(g2) == 1 << (k + s - 1)
+    for v, t in enumerate(grid(k + s - 1)):
+        assert (g[v], g1[v], g2[v]) == (g_closed(s, k, t), *g_boundary_factors(s, k, t))
+
+
+# g_direct over every 2^11- and 2^12-point grid takes about 36 s, so it
+# checks the grids of at most 2^10 points
+@pytest.mark.parametrize("s,k", [(s, k) for s, k in GRID_CASES if s + k - 1 <= 10])
+def test_g_vector_matches_g_direct_at_every_point(s, k):
+    assert g_vector(s, k) == [g_direct(s, k, t) for t in grid(k + s - 1)]
+
+
+def test_grid_vectors_refuse_degenerate_parameters():
+    for s, k in [(1, 3), (3, 1)]:
+        with pytest.raises(ValueError):
+            g_vector(s, k)
+        with pytest.raises(ValueError):
+            g_boundary_vectors(s, k)
+
+
+def test_grid_vectors_refuse_grids_over_the_ceiling(monkeypatch):
+    monkeypatch.setattr(expsum, "GRID_MAX_BITS", 5)
+    for vectors in (g_vector, g_boundary_vectors):
+        with pytest.raises(BudgetExceeded, match="2\\^6 point grid, over the fixed 2\\^5"):
+            vectors(3, 4)
+    assert len(g_vector(3, 3)) == len(g_boundary_vectors(3, 3)[0]) == 1 << 5
+
+
+def test_grid_sums_never_call_gf2_builders_census_or_formulas(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole-grid sum called gf2, builders, census or formulas")
+
+    want_g = [g_direct(3, 4, t) for t in grid(6)]
+    want_boundary = tuple(zip(*(g_boundary_factors(3, 4, t) for t in grid(6))))
+    # every binding of a public gf2, builders, census or formulas callable
+    oracles = {id(getattr(module, name)) for module in (gf2, builders, census, formulas)
+               for name in module.__all__ if callable(getattr(module, name))}
+    for module in [m for key, m in sys.modules.items()
+                   if key == "persym" or key.startswith("persym.")]:
+        for attr, value in list(vars(module).items()):
+            if id(value) in oracles:
+                monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError):
+        g_closed(3, 4, UnitSeries(0, 6))
+    assert g_vector(3, 4) == want_g
+    assert tuple(map(tuple, g_boundary_vectors(3, 4))) == want_boundary
