@@ -9,8 +9,8 @@ The package has three layers:
 * two independent routes to every quantity: literal character sums and
   exhaustive enumeration (`expsum`, `census`) versus closed-form count
   calculators (`formulas`);
-* a CLI (`cli`) that cross-checks the two routes and emits machine-readable
-  reports.
+* a CLI (`cli`, with its verify suites in `suites`) that cross-checks the
+  two routes and emits machine-readable reports.
 """
 
 from .exceptions import (

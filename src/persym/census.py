@@ -47,12 +47,9 @@ import os
 from collections import Counter
 from typing import Container, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from . import formulas
-from .builders import hankel_rows
-from .dyadic import DyadicRational
+# only the stdlib and exceptions here: the integrals and representation
+# counts import what they use in their own bodies, so a census loads no more
 from .exceptions import DEFAULT_BUDGET_BITS, IncompleteDomain, check_budget
-from .gf2 import echelon
-from .laurent import Poly2, UnitSeries, poly_mul
 
 __all__ = [
     "DEFAULT_BUDGET_BITS",
@@ -85,6 +82,11 @@ def _key_to_text(key: Key) -> str:
     if isinstance(key, tuple):
         return ",".join(str(part) for part in key)
     return str(key)
+
+
+def _table_text(table: Mapping[Key, int]) -> Dict[str, int]:
+    """A tally as the CLI prints it: {key text: count}, in key order."""
+    return {_key_to_text(key): count for key, count in sorted(table.items())}
 
 
 def _decimal(text: str) -> int:
@@ -208,7 +210,11 @@ def _run_chunks(
     are declared here only: threads=1 (worker processes, at least 1),
     budget_bits=DEFAULT_BUDGET_BITS (refuse over 2^budget_bits points),
     checkpoint=None (a file to append finished chunks to and resume from),
-    chunk_size=None (windows per chunk; None means total >> 6, at least 1).
+    chunk_size=None (windows per chunk; None means total >> 6, but at least
+    one whole 2^_LANE_BITS-lane word, or the whole domain if it is smaller).
+    So a domain of at most 2^16 windows is one chunk, one of up to 2^22
+    windows (the pool cutoff) is 2^16-window chunks, and a larger one is
+    64 chunks.
 
     Chunk boundaries depend only on the domain size (never on the thread
     count) so a checkpoint file written by one run can resume under any
@@ -223,7 +229,7 @@ def _run_chunks(
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
     if chunk_size is None:
-        chunk_size = max(1, total >> 6)
+        chunk_size = max(total >> 6, min(total, 1 << _LANE_BITS))
     elif chunk_size < 1:
         raise ValueError("chunk_size must be at least 1, got %d" % chunk_size)
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
@@ -414,6 +420,8 @@ def integrate_coset(values, N: int) -> DyadicRational:
     or a sequence in index order); the integral is their sum weighted by
     the coset measure 2^{-N}.
     """
+    from .dyadic import DyadicRational
+
     if N < 0:
         raise ValueError("coset depth must be nonnegative, got %d" % N)
     size = 1 << N
@@ -444,6 +452,8 @@ def integrate_tally(tally: Mapping[int, int], N: int, power: int = 1) -> DyadicR
     tally maps each value of f to the number of representatives in
     [0, 2^N) where f takes it; together they must cover all 2^N.
     """
+    from .dyadic import DyadicRational
+
     if N < 0:
         raise ValueError("coset depth must be nonnegative, got %d" % N)
     points = sum(tally.values())
@@ -473,6 +483,9 @@ def repcount_multi_formula(
     cross-check one against the other. The dyadic sum must come out an
     integer; anything else signals an inconsistent table.
     """
+    from . import formulas
+    from .dyadic import DyadicRational
+
     _check_qnkm(q, n, k, m)
     if gamma is None:
         gamma = formulas.stacked_gamma_table(n, m, k)
@@ -502,6 +515,10 @@ def repcount_integral(
     on those columns is ranked once per distinct set of free columns,
     weighted by the points that reduce to it.
     """
+    from .builders import hankel_rows
+    from .gf2 import echelon
+    from .laurent import UnitSeries
+
     _check_qnkm(q, n, k, m)
     t_bits = k + m
     bits = t_bits + n * k
@@ -547,6 +564,8 @@ def repcount_bruteforce(
     counted by XOR-convolving the tallies of the first q // 2 factors and
     of the rest.
     """
+    from .laurent import Poly2, poly_mul
+
     _check_qnkm(q, n, k, m)
     factor_bits = k + (m + 1) + n
     check_budget(

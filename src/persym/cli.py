@@ -15,39 +15,29 @@ a given input is byte-identical across runs and across worker counts.
 
 Series arguments are bit strings whose leftmost character is the
 coefficient of T^-1, so `--t 100` means t = T^-1 exactly.
+
+A run loads only what its command uses: the verify suites live in
+`persym.suites`, each function imports the persym modules it calls in its
+own body (and reads their names off the module at each call), and the
+parser builds only the command kind that argv names.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 from collections import Counter
-from typing import Dict, Optional
+from functools import partial
+from typing import Optional
 
-from . import census, formulas
-from .census import _key_to_text
-from .dyadic import DyadicRational
 from .exceptions import (
+    DEFAULT_BUDGET_BITS,
     BudgetExceeded,
     CaseMismatch,
     IncompleteDomain,
     InsufficientPrecision,
     NonIntegerResult,
 )
-from .expsum import (
-    fmulti_closed,
-    fmulti_direct,
-    g2var_closed,
-    g2var_direct,
-    g_boundary_vectors,
-    g_closed,
-    g_direct,
-    g_vector,
-    h_closed,
-    h_direct,
-)
-from .laurent import UnitSeries
 
 
 def _default_threads() -> int:
@@ -72,20 +62,9 @@ def _checkpoint_path(text: str) -> str:
     return text
 
 
-def _render(value):
-    """JSON-friendly form of a count; dyadic fractions become strings."""
-    if isinstance(value, DyadicRational):
-        if value.is_integer():
-            return value.to_int()
-        return "%d/2^%d" % (value.mantissa, -value.exponent)
-    return value
+def _parse_series(literal: str, depth: int):
+    from .laurent import UnitSeries
 
-
-def _table_text(table) -> Dict[str, int]:
-    return {_key_to_text(key): count for key, count in sorted(table.items())}
-
-
-def _parse_series(literal: str, depth: int) -> UnitSeries:
     return UnitSeries.from_string(literal).truncate(depth)
 
 
@@ -99,8 +78,10 @@ _CENSUS_KINDS = {
 }
 
 
-def _census(kind: str, params, args, label: Optional[str] = None) -> Counter:
+def _census(args, kind: str, params, label: Optional[str] = None) -> Counter:
     """Census kind at params, checkpointed to --checkpoint plus .label (or .kind)."""
+    from . import census
+
     checkpoint = args.checkpoint
     if checkpoint is not None:
         checkpoint = "%s.%s" % (checkpoint, label or kind)
@@ -111,188 +92,35 @@ def _census(kind: str, params, args, label: Optional[str] = None) -> Counter:
 # ---------------------------------------------------------------------------
 # verify
 
-
-def _verify_window_census(p, args):
-    """Window rank census against the closed product form."""
-    got = _census("gamma", (p["s"], p["k"]), args)
-    want = formulas.gamma_table(p["s"], p["k"])
-    return _table_text(got), _table_text(want)
-
-
-def _verify_profile_census(p, args):
-    """Rank profile census of the four nested windows against the closed table."""
-    if not 1 <= p["s"] <= p["k"]:
-        raise ValueError("requires 1 <= s <= k, got s=%d k=%d" % (p["s"], p["k"]))
-    got = _census("quad", (p["l"], p["s"], p["k"]), args)
-    want = formulas.quad_table(p["s"], p["k"])
-    return _table_text(got), _table_text(want)
-
-
-def _even_moment(s, k, g_tally, quads, q):
-    """Integral of g^{2q} over the window grid, and the weighted (j,j,j,j) sum."""
-    lhs = census.integrate_tally(g_tally, k + s - 1, 2 * q)
-    rhs = DyadicRational(0)
-    for j in range(s):
-        rhs += DyadicRational(quads[(j, j, j, j)], -2 * q * j)
-    rhs *= DyadicRational(1, (s + k - 2) * (2 * q - 1))
-    return _render(lhs), _render(rhs)
-
-
-def _verify_even_moments(p, args):
-    """Even power sums of g against the weighted diagonal profile counts.
-
-    Also counts the grid points where g^2 = g1 * g2 (boundary factorisation).
-    g, g1 and g2 are the direct sums over the whole grid, so the power sums
-    set the exponential sum itself against the census."""
-    s, k = p["s"], p["k"]
-    if p["q"] < 1:
-        raise ValueError("--q must be at least 1, got %d" % p["q"])
-    g = g_vector(s, k)
-    g1, g2 = g_boundary_vectors(s, k)
-    factored = sum(a * a == b * c for a, b, c in zip(g, g1, g2))
-    gs = Counter(g)
-    quads = _census("quad", (1, s, k), args)
-    computed, expected = {"g^2 factors": factored}, {"g^2 factors": 1 << (k + s - 1)}
-    for q in range(1, p["q"] + 1):
-        computed["q=%d" % q], expected["q=%d" % q] = _even_moment(s, k, gs, quads, q)
-    return computed, expected
-
-
-def _verify_one_extra_row(p, args):
-    """Census with one appended row against the printed case tables."""
-    got = _census("stacked", (1, p["m"], p["k"]), args)
-    want = formulas.stacked1_gamma_table(p["m"], p["k"])
-    return _table_text(got), _table_text(want)
-
-
-def _verify_stacked_census(p, args):
-    """Census with n appended rows against the coefficient expansion."""
-    got = _census("stacked", (p["n"], p["m"], p["k"]), args)
-    want = formulas.stacked_gamma_table(p["n"], p["m"], p["k"])
-    return _table_text(got), _table_text(want)
-
-
-def _verify_coefficient_rows(p, args):
-    """Coefficient recurrence against the closed alternating sum and stored rows."""
-    if p["n"] < 1:
-        raise ValueError("--n must be at least 1, got %d" % p["n"])
-    computed, expected = {}, {}
-    for n, rec in enumerate(formulas.a_coeff_rows(p["n"])):
-        if n == 0:
-            continue  # no free row: nothing to compare
-        computed["closed n=%d" % n] = [
-            formulas.a_coeff_closed(n, j) for j in range(n + 1)
-        ]
-        expected["closed n=%d" % n] = rec
-        if n <= 5:
-            computed["table n=%d" % n] = list(formulas.a_coeff_table(n))
-            expected["table n=%d" % n] = rec
-    return computed, expected
-
-
-def _verify_multi_count(p, args):
-    """Brute-force representation count against the stacked-census formula.
-
-    With n = 0 and m <= k - 1 the paper's piecewise form is checked too.
-    """
-    q, n, k, m = p["q"], p["n"], p["k"], p["m"]
-    computed = {"R": census.repcount_bruteforce(q, n, k, m, budget_bits=args.budget_bits)}
-    expected = {"R": census.repcount_multi_formula(q, n, k, m)}
-    if n == 0 and m <= k - 1:
-        computed["R piecewise"] = formulas.repcount_piecewise(q, k, m)
-        expected["R piecewise"] = expected["R"]
-    return computed, expected
-
-
-def _verify_unstructured(p, args):
-    """Rank census over all matrices of a shape against the classical product.
-
-    A rows x k matrix is one k-bit row with rows - 1 free rows below it.
-    """
-    rows, k = p["rows"], p["k"]
-    if rows < 1:
-        raise ValueError("--rows must be at least 1, got %d" % rows)
-    got = _census("stacked", (rows - 1, 0, k), args, "landsberg")
-    return _table_text(got), _table_text(formulas.landsberg_table(rows, k))
-
-
-def _verify_partition_suite(p, args):
-    """Deletion and parity identities tying the window censuses together."""
-    s, k = p["s"], p["k"]
-    if not 2 <= s <= k:  # the deletion identities are stated for s <= k
-        raise ValueError("the partition suite needs 2 <= s <= k, got s=%d k=%d" % (s, k))
-    gs = Counter(g_vector(s, k))
-    quads = _census("quad", (1, s, k), args)
-    computed, expected = {}, {}
-    for q in (0, 1, 2):
-        power = 2 * q + 1
-        total = sum(count * value**power for value, count in gs.items())
-        computed["odd power %d" % power] = total
-        expected["odd power %d" % power] = 0
-    for j in range(s):
-        computed["pair j=%d" % j] = quads[(j, j, j, j)]
-        expected["pair j=%d" % j] = quads[(j, j, j, j + 1)]
-    for j in range(s - 1):
-        computed["skew j=%d" % j] = (
-            quads[(j, j + 1, j + 1, j + 1)]
-            + quads[(j, j + 1, j, j + 1)]
-            + quads[(j, j, j + 1, j + 1)]
-        )
-        expected["skew j=%d" % j] = 0
-    narrow = _census("gamma", (s, k - 1), args, "narrow")
-    short = _census("gamma", (s - 1, k), args, "short")
-    for i in range(s - 1):
-        computed["shrink i=%d" % i] = narrow[i]
-        expected["shrink i=%d" % i] = short[i]
-        computed["delete i=%d" % i] = 2 * narrow[i]
-        expected["delete i=%d" % i] = (
-            2 * quads[(i, i, i, i)] + quads[(i - 1, i, i, i + 1)]
-        )
-    for q in (1, 2):
-        key = "even power q=%d" % q
-        computed[key], expected[key] = _even_moment(s, k, gs, quads, q)
-    return computed, expected
-
-
-def _verify_row_split(p, args):
-    """Split of the one-extra-row census by whether the row stays in span."""
-    m, k = p["m"], p["k"]
-    tally = _census("sigma", (m, k), args)
-    merged = Counter()
-    for (_, i), count in tally.items():
-        merged[i] += count
-    computed = _table_text(tally)
-    computed.update(("sum,%d" % i, count) for i, count in sorted(merged.items()))
-    # expected keys come from the formulas alone, so a rank the census lost shows
-    ranks = range(min(k, m + 2) + 1)
-    expected = {"same,%d" % i: (1 << i) * formulas.gamma_closed(1 + m, k, i)
-                for i in ranks}
-    expected.update(("up,%d" % i, ((1 << k) - (1 << (i - 1)))
-                     * formulas.gamma_closed(1 + m, k, i - 1)) for i in ranks[1:])
-    expected.update(("sum,%d" % i, formulas.stacked1_gamma_closed(m, k, i))
-                    for i in ranks)
-    return computed, {key: count for key, count in expected.items() if count}
-
-
+# suite: (its runner in persym.suites, its flags' defaults); the runner is
+# looked up by name at each call, and only verify imports persym.suites
 _VERIFIERS = {
-    "thm3.1": (_verify_window_census, {"s": 3, "k": 4}),
-    "thm3.3": (_verify_profile_census, {"l": 1, "s": 2, "k": 3}),
-    "thm3.5": (_verify_even_moments, {"s": 2, "k": 2, "q": 2}),
-    "thm3.8": (_verify_one_extra_row, {"m": 1, "k": 3}),
-    "thm3.9": (_verify_stacked_census, {"n": 1, "m": 2, "k": 3}),
-    "cor3.10": (_verify_coefficient_rows, {"n": 5}),
-    "thm3.11": (_verify_multi_count, {"q": 1, "n": 1, "k": 3, "m": 2}),
-    "landsberg": (_verify_unstructured, {"rows": 2, "k": 2}),
-    "lemmas5.x": (_verify_partition_suite, {"s": 2, "k": 3}),
-    "sigma6.x": (_verify_row_split, {"m": 1, "k": 2}),
+    "thm3.1": ("verify_window_census", {"s": 3, "k": 4}),
+    "thm3.3": ("verify_profile_census", {"l": 1, "s": 2, "k": 3}),
+    "thm3.5": ("verify_even_moments", {"s": 2, "k": 2, "q": 2}),
+    "thm3.8": ("verify_one_extra_row", {"m": 1, "k": 3}),
+    "thm3.9": ("verify_stacked_census", {"n": 1, "m": 2, "k": 3}),
+    "cor3.10": ("verify_coefficient_rows", {"n": 5}),
+    "thm3.11": ("verify_multi_count", {"q": 1, "n": 1, "k": 3, "m": 2}),
+    "landsberg": ("verify_unstructured", {"rows": 2, "k": 2}),
+    "lemmas5.x": ("verify_partition_suite", {"s": 2, "k": 3}),
+    "sigma6.x": ("verify_row_split", {"m": 1, "k": 2}),
+}
+# suite flags whose help says more than their default
+_SUITE_FLAG_HELP = {
+    ("cor3.10", "n"): "rows 1..N of the coefficient triangle; the closed side is "
+    "O(N^3) big-int work, so N is refused when 3 * (bit length of N) is over "
+    "--budget-bits (default: %(default)s)",
 }
 
 
 def _cmd_verify(args) -> int:
+    from . import suites
+
     runner, defaults = _VERIFIERS[args.theorem]
     params = {"theorem": args.theorem}
     params.update((name, getattr(args, name)) for name in defaults)
-    computed, expected = runner(params, args)
+    computed, expected = getattr(suites, runner)(params, args, partial(_census, args))
     report = {
         "params": params,
         "computed": computed,
@@ -308,11 +136,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .census import _table_text
+
     params = [getattr(args, flag) for flag in _CENSUS_KINDS[args.kind][1]]
-    table = _table_text(_census(args.kind, params, args))
+    table = _table_text(_census(args, args.kind, params))
     if args.format == "json":
         print(json.dumps(table, separators=(",", ":")))
     else:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["key", "count"])
         for key, count in table.items():
@@ -339,26 +171,28 @@ _SERIES_HELP = {
 
 
 def _cmd_expsum(args) -> int:
+    from . import expsum
+
     kind = args.kind
     if kind in ("h", "g"):
         t = _parse_series(args.t, args.k + args.s - 1)
         if kind == "h":
-            direct = h_direct(args.s, args.k, t, budget_bits=args.budget_bits)
-            closed = h_closed(args.s, args.k, t)
+            direct = expsum.h_direct(args.s, args.k, t, budget_bits=args.budget_bits)
+            closed = expsum.h_closed(args.s, args.k, t)
         else:
-            direct = g_direct(args.s, args.k, t, budget_bits=args.budget_bits)
-            closed = g_closed(args.s, args.k, t)
+            direct = expsum.g_direct(args.s, args.k, t, budget_bits=args.budget_bits)
+            closed = expsum.g_closed(args.s, args.k, t)
     elif kind == "g2":
         t = _parse_series(args.t, args.k + args.m)
         eta = _parse_series(args.eta, args.k)
-        direct = g2var_direct(args.m, args.k, t, eta, budget_bits=args.budget_bits)
-        closed = g2var_closed(args.m, args.k, t, eta)
+        direct = expsum.g2var_direct(args.m, args.k, t, eta, budget_bits=args.budget_bits)
+        closed = expsum.g2var_closed(args.m, args.k, t, eta)
     else:  # f2 is fmulti with one eta
         t = _parse_series(args.t, args.k + args.m)
         literals = [args.eta] if kind == "f2" else args.etas.split(",")
         etas = [_parse_series(part, args.k) for part in literals]
-        direct = fmulti_direct(args.m, args.k, t, etas, budget_bits=args.budget_bits)
-        closed = fmulti_closed(args.m, args.k, t, etas)
+        direct = expsum.fmulti_direct(args.m, args.k, t, etas, budget_bits=args.budget_bits)
+        closed = expsum.fmulti_closed(args.m, args.k, t, etas)
     agree = direct == closed
     print("direct=%d closed=%d agree=%s" % (direct, closed, "true" if agree else "false"))
     return 0 if agree else 1
@@ -367,18 +201,20 @@ def _cmd_expsum(args) -> int:
 # ---------------------------------------------------------------------------
 # repcount
 
-# every mode, in the order --check reports them
+# every mode, in the order --check reports them; each takes persym.census
 _REPCOUNT_MODES = {
-    "formula": lambda q, n, k, m, bits: census.repcount_multi_formula(q, n, k, m),
-    "brute": lambda q, n, k, m, bits: census.repcount_bruteforce(
+    "formula": lambda census, q, n, k, m, bits: census.repcount_multi_formula(q, n, k, m),
+    "brute": lambda census, q, n, k, m, bits: census.repcount_bruteforce(
         q, n, k, m, budget_bits=bits),
-    "integral": lambda q, n, k, m, bits: census.repcount_integral(
+    "integral": lambda census, q, n, k, m, bits: census.repcount_integral(
         q, n, k, m, budget_bits=bits),
 }
 
 
 def _cmd_repcount(args) -> int:
-    params = (args.q, args.n, args.k, args.m, args.budget_bits)
+    from . import census
+
+    params = (census, args.q, args.n, args.k, args.m, args.budget_bits)
     if not args.check:
         print(_REPCOUNT_MODES[args.mode](*params))
         return 0
@@ -399,8 +235,32 @@ def _cmd_repcount(args) -> int:
 # wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI grammar: each command kind declares only the flags it reads."""
+def _named_kind(argv):
+    """The (command, kind) that argv names, ("repcount",) for repcount, or
+    None when argv names none or asks for help (-h, or --help abbreviated)."""
+    if not argv or any(arg == "-h" or arg.startswith("--h") for arg in argv):
+        return None
+    if argv[0] == "repcount":
+        return ("repcount",)
+    kinds = {"verify": _VERIFIERS, "census": _CENSUS_KINDS, "expsum": _EXPSUM_REQUIRED}
+    if len(argv) > 1 and argv[1] in kinds.get(argv[0], ()):
+        return tuple(argv[:2])
+    return None
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI grammar: each command kind declares only the flags it reads.
+
+    Given the argv it is to parse, it builds all four commands but only the
+    kind that argv names, since no other kind's parser can speak for that
+    argv; without argv, or when argv names no kind or asks for help, it
+    builds every kind.
+    """
+    only = _named_kind(argv)
+
+    def wanted(*path) -> bool:
+        return only is None or only == path
+
     parser = argparse.ArgumentParser(
         prog="persym",
         description="Rank censuses, exponential sums, and representation counts "
@@ -409,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def budget(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget-bits", type=int, default=census.DEFAULT_BUDGET_BITS,
+        p.add_argument("--budget-bits", type=int, default=DEFAULT_BUDGET_BITS,
                        dest="budget_bits",
                        help="refuse enumerations over 2^BITS points (default: %d)"
-                       % census.DEFAULT_BUDGET_BITS)
+                       % DEFAULT_BUDGET_BITS)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--threads", type=_worker_count, default=_default_threads(),
@@ -431,10 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run an empirical census against its closed form"
     ).add_subparsers(dest="theorem", required=True, metavar="suite")
     for theorem, (runner, defaults) in _VERIFIERS.items():
-        suite = verify.add_parser(theorem, help=runner.__doc__.splitlines()[0])
+        if not wanted("verify", theorem):
+            continue
+        from . import suites
+
+        doc = getattr(suites, runner).__doc__
+        suite = verify.add_parser(theorem, help=doc.splitlines()[0])
         for flag, default in defaults.items():
-            suite.add_argument("--" + flag, type=int, default=default,
-                               help="default: %(default)s")
+            text = _SUITE_FLAG_HELP.get((theorem, flag), "default: %(default)s")
+            suite.add_argument("--" + flag, type=int, default=default, help=text)
         common(suite)
         suite.set_defaults(run=_cmd_verify)
 
@@ -442,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         "census", help="print a rank census table"
     ).add_subparsers(dest="kind", required=True)
     for kind, (_, flags) in _CENSUS_KINDS.items():
+        if not wanted("census", kind):
+            continue
         leaf = cens.add_parser(kind)
         required(leaf, [flag for flag in flags if flag != "l"])
         if "l" in flags:
@@ -455,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "expsum", help="evaluate an exponential sum directly and in closed form"
     ).add_subparsers(dest="kind", required=True)
     for kind, flags in _EXPSUM_REQUIRED.items():
+        if not wanted("expsum", kind):
+            continue
         leaf = exps.add_parser(kind)
         required(leaf, flags)
         budget(leaf)
@@ -462,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser(
         "repcount", help="count representations t = sum of products y*z")
+    if not wanted("repcount"):
+        return parser
     how = rep.add_mutually_exclusive_group(required=True)
     how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES))
     how.add_argument("--check", action="store_true",
@@ -479,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.run(args)
     except (CaseMismatch, NonIntegerResult) as exc:

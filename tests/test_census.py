@@ -167,7 +167,8 @@ class TestWalkAgainstNaive:
         total = run_census(kind, params, checkpoint=path, chunk_size=size)
         assert total == merged_tally(windows)
         chunks = checkpoint_chunks(path)
-        step = size or max(1, len(windows) >> 6)  # the documented default
+        # the documented default: total >> 6, but at least one whole 2^16-lane word
+        step = size or max(len(windows) >> 6, min(len(windows), 1 << 16))
         assert sorted(chunks) == [
             (lo, min(lo + step, len(windows))) for lo in range(0, len(windows), step)
         ]
@@ -415,13 +416,13 @@ class TestPartitioning:
     def test_checkpoint_count_below_one_is_rejected(self, tmp_path):
         # each rewritten line keeps its one-point chunk's sum
         path = tmp_path / "gamma.ckpt"
-        C.enum_gamma(3, 4, checkpoint=str(path))
+        C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=1)
         header, first, *rest = path.read_text().splitlines()
         assert first == "0 1 0:1"
         for line in ("0 1 0:-1 1:2", "0 1 0:1 1:0"):
             path.write_text("\n".join([header, line] + rest) + "\n")
             with pytest.raises(ValueError, match="below 1"):
-                C.enum_gamma(3, 4, checkpoint=str(path))
+                C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=1)
 
     @pytest.mark.parametrize("kind,params,line,message", [
         # no 3 x 4 window has rank 7
@@ -436,11 +437,11 @@ class TestPartitioning:
             self, tmp_path, kind, params, line, message):
         # each rewritten first line keeps its one-index chunk's sum
         path = tmp_path / "census.ckpt"
-        run_census(kind, params, checkpoint=str(path))
+        run_census(kind, params, checkpoint=str(path), chunk_size=1)
         header, _, *rest = path.read_text().splitlines()
         path.write_text("\n".join([header, line] + rest) + "\n")
         with pytest.raises(ValueError, match=message):
-            run_census(kind, params, checkpoint=str(path))
+            run_census(kind, params, checkpoint=str(path), chunk_size=1)
 
     @pytest.mark.parametrize("line", [
         "0 1 x:1", "0 1 0:1x", "x 1 0:1", "0 1 :1", "0 1 same,0:1",
@@ -449,31 +450,45 @@ class TestPartitioning:
         "+0 1 0:1", "0 01 0:1", "0 0_1 0:1", "-0 1 0:1"])
     def test_checkpoint_line_with_a_malformed_field_is_rejected(self, tmp_path, line):
         path = tmp_path / "gamma.ckpt"
-        C.enum_gamma(3, 4, checkpoint=str(path))
+        C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=1)
         header, _, *rest = path.read_text().splitlines()
         path.write_text("\n".join([header, line] + rest) + "\n")
         message = "line '%s' has a malformed field; remove %s to start over" % (line, path)
         with pytest.raises(ValueError, match=re.escape(message)):
-            C.enum_gamma(3, 4, checkpoint=str(path))
+            C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=1)
 
     def test_checkpoint_line_with_a_non_ascii_byte_is_rejected(self, tmp_path):
         path = tmp_path / "gamma.ckpt"
-        C.enum_gamma(3, 4, checkpoint=str(path))
+        C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=1)
         header, _, *rest = path.read_bytes().split(b"\n")
         path.write_bytes(b"\n".join([header, "0 1 0:1é".encode()] + rest))
         message = "line 2 has a non-ASCII byte; remove %s to start over" % path
         with pytest.raises(ValueError, match=re.escape(message)):
-            C.enum_gamma(3, 4, checkpoint=str(path))
+            C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=1)
 
     def test_repeated_checkpoint_range_is_rejected(self, tmp_path):
         # the repeated one-index chunk keeps its sum but not its counts
         path = tmp_path / "gamma.ckpt"
-        C.enum_gamma(3, 3, checkpoint=str(path))
+        C.enum_gamma(3, 3, checkpoint=str(path), chunk_size=1)
         with open(path, "a") as handle:
             handle.write("0 1 3:1\n")
         message = "range (0, 1) appears twice; remove %s to start over" % path
         with pytest.raises(ValueError, match=re.escape(message)):
-            C.enum_gamma(3, 3, checkpoint=str(path))
+            C.enum_gamma(3, 3, checkpoint=str(path), chunk_size=1)
+
+    @pytest.mark.parametrize("s,k,chunk", [
+        (2, 2, 8), (8, 9, 1 << 16), (10, 11, 1 << 16), (11, 12, 1 << 16), (12, 12, 1 << 17),
+    ])
+    def test_default_chunks_are_whole_lane_words(self, tmp_path, monkeypatch, s, k, chunk):
+        # at least one 2^16-lane word; total >> 6 from the 2^22-window pool
+        # cutoff up, so the headers of pooled runs keep their chunk size
+        monkeypatch.setattr(C, "_walk_worker", lambda job: Counter({0: job[3] - job[2]}))
+        path = tmp_path / "gamma.ckpt"
+        total = 1 << (s + k - 1)
+        assert C.enum_gamma(s, k, checkpoint=str(path)) == {0: total}
+        header, *lines = path.read_text().splitlines()
+        assert header == "#census gamma s=%d k=%d points=%d chunk=%d" % (s, k, total, chunk)
+        assert len(lines) == total // chunk
 
     def test_checkpoint_chunking_mismatch_is_rejected(self, tmp_path):
         path = str(tmp_path / "gamma.ckpt")

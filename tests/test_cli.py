@@ -132,7 +132,7 @@ class TestCensusCommand:
         enums = [name for name in census.__all__ if name.startswith("enum_")]
         assert sorted(name for name, _ in cli._CENSUS_KINDS.values()) == sorted(enums)
 
-    @pytest.mark.parametrize("line", ["0 1 7:1", "0 1 0:1 0:1"])
+    @pytest.mark.parametrize("line", ["0 64 7:1", "0 64 0:1 0:1"])
     def test_impossible_or_repeated_checkpoint_key_exits_two(self, tmp_path, capsys, line):
         argv = ["census", "gamma", "--s", "3", "--k", "4",
                 "--checkpoint", str(tmp_path / "run")]
@@ -140,7 +140,7 @@ class TestCensusCommand:
         assert code == 0
         ckpt = tmp_path / "run.gamma"
         header, chunk, *rest = ckpt.read_text().splitlines()
-        assert chunk == "0 1 0:1"
+        assert chunk == "0 64 0:1 1:3 2:12 3:48"
         ckpt.write_text("\n".join([header, line] + rest) + "\n")
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
@@ -179,10 +179,10 @@ class TestCensusCommand:
         assert code == 0 and first == '{"0":1,"1":3,"2":12,"3":16}\n'
         ckpt = tmp_path / "run.gamma"
         with open(ckpt, "a") as handle:
-            handle.write("0 1 3:1\n")
+            handle.write("0 32 3:32\n")
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
-        assert "range (0, 1) appears twice; remove %s to start over" % ckpt in err
+        assert "range (0, 32) appears twice; remove %s to start over" % ckpt in err
 
     @pytest.mark.parametrize("base,is_dir", [("missing/x", False), ("x", True)],
                              ids=["missing-directory", "directory"])
@@ -342,7 +342,7 @@ class TestVerifyCommand:
 
     def test_boundary_factor_mismatch_exits_one(self, capsys, monkeypatch):
         # for s = k = 2, g is 0, +-2 or +-4, so no g^2 is 1 * 1
-        monkeypatch.setattr(cli, "g_boundary_vectors", lambda s, k: ([1] * 8, [1] * 8))
+        monkeypatch.setattr(expsum, "g_boundary_vectors", lambda s, k: ([1] * 8, [1] * 8))
         code, out, _ = run_cli(["verify", "thm3.5"], capsys)
         assert code == 1
         report = json.loads(out)
@@ -394,6 +394,24 @@ class TestVerifyCommand:
              "--k", "1000"], capture_output=True, text=True, timeout=10)
         assert result.returncode == 2 and result.stdout == ""
         assert "budget" in result.stderr
+
+    @pytest.mark.parametrize("argv,need,budget", [
+        (["--n", "5", "--budget-bits", "8"], 9, 8), (["--n", "512"], 30, 28)])
+    def test_coefficient_rows_over_budget_exit_two_before_any_work(
+            self, capsys, monkeypatch, argv, need, budget):
+        # the closed side is O(N^3) big-int work, charged as 2^(3 * bit length of N)
+        def refuse(*args):
+            raise AssertionError("the coefficient rows were computed")
+
+        monkeypatch.setattr(formulas, "a_coeff_rows", refuse)
+        code, out, err = run_cli(["verify", "cor3.10"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: verify cor3.10 n=%s needs a 2^%d point domain, over the " \
+            "2^%d budget\n" % (argv[1], need, budget)
+
+    def test_coefficient_rows_at_the_budget_run(self, capsys):
+        code, out, _ = run_cli(["verify", "cor3.10", "--n", "5", "--budget-bits", "9"], capsys)
+        assert code == 0 and json.loads(out)["match"] is True
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(["verify", "bogus"], capsys)
@@ -478,7 +496,7 @@ class TestExpsumCommand:
         assert message in err
 
     def test_disagreement_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "h_closed", lambda s, k, t: 12345)
+        monkeypatch.setattr(expsum, "h_closed", lambda s, k, t: 12345)
         code, out, _ = run_cli(["expsum", "h", "--s", "2", "--k", "2", "--t", "100"],
                                capsys)
         assert code == 1
