@@ -295,10 +295,19 @@ _LANE_BITS = 16
 
 @functools.lru_cache(maxsize=None)
 def _lane_masks(b: int) -> Tuple[int, ...]:
-    """M_p for p < b: bit x of M_p is bit p of x, over 2^b lanes."""
-    full = (1 << (1 << b)) - 1
-    return tuple(full // ((1 << (2 << p)) - 1) * (((1 << (1 << p)) - 1) << (1 << p))
-                 for p in range(b))
+    """M_p for p < b: bit x of M_p is bit p of x, over 2^b lanes.
+
+    Each is one period (2^p zeros, then 2^p ones) doubled up to 2^b bits:
+    shifts and ors, where dividing a 2^16-bit word took about 8 ms.
+    """
+    masks = []
+    for p in range(b):
+        mask, width = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
+        while width < 1 << b:
+            mask |= mask << width
+            width <<= 1
+        masks.append(mask)
+    return tuple(masks)
 
 
 def _walk_worker(args: Tuple[Blocks, int, int, int]) -> Counter:

@@ -226,6 +226,14 @@ class TestLaneWords:
             want = Counter(naive_window_key(kind, params, v) for v in range(lo, hi))
             assert chunks[(lo, hi)] == want, (lo, hi)
 
+    @pytest.mark.parametrize("b", [0, 1, 2, 5, 10])
+    def test_lane_masks_hold_each_lanes_index_bits(self, b):
+        masks = C._lane_masks(b)
+        assert len(masks) == b
+        for p, mask in enumerate(masks):
+            assert mask < 1 << (1 << b)
+            assert all((mask >> x & 1) == (x >> p & 1) for x in range(1 << b)), p
+
 
 class TestEnumGamma:
     def test_known_tables(self):
