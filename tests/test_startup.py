@@ -5,6 +5,7 @@ parser builds only the command kind that argv names. Neither may change
 what a run prints.
 """
 
+import functools
 import subprocess
 import sys
 
@@ -24,18 +25,24 @@ IMPORT_PATHS = {
 
 
 def loaded_modules(argv, cwd):
-    """Every module a fresh CLI process imports, read off -X importtime."""
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "persym.cli"] + argv,
-        capture_output=True, text=True, timeout=60, cwd=cwd)
+    """Every module a fresh interpreter imports, read off -X importtime."""
+    result = subprocess.run([sys.executable, "-X", "importtime"] + argv,
+                            capture_output=True, text=True, timeout=60, cwd=cwd)
     assert result.returncode == 0, result.stderr
     return {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
             if line.startswith("import time:")}
 
 
+@functools.cache
+def interpreter_modules():
+    """What the interpreter imports before any persym code runs."""
+    return loaded_modules(["-c", "pass"], None)
+
+
 @pytest.mark.parametrize("command", list(IMPORT_PATHS))
 def test_a_run_loads_only_its_commands_modules(tmp_path, command):
-    loaded = loaded_modules(command.split(), tmp_path)
+    loaded = loaded_modules(["-m", "persym.cli"] + command.split(), tmp_path)
+    loaded -= interpreter_modules()
     persym = {name for name in loaded if name.startswith("persym.")}
     assert persym == {"persym." + name for name in IMPORT_PATHS[command] | {"exceptions"}}
     assert ("csv" in loaded) == command.endswith("--format csv")
