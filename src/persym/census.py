@@ -78,15 +78,10 @@ Blocks = Tuple[Tuple[int, bool], ...]
 _POOL_MIN_POINTS = 1 << 22
 
 
-def _key_to_text(key: Key) -> str:
-    if isinstance(key, tuple):
-        return ",".join(str(part) for part in key)
-    return str(key)
-
-
 def _table_text(table: Mapping[Key, int]) -> Dict[str, int]:
     """A tally as the CLI prints it: {key text: count}, in key order."""
-    return {_key_to_text(key): count for key, count in sorted(table.items())}
+    return {",".join(map(str, key)) if isinstance(key, tuple) else str(key): count
+            for key, count in sorted(table.items())}
 
 
 def _decimal(text: str) -> int:
@@ -183,10 +178,8 @@ def _read_checkpoint(
 
 
 def _checkpoint_line(rng: Tuple[int, int], counts: Counter) -> str:
-    parts = ["%d %d" % rng]
-    for key, value in sorted(counts.items()):
-        parts.append("%s:%d" % (_key_to_text(key), value))
-    return " ".join(parts) + "\n"
+    fields = ["%s:%d" % item for item in _table_text(counts).items()]
+    return " ".join(["%d %d" % rng] + fields) + "\n"
 
 
 def _run_chunks(
@@ -239,9 +232,7 @@ def _run_chunks(
         ranks = range(min(rows, k) + 1)
         keys = set(itertools.product(ranks, repeat=len(blocks)) if len(blocks) > 1 else ranks)
         done = _read_checkpoint(checkpoint, header, ranges, keys)
-    tally = Counter()
-    for counts in done.values():
-        tally += counts
+    tally = sum(done.values(), Counter())
     pending = [rng for rng in ranges if rng not in done]
     jobs = [(blocks, rows) + rng for rng in pending]
     out = open(checkpoint, "a", encoding="ascii") if checkpoint else None
@@ -310,23 +301,31 @@ def _lane_masks(b: int) -> Tuple[int, ...]:
     return tuple(masks)
 
 
+def _lane_words(depth: int, lo: int, hi: int):
+    """(bits, valid, full) for each aligned word of at most 2^_LANE_BITS lanes
+    meeting [lo, hi), whose lane x stands for the integer base + x: bits[p]
+    holds bit p of each lane's integer (p < depth), valid the lanes in
+    [lo, hi), full all of them. The census kernel and expsum's direct sums
+    both run on these words."""
+    b = min(_LANE_BITS, depth, (hi - lo - 1).bit_length())
+    lanes = 1 << b
+    full = (1 << lanes) - 1
+    masks = _lane_masks(b)
+    for base in range(lo >> b << b, hi, lanes):
+        start = max(lo - base, 0)
+        valid = ((1 << (min(hi - base, lanes) - start)) - 1) << start
+        yield [*masks, *[full if base >> p & 1 else 0 for p in range(b, depth)]], valid, full
+
+
 def _walk_worker(args: Tuple[Blocks, int, int, int]) -> Counter:
     """Tally the window ranks of [lo, hi) for one census kind's blocks; the
     driver expands free rows (see the module docstring)."""
     blocks, rows, lo, hi = args
     k = max(blocks)[0]
-    depth = k + rows - 1
-    b = min(_LANE_BITS, depth, (hi - lo - 1).bit_length())
-    lanes = 1 << b
-    full = (1 << lanes) - 1
-    masks = _lane_masks(b)
     widths = {w for w, _ in blocks if w < k}
     top = min(rows, k)
     counts = Counter()
-    for base in range(lo >> b << b, hi, lanes):
-        start = max(lo - base, 0)
-        valid = ((1 << (min(hi - base, lanes) - start)) - 1) << start
-        bits = [*masks, *[full if base >> p & 1 else 0 for p in range(b, depth)]]
+    for bits, valid, full in _lane_words(k + rows - 1, lo, hi):
         a = [bits[i:i + k] for i in range(rows)]  # a[i][j]: entry (i, j) per lane
         unused = [full] * rows  # lanes where row i holds no pivot yet
         ge = [valid] + [0] * (top + 1)  # ge[r]: lanes whose rank is at least r

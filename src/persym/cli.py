@@ -23,6 +23,7 @@ parser builds only the command kind that argv names.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -352,6 +353,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # exact counts print at any length
+        sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
     except (CaseMismatch, NonIntegerResult) as exc:
@@ -363,5 +366,12 @@ def main(argv=None) -> int:
         return 2
 
 
+def script() -> int:
+    """main() as the `persym` console script and `python -m persym.cli` run it."""
+    code = main()
+    gc.freeze()  # exit then skips collecting what is left; stdout is flushed before
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

@@ -3,9 +3,11 @@
 Every sum here has a direct form (a literal iteration over polynomial
 tuples, summing character values term by term) and a closed form (a signed
 power of two read off the rank of a structured matrix), and the two must
-always agree. A direct form visits every term along a Gray order, forms
-its product and takes its E on its own; it reads no rank and sums nothing
-by orthogonality. It refuses to run over more than 2^budget_bits terms.
+always agree. A direct form takes each term as one lane of the census's
+bit-sliced words and its E as the XOR of the monomials of its product, so
+one big-int operation acts on up to 2^16 terms; it reads no rank and sums
+nothing by orthogonality. It refuses to run over more than 2^budget_bits
+terms.
 
 Naming: h is the full bilinear sum over deg Y <= k-1, deg Z <= s-1; g is
 its top-degree slice (both degrees exact); the two-variable g adds a
@@ -21,7 +23,8 @@ point, so they refuse grids over 2^GRID_MAX_BITS points.
 
 from __future__ import annotations
 
-from operator import add, sub
+from functools import reduce
+from operator import add, sub, xor
 from typing import List, Sequence, Tuple
 
 from .builders import hankel_rows, rank_profile, stacked_rows
@@ -43,25 +46,27 @@ __all__ = [
 ]
 
 
-def _walk(a: int, start: int, shifts: Sequence[int]) -> int:
-    """Sum of (-1)^popcount(a & p) over p = start ^ (XOR of a subset of shifts),
-    one term per subset in reflected Gray order: one XOR and one popcount each.
+def _lane_sum(n: int, pairs: Sequence[Tuple[int, int]]) -> int:
+    """Sum of (-1)^E(x) over x in [0, 2^n), E(x) the XOR of x_a x_b over pairs
+    (index n is the constant 1): 2^n less twice the census._lane_words lanes
+    where E is 1, one lane per x."""
+    from .census import _lane_words
 
-    The flips of the first 12 shifts recur between flips of the rest, so
-    that sequence is listed once (at most 4095 entries)."""
-    flips: list = []
-    for d in shifts[:12]:
-        flips = [*flips, d, *flips]
-    high = shifts[12:]
-    p, odd = start, 0
-    for i in range(1 << len(high)):
-        if i:
-            p ^= high[(i & -i).bit_length() - 1]
-        odd += (a & p).bit_count() & 1
-        for d in flips:
-            p ^= d
-            odd += (a & p).bit_count() & 1
-    return (1 << len(shifts)) - 2 * odd
+    odd = 0
+    for bits, _, full in _lane_words(n, 0, 1 << n):
+        x = bits + [full]
+        odd += reduce(xor, [x[a] & x[b] for a, b in pairs], 0).bit_count()
+    return (1 << n) - 2 * odd
+
+
+def _pairs(t: UnitSeries, ys, zs, etas: Sequence[UnitSeries] = (), us=()) -> list:
+    """The monomials of E(tYZ) + sum_j E(eta_j Y U_j) over variable indices
+    ys[i] (Y's T^i), zs[j] (Z's T^j) and us[j] (U_j): y_i z_j where bit i + j
+    of t is 1, y_i u_j where bit i of eta_j is 1."""
+    return ([(y, z) for i, y in enumerate(ys) for j, z in enumerate(zs)
+             if t.coeffs >> i + j & 1]
+            + [(y, u) for eta, u in zip(etas, us) for i, y in enumerate(ys)
+               if eta.coeffs >> i & 1])
 
 
 def h_direct(
@@ -72,8 +77,7 @@ def h_direct(
         raise ValueError("h is defined for s, k >= 1")
     check_budget(k + s, budget_bits, "direct h sum s=%d k=%d" % (s, k))
     t.require(k + s - 1)
-    # Z runs over subsets of {T^j : j < s}, so YZ runs over XORs of Y T^j
-    return sum(_walk(t.coeffs, 0, [y << j for j in range(s)]) for y in range(1 << k))
+    return _lane_sum(k + s, _pairs(t, range(k), range(k, k + s)))
 
 
 def h_closed(s: int, k: int, t: UnitSeries) -> int:
@@ -91,8 +95,8 @@ def g_direct(
         raise ValueError("g is defined for s, k >= 2")
     check_budget(k + s - 2, budget_bits, "direct g sum s=%d k=%d" % (s, k))
     t.require(k + s - 1)
-    return sum(_walk(t.coeffs, y << (s - 1), [y << j for j in range(s - 1)])
-               for y in range(1 << (k - 1), 1 << k))
+    n = k + s - 2  # the top coefficients of Y and Z are the constant 1
+    return _lane_sum(n, _pairs(t, [*range(k - 1), n], [*range(k - 1, n), n]))
 
 
 def g_closed(s: int, k: int, t: UnitSeries) -> int:
@@ -198,9 +202,8 @@ def g2var_direct(
     check_budget(k + m + 1, budget_bits, "direct g2 sum m=%d k=%d" % (m, k))
     t.require(k + m)
     eta.require(k)
-    a, (offset,) = _pack(t, [eta], m, k)  # one popcount gives E(tYZ)E(etaY)
-    return sum(_walk(a, y << offset, [y << j for j in range(m + 1)])
-               for y in range(1 << k))
+    n = k + m + 1  # U is pinned to the constant 1
+    return _lane_sum(n, _pairs(t, range(k), range(k, n), [eta], [n]))
 
 
 def g2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
@@ -222,16 +225,13 @@ def fmulti_direct(
 ) -> int:
     """Literal (n+2)-fold sum over Y, Z and one U_j in {0, 1} per eta."""
     _check_two_var(m, k)
-    n = len(etas)
-    check_budget(
-        k + m + 1 + n, budget_bits, "direct fmulti sum n=%d m=%d k=%d" % (n, m, k)
-    )
+    n = k + m + 1 + len(etas)
+    check_budget(n, budget_bits, "direct fmulti sum n=%d m=%d k=%d" % (len(etas), m, k))
     t.require(k + m)
     for eta in etas:
         eta.require(k)
-    a, offsets = _pack(t, etas, m, k)  # U_j = 1 adds Y to eta_j's field
-    return sum(_walk(a, 0, [y << j for j in range(m + 1)] + [y << o for o in offsets])
-               for y in range(1 << k))
+    zs = range(k, k + m + 1)
+    return _lane_sum(n, _pairs(t, range(k), zs, etas, range(zs.stop, n)))
 
 
 def fmulti_closed(m: int, k: int, t: UnitSeries, etas: Sequence[UnitSeries]) -> int:
@@ -239,15 +239,6 @@ def fmulti_closed(m: int, k: int, t: UnitSeries, etas: Sequence[UnitSeries]) -> 
     _check_two_var(m, k)
     r = rank_of_rows(stacked_rows(t, etas, m, k))
     return 1 << (k + m + len(etas) + 1 - r)
-
-
-def _pack(t: UnitSeries, etas: Sequence[UnitSeries], m: int, k: int) -> Tuple[int, list]:
-    """t's first k+m coefficients with k of each eta_j above; each eta's offset."""
-    offsets = [k + m + j * k for j in range(len(etas))]
-    a = t.coeffs & ((1 << (k + m)) - 1)
-    for eta, offset in zip(etas, offsets):
-        a |= (eta.coeffs & ((1 << k) - 1)) << offset
-    return a, offsets
 
 
 def _check_two_var(m: int, k: int) -> None:

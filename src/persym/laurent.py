@@ -10,7 +10,7 @@ precision: any operation that would need one raises InsufficientPrecision.
 The additive character E sends a series to (-1) raised to its T^-1
 coefficient; every exponential sum in this package is built from its
 value on the fractional part of t*p (`char_E_of_product`). The direct sums
-in `expsum` evaluate that parity inline, one popcount per term.
+in `expsum` take that parity as the XOR of the monomials of the product.
 """
 
 from __future__ import annotations

@@ -541,6 +541,15 @@ class TestRepcountCommand:
         assert code == 0
         assert out == "formula=24413824 agree=true\n"
 
+    def test_formula_prints_a_count_over_4300_digits(self, capsys):
+        code, out, err = run_cli(
+            ["repcount", "--mode", "formula", "--q", "200", "--n", "3", "--k", "40",
+             "--m", "40"], capsys)
+        assert (code, err) == (0, "")
+        want = census.repcount_multi_formula(200, 3, 40, 40)
+        assert want.bit_length() > 4300 * 3.33  # over 4300 decimal digits
+        assert out == "%d\n" % want
+
     def test_mode_or_check_required(self, capsys):
         code, _, err = run_cli(
             ["repcount", "--q", "1", "--n", "0", "--k", "2", "--m", "1"], capsys)
@@ -570,6 +579,36 @@ def test_benchmark_tiny_commands_run(tmp_path, capsys, argv):
         argv = argv + ["--threads", "1", "--checkpoint", str(tmp_path / "run")]
     code, _, err = run_cli(argv, capsys)
     assert code == 0, err
+
+
+def test_console_script_entry_is_cli_script():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^persym = "persym\.cli:script"$', pyproject, re.M)
+    assert callable(cli.script)
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "gamma", "--s", "11", "--k", "12", "--threads", "2"],  # pooled
+    ["verify", "thm3.3", "--threads", "1"],
+], ids=" ".join)
+def test_a_script_run_matches_main_in_process(tmp_path, monkeypatch, capsys, argv):
+    # the script exits through gc.freeze() and interpreter shutdown, main returns
+    argv = argv + ["--checkpoint", "run"]
+    script, in_process = tmp_path / "script", tmp_path / "main"
+    script.mkdir()
+    in_process.mkdir()
+    result = subprocess.run([sys.executable, "-m", "persym.cli"] + argv, cwd=script,
+                            capture_output=True, text=True, timeout=60)
+    monkeypatch.chdir(in_process)
+    assert (result.returncode, result.stdout, result.stderr) == run_cli(argv, capsys)
+    assert result.returncode == 0
+
+    def checkpoints(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    written = checkpoints(script)
+    assert written and all(data.endswith(b"\n") for data in written.values())
+    assert written == checkpoints(in_process)
 
 
 def test_console_script_matches_in_process_output():

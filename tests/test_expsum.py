@@ -286,6 +286,53 @@ def test_fmulti_direct_matches_oracle_on_every_small_grid(n, m, k, extra):
         assert fmulti_direct(m, k, t, etas) == want
 
 
+# the grids above fit in one 2^16-lane word; words of 2 and 4 lanes split
+# every sum over several words
+@pytest.mark.parametrize("lane_bits", [1, 2])
+@pytest.mark.parametrize("s,k", H_CASES)
+def test_h_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits, s, k):
+    monkeypatch.setattr(census, "_LANE_BITS", lane_bits)
+    for t in grid(k + s - 1):
+        assert h_direct(s, k, t) == oracle_h(s, k, alpha_of(t))
+
+
+@pytest.mark.parametrize("lane_bits", [1, 2])
+@pytest.mark.parametrize("s,k", G_CASES)
+def test_g_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits, s, k):
+    monkeypatch.setattr(census, "_LANE_BITS", lane_bits)
+    for t in grid(k + s - 1):
+        assert g_direct(s, k, t) == oracle_g(s, k, alpha_of(t))
+
+
+@pytest.mark.parametrize("lane_bits", [1, 2])
+@pytest.mark.parametrize("m,k", TWO_VAR_CASES)
+def test_g2var_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits, m, k):
+    monkeypatch.setattr(census, "_LANE_BITS", lane_bits)
+    for t, eta in product(grid(k + m), grid(k)):
+        assert g2var_direct(m, k, t, eta) == oracle_g2var(m, k, alpha_of(t), alpha_of(eta))
+
+
+@pytest.mark.parametrize("lane_bits", [1, 2])
+@pytest.mark.parametrize("n,m,k", FMULTI_CASES)
+def test_fmulti_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits,
+                                                              n, m, k):
+    monkeypatch.setattr(census, "_LANE_BITS", lane_bits)
+    for t, *etas in product(grid(k + m), *[grid(k)] * n):
+        want = oracle_fmulti(m, k, alpha_of(t), [alpha_of(eta) for eta in etas])
+        assert fmulti_direct(m, k, t, etas) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_direct_sums_over_many_lane_words_match_the_closed_forms(seed):
+    rng = random.Random(seed)
+    t = UnitSeries(rng.getrandbits(23), 23)
+    assert h_direct(12, 12, t) == h_closed(12, 12, t)  # 2^24 terms, 2^8 words
+    t = UnitSeries(rng.getrandbits(17), 17)
+    etas = [UnitSeries(rng.getrandbits(9), 9) for _ in range(3)]
+    for n in range(4):  # 2^18 .. 2^21 terms
+        assert fmulti_direct(8, 9, t, etas[:n]) == fmulti_closed(8, 9, t, etas[:n])
+
+
 def test_direct_sums_never_call_gf2_or_builders(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a direct sum called persym.gf2 or persym.builders")
@@ -334,9 +381,7 @@ def test_grid_vectors_match_the_closed_forms_at_every_point(s, k):
         assert (g[v], g1[v], g2[v]) == (g_closed(s, k, t), *g_boundary_factors(s, k, t))
 
 
-# g_direct over every 2^11- and 2^12-point grid takes about 36 s, so it
-# checks the grids of at most 2^10 points
-@pytest.mark.parametrize("s,k", [(s, k) for s, k in GRID_CASES if s + k - 1 <= 10])
+@pytest.mark.parametrize("s,k", GRID_CASES)
 def test_g_vector_matches_g_direct_at_every_point(s, k):
     assert g_vector(s, k) == [g_direct(s, k, t) for t in grid(k + s - 1)]
 

@@ -19,7 +19,7 @@ IMPORT_PATHS = {
     "census quad --s 2 --k 2 --format csv": {"census"},
     "verify thm3.1": {"suites", "census", "formulas", "dyadic"},
     "verify cor3.10": {"suites", "formulas", "dyadic"},
-    "expsum h --s 2 --k 2 --t 100": {"expsum", "builders", "gf2", "laurent"},
+    "expsum h --s 2 --k 2 --t 100": {"expsum", "builders", "gf2", "laurent", "census"},
     "repcount --mode formula --q 1 --n 0 --k 2 --m 1": {"census", "formulas", "dyadic"},
 }
 
