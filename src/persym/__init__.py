@@ -4,8 +4,8 @@ character sums over F2((1/T)) that those ranks control.
 The package has three layers:
 
 * carriers: bit-packed GF(2) matrices (`gf2`), truncated Laurent-series
-  arithmetic and additive characters (`laurent`), structured-matrix
-  builders (`builders`), exact dyadic rationals (`dyadic`);
+  arithmetic and additive characters (`laurent`), structured-matrix builders
+  (`builders`), exact dyadic rationals (`dyadic`), lane words (`lanes`);
 * two independent routes to every quantity: literal character sums and
   exhaustive enumeration (`expsum`, `census`) versus closed-form count
   calculators (`formulas`);

@@ -12,25 +12,21 @@ a line with a field that does not parse, a count below 1, a key the
 census cannot produce, a repeated key or range, or counts that do not
 sum to its range's window count, is rejected.
 
-A coset representative of depth N is an N-bit integer whose bit b
-(least significant first) is the coefficient alpha_{l+b} of the series;
-window row i is its k bits from bit i up, so entry (i, j) is bit i + j.
-All rank censuses run one kernel over bit-sliced words: lane x of a word
-stands for window base + x, the word covering an aligned block of 2^b
-windows, so one big-int operation acts on all its windows. An entry bit
-p < b is the same lane mask in every word; a bit p >= b is all ones or
-all zeros, from bit p of base. The kernel eliminates column by column in
-every lane at once, taking each pivot from the topmost row that holds none
-yet, and keeps each lane's rank as a thermometer code (one mask per rank
-r: the lanes of rank at least r), so it can read the rank of any column
-prefix. A census kind is data for the kernel: corner blocks (column count,
-whether the last row belongs) whose ranks key the tally; free rows below
-the window; and for sigma, a split by whether the free row raised the
-rank. A block of w columns reads the ranks after w columns. Since no
-row is ever reduced by a row below it, the rows above the last are
-eliminated as they would be alone, so a block without the last row takes
-one off those ranks where the last row holds a pivot, and the four quad
-blocks share one elimination.
+A coset representative of depth N is an N-bit integer whose bit b (least
+significant first) is the coefficient alpha_{l+b} of the series; window
+row i is its k bits from bit i up, so entry (i, j) is bit i + j. All rank
+censuses run one kernel over `persym.lanes` words, one lane per window. It
+eliminates column by column in every lane at once, taking each pivot from
+the topmost row that holds none yet, and keeps each lane's rank as a
+thermometer code (one mask per rank r: the lanes of rank at least r), so
+it can read the rank of any column prefix. A census kind is data for the
+kernel: corner blocks (column count, whether the last row belongs) whose
+ranks key the tally; free rows below the window; and for sigma, a split by
+whether the free row raised the rank. A block of w columns reads the ranks
+after w columns. Since no row is ever reduced by a row below it, the rows
+above the last are eliminated as they would be alone, so a block without
+the last row takes one off those ranks where the last row holds a pivot,
+and the four quad blocks share one elimination.
 
 The kernel visits windows only, and chunks and checkpoints hold window
 tallies. A free k-bit row keeps a rank-f row space when it lies inside it
@@ -41,14 +37,14 @@ row, after the last chunk.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from collections import Counter
 from typing import Container, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-# only the stdlib and exceptions here: the integrals and representation
+# only the stdlib, lanes and exceptions here: the integrals and representation
 # counts import what they use in their own bodies, so a census loads no more
+from . import lanes
 from .exceptions import DEFAULT_BUDGET_BITS, IncompleteDomain, check_budget
 
 __all__ = [
@@ -204,7 +200,7 @@ def _run_chunks(
     budget_bits=DEFAULT_BUDGET_BITS (refuse over 2^budget_bits points),
     checkpoint=None (a file to append finished chunks to and resume from),
     chunk_size=None (windows per chunk; None means total >> 6, but at least
-    one whole 2^_LANE_BITS-lane word, or the whole domain if it is smaller).
+    one whole 2^lanes._LANE_BITS-lane word, or the whole domain if it is smaller).
     So a domain of at most 2^16 windows is one chunk, one of up to 2^22
     windows (the pool cutoff) is 2^16-window chunks, and a larger one is
     64 chunks.
@@ -222,7 +218,7 @@ def _run_chunks(
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
     if chunk_size is None:
-        chunk_size = max(total >> 6, min(total, 1 << _LANE_BITS))
+        chunk_size = max(total >> 6, min(total, 1 << lanes._LANE_BITS))
     elif chunk_size < 1:
         raise ValueError("chunk_size must be at least 1, got %d" % chunk_size)
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
@@ -279,43 +275,6 @@ def _run_chunks(
 # ---------------------------------------------------------------------------
 # the lane kernel (top level so it crosses process boundaries)
 
-# a word holds at most 2^16 lanes: at 2^26 windows 2^18 lanes saved about
-# a tenth of the time and raised peak memory from 15 to 21 MiB
-_LANE_BITS = 16
-
-
-@functools.lru_cache(maxsize=None)
-def _lane_masks(b: int) -> Tuple[int, ...]:
-    """M_p for p < b: bit x of M_p is bit p of x, over 2^b lanes.
-
-    Each is one period (2^p zeros, then 2^p ones) doubled up to 2^b bits:
-    shifts and ors, where dividing a 2^16-bit word took about 8 ms.
-    """
-    masks = []
-    for p in range(b):
-        mask, width = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
-        while width < 1 << b:
-            mask |= mask << width
-            width <<= 1
-        masks.append(mask)
-    return tuple(masks)
-
-
-def _lane_words(depth: int, lo: int, hi: int):
-    """(bits, valid, full) for each aligned word of at most 2^_LANE_BITS lanes
-    meeting [lo, hi), whose lane x stands for the integer base + x: bits[p]
-    holds bit p of each lane's integer (p < depth), valid the lanes in
-    [lo, hi), full all of them. The census kernel and expsum's direct sums
-    both run on these words."""
-    b = min(_LANE_BITS, depth, (hi - lo - 1).bit_length())
-    lanes = 1 << b
-    full = (1 << lanes) - 1
-    masks = _lane_masks(b)
-    for base in range(lo >> b << b, hi, lanes):
-        start = max(lo - base, 0)
-        valid = ((1 << (min(hi - base, lanes) - start)) - 1) << start
-        yield [*masks, *[full if base >> p & 1 else 0 for p in range(b, depth)]], valid, full
-
 
 def _walk_worker(args: Tuple[Blocks, int, int, int]) -> Counter:
     """Tally the window ranks of [lo, hi) for one census kind's blocks; the
@@ -325,7 +284,7 @@ def _walk_worker(args: Tuple[Blocks, int, int, int]) -> Counter:
     widths = {w for w, _ in blocks if w < k}
     top = min(rows, k)
     counts = Counter()
-    for bits, valid, full in _lane_words(k + rows - 1, lo, hi):
+    for bits, valid, full in lanes._lane_words(k + rows - 1, lo, hi):
         a = [bits[i:i + k] for i in range(rows)]  # a[i][j]: entry (i, j) per lane
         unused = [full] * rows  # lanes where row i holds no pivot yet
         ge = [valid] + [0] * (top + 1)  # ge[r]: lanes whose rank is at least r

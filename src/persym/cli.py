@@ -109,8 +109,8 @@ _VERIFIERS = {
 }
 # suite flags whose help says more than their default
 _SUITE_FLAG_HELP = {
-    ("cor3.10", "n"): "rows 1..N of the coefficient triangle; the closed side is "
-    "O(N^3) big-int work, so N is refused when 3 * (bit length of N) is over "
+    ("cor3.10", "n"): "rows 1..N of the coefficient triangle; the closed side "
+    "grows about as N^5, so N is refused when the bit length of N^4 is over "
     "--budget-bits (default: %(default)s)",
 }
 

@@ -3,11 +3,11 @@
 Every sum here has a direct form (a literal iteration over polynomial
 tuples, summing character values term by term) and a closed form (a signed
 power of two read off the rank of a structured matrix), and the two must
-always agree. A direct form takes each term as one lane of the census's
-bit-sliced words and its E as the XOR of the monomials of its product, so
-one big-int operation acts on up to 2^16 terms; it reads no rank and sums
-nothing by orthogonality. It refuses to run over more than 2^budget_bits
-terms.
+always agree. A direct form takes each term as one lane of the
+`persym.lanes` words and its E as the XOR of the monomials of its product,
+so one big-int operation acts on up to 2^16 terms; it reads no rank and
+sums nothing by orthogonality. It refuses to run over more than
+2^budget_bits terms.
 
 Naming: h is the full bilinear sum over deg Y <= k-1, deg Z <= s-1; g is
 its top-degree slice (both degrees exact); the two-variable g adds a
@@ -24,12 +24,13 @@ point, so they refuse grids over 2^GRID_MAX_BITS points.
 from __future__ import annotations
 
 from functools import reduce
-from operator import add, sub, xor
+from operator import xor
 from typing import List, Sequence, Tuple
 
 from .builders import hankel_rows, rank_profile, stacked_rows
 from .exceptions import DEFAULT_BUDGET_BITS, BudgetExceeded, check_budget
 from .gf2 import echelon, rank_of_rows
+from .lanes import _lane_words, _wht
 from .laurent import UnitSeries
 
 __all__ = [
@@ -48,10 +49,8 @@ __all__ = [
 
 def _lane_sum(n: int, pairs: Sequence[Tuple[int, int]]) -> int:
     """Sum of (-1)^E(x) over x in [0, 2^n), E(x) the XOR of x_a x_b over pairs
-    (index n is the constant 1): 2^n less twice the census._lane_words lanes
+    (index n is the constant 1): 2^n less twice the lanes._lane_words lanes
     where E is 1, one lane per x."""
-    from .census import _lane_words
-
     odd = 0
     for bits, _, full in _lane_words(n, 0, 1 << n):
         x = bits + [full]
@@ -118,32 +117,6 @@ def g_closed(s: int, k: int, t: UnitSeries) -> int:
 # a whole-grid vector holds one int per grid point: `verify thm3.5` keeps
 # three, and peaks at about 120 MiB at 2^20 points
 GRID_MAX_BITS = 20
-
-
-def _wht(v: List[int]) -> None:
-    """Walsh-Hadamard transform in place: v[t] becomes the sum over p of
-    v[p] * (-1)^popcount(t & p), for len(v) a power of two (Yates 1937).
-
-    Each level pairs v[i] with v[i + h] through list slices and map(add/sub):
-    strided slices while a level has fewer pair offsets (h) than blocks
-    (len(v) / 2h), contiguous ones after, so each level takes at most
-    about sqrt(len(v)) slice operations.
-    """
-    n, h = len(v), 1
-    while h < n:
-        step = 2 * h
-        if h * step < n:
-            for r in range(h):
-                a, b = v[r::step], v[r + h::step]
-                v[r::step] = map(add, a, b)
-                v[r + h::step] = map(sub, a, b)
-        else:
-            for lo in range(0, n, step):
-                mid, hi = lo + h, lo + step
-                a, b = v[lo:mid], v[mid:hi]
-                v[lo:mid] = map(add, a, b)
-                v[mid:hi] = map(sub, a, b)
-        h = step
 
 
 def _grid_sums(bits: int, ys: range, free: int, z_top: bool, what: str) -> List[int]:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import os
 import re
 import sys
@@ -7,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from persym import builders, gf2
+from persym import builders, gf2, lanes
 from persym import census as C
 from persym import formulas as F
 from persym.builders import hankel, rank_profile, stacked
@@ -209,8 +210,52 @@ class TestWalkAgainstNaive:
                 assert got == F.landsberg_table(rows, k)
 
 
+# every grid of each kind whose domain (windows times free-row tuples)
+# holds at most 2^10 points; quad at l = 1, since l only names where the
+# window starts
+SMALL_GRIDS = {
+    "gamma": [(s, k) for s in range(1, 11) for k in range(1, 12 - s)],
+    "quad": [(1, n, m) for n in range(1, 11) for m in range(1, 12 - n)],
+    "sigma": [(m, k) for k in range(1, 6) for m in range(11 - 2 * k)],
+    "stacked": [(n, m, k) for n in range(10) for k in range(1, 11)
+                for m in range(11 - k - n * k)],
+}
+
+
+@functools.cache
+def naive_tally(kind, params):
+    return merged_tally(naive_window_tallies(kind, params))
+
+
 class TestLaneWords:
-    """Chunks over 2^16 windows cover more than one lane word."""
+    """Chunks that cover more than one lane word: over 2^16 windows, or any
+    small grid with words of 2 or 4 lanes."""
+
+    @pytest.mark.parametrize("lane_bits", [1, 2])
+    @pytest.mark.parametrize("kind", SMALL_GRIDS)
+    def test_small_words_match_naive(self, monkeypatch, kind, lane_bits):
+        # default chunks are then 2 or 4 windows, up to total >> 6
+        monkeypatch.setattr(lanes, "_LANE_BITS", lane_bits)
+        for params in SMALL_GRIDS[kind]:
+            assert run_census(kind, params) == naive_tally(kind, params), params
+
+    @pytest.mark.parametrize("kind", SMALL_GRIDS)
+    def test_resume_at_the_other_lane_width_matches_naive(self, tmp_path, monkeypatch,
+                                                          kind):
+        for params in SMALL_GRIDS[kind]:
+            path = tmp_path / ("%s %s.ckpt" % (kind, params))
+            monkeypatch.setattr(lanes, "_LANE_BITS", 1)
+            run_census(kind, params, checkpoint=str(path), chunk_size=3)
+            header, *lines = path.read_text().splitlines(keepends=True)
+            path.write_text(header + "".join(lines[::2]))
+            monkeypatch.setattr(lanes, "_LANE_BITS", 2)
+            assert run_census(kind, params, checkpoint=str(path), chunk_size=3) \
+                == naive_tally(kind, params), params
+            ranks = naive_window_ranks(kind, params)
+            chunks = checkpoint_chunks(str(path))
+            assert len(chunks) == -(-len(ranks) // 3), params
+            for (lo, hi), counts in chunks.items():
+                assert counts == merged_tally(ranks[lo:hi]), (params, lo, hi)
 
     @pytest.mark.parametrize("kind,params", [("gamma", (8, 10)), ("quad", (1, 9, 9))])
     @pytest.mark.parametrize("chunk_size", [40000, 65537])
@@ -228,7 +273,7 @@ class TestLaneWords:
 
     @pytest.mark.parametrize("b", [0, 1, 2, 5, 10])
     def test_lane_masks_hold_each_lanes_index_bits(self, b):
-        masks = C._lane_masks(b)
+        masks = lanes._lane_masks(b)
         assert len(masks) == b
         for p, mask in enumerate(masks):
             assert mask < 1 << (1 << b)

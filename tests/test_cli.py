@@ -396,10 +396,11 @@ class TestVerifyCommand:
         assert "budget" in result.stderr
 
     @pytest.mark.parametrize("argv,need,budget", [
-        (["--n", "5", "--budget-bits", "8"], 9, 8), (["--n", "512"], 30, 28)])
+        (["--n", "5", "--budget-bits", "8"], 10, 8), (["--n", "512"], 37, 28),
+        (["--n", "128"], 29, 28)])
     def test_coefficient_rows_over_budget_exit_two_before_any_work(
             self, capsys, monkeypatch, argv, need, budget):
-        # the closed side is O(N^3) big-int work, charged as 2^(3 * bit length of N)
+        # the closed side grows about as N^5, charged as 2^(bit length of N^4)
         def refuse(*args):
             raise AssertionError("the coefficient rows were computed")
 
@@ -410,7 +411,7 @@ class TestVerifyCommand:
             "2^%d budget\n" % (argv[1], need, budget)
 
     def test_coefficient_rows_at_the_budget_run(self, capsys):
-        code, out, _ = run_cli(["verify", "cor3.10", "--n", "5", "--budget-bits", "9"], capsys)
+        code, out, _ = run_cli(["verify", "cor3.10", "--n", "5", "--budget-bits", "10"], capsys)
         assert code == 0 and json.loads(out)["match"] is True
 
     def test_unknown_suite_rejected(self, capsys):

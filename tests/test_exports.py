@@ -17,7 +17,7 @@ CALLER_FILES = sorted(Path(persym.__file__).parent.glob("*.py")) + sorted(
     (ROOT / "perfbench").glob("*.py"))
 
 # Named only as strings in perfbench/tracer.py's TARGETS; they leave src/
-# once the benchmark stops tracing them (ROADMAP item 4).
+# once the benchmark stops tracing them (ROADMAP items 1 and 7).
 NO_CALLER_YET = {"persym.gf2.rank", "persym.builders.hankel", "persym.builders.stacked"}
 
 

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from persym import builders, census, expsum, formulas, gf2
+from persym import builders, census, expsum, formulas, gf2, lanes
 from persym.builders import hankel
 from persym.exceptions import BudgetExceeded, InsufficientPrecision
 from persym.expsum import (
@@ -291,7 +291,7 @@ def test_fmulti_direct_matches_oracle_on_every_small_grid(n, m, k, extra):
 @pytest.mark.parametrize("lane_bits", [1, 2])
 @pytest.mark.parametrize("s,k", H_CASES)
 def test_h_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits, s, k):
-    monkeypatch.setattr(census, "_LANE_BITS", lane_bits)
+    monkeypatch.setattr(lanes, "_LANE_BITS", lane_bits)
     for t in grid(k + s - 1):
         assert h_direct(s, k, t) == oracle_h(s, k, alpha_of(t))
 
@@ -299,7 +299,7 @@ def test_h_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits,
 @pytest.mark.parametrize("lane_bits", [1, 2])
 @pytest.mark.parametrize("s,k", G_CASES)
 def test_g_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits, s, k):
-    monkeypatch.setattr(census, "_LANE_BITS", lane_bits)
+    monkeypatch.setattr(lanes, "_LANE_BITS", lane_bits)
     for t in grid(k + s - 1):
         assert g_direct(s, k, t) == oracle_g(s, k, alpha_of(t))
 
@@ -307,7 +307,7 @@ def test_g_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits,
 @pytest.mark.parametrize("lane_bits", [1, 2])
 @pytest.mark.parametrize("m,k", TWO_VAR_CASES)
 def test_g2var_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits, m, k):
-    monkeypatch.setattr(census, "_LANE_BITS", lane_bits)
+    monkeypatch.setattr(lanes, "_LANE_BITS", lane_bits)
     for t, eta in product(grid(k + m), grid(k)):
         assert g2var_direct(m, k, t, eta) == oracle_g2var(m, k, alpha_of(t), alpha_of(eta))
 
@@ -316,7 +316,7 @@ def test_g2var_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_b
 @pytest.mark.parametrize("n,m,k", FMULTI_CASES)
 def test_fmulti_direct_matches_oracle_over_several_lane_words(monkeypatch, lane_bits,
                                                               n, m, k):
-    monkeypatch.setattr(census, "_LANE_BITS", lane_bits)
+    monkeypatch.setattr(lanes, "_LANE_BITS", lane_bits)
     for t, *etas in product(grid(k + m), *[grid(k)] * n):
         want = oracle_fmulti(m, k, alpha_of(t), [alpha_of(eta) for eta in etas])
         assert fmulti_direct(m, k, t, etas) == want
@@ -355,6 +355,32 @@ def test_direct_sums_never_call_gf2_or_builders(monkeypatch):
     assert fmulti_direct(2, 3, t, [eta, t]) == oracle_fmulti(2, 3, a, [b, a])
 
 
+def test_closed_forms_never_call_the_lanes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form called persym.lanes")
+
+    want = dict(census.enum_gamma(3, 4))
+    # every binding of a callable defined in lanes, in any persym module
+    helpers = {id(value) for value in vars(lanes).values()
+               if callable(value) and getattr(value, "__module__", None) == lanes.__name__}
+    for module in [m for key, m in sys.modules.items()
+                   if key == "persym" or key.startswith("persym.")]:
+        for attr, value in list(vars(module).items()):
+            if id(value) in helpers:
+                monkeypatch.setattr(module, attr, refuse)
+    t, eta = S("1011010"), S("110")
+    with pytest.raises(AssertionError):
+        h_direct(3, 3, t)
+    with pytest.raises(AssertionError):
+        g_vector(3, 3)
+    a, b = alpha_of(t), alpha_of(eta)
+    assert h_closed(3, 3, t) == oracle_h(3, 3, a)
+    assert g_closed(3, 3, t) == oracle_g(3, 3, a)
+    assert g2var_closed(2, 3, t, eta) == oracle_g2var(2, 3, a, b)
+    assert fmulti_closed(2, 3, t, [eta, t]) == oracle_fmulti(2, 3, a, [b, a])
+    assert formulas.gamma_table(3, 4) == want
+
+
 # ------------------------------------------------------- whole-grid sums
 
 
@@ -365,7 +391,7 @@ def test_wht_equals_the_naive_transform(bits):
         v = [rng.randint(-9, 9) for _ in range(1 << bits)]
         want = [sum(c * (-1) ** (t & p).bit_count() for p, c in enumerate(v))
                 for t in range(1 << bits)]
-        expsum._wht(v)
+        lanes._wht(v)
         assert v == want
 
 

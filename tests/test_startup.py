@@ -2,10 +2,13 @@
 
 A run imports only the persym modules on its command's path, and the
 parser builds only the command kind that argv names. Neither may change
-what a run prints.
+what a run prints. Statically, the lane module imports no persym module,
+and the census and the exponential sums do not import each other.
 """
 
+import ast
 import functools
+import pathlib
 import subprocess
 import sys
 
@@ -14,14 +17,46 @@ import pytest
 from persym import cli
 
 # argv: the persym modules the run may load besides the package and exceptions
+EXPSUM = {"expsum", "builders", "gf2", "laurent", "lanes"}
 IMPORT_PATHS = {
-    "census gamma --s 2 --k 2": {"census"},
-    "census quad --s 2 --k 2 --format csv": {"census"},
-    "verify thm3.1": {"suites", "census", "formulas", "dyadic"},
+    "census gamma --s 2 --k 2": {"census", "lanes"},
+    "census quad --s 2 --k 2 --format csv": {"census", "lanes"},
+    "verify thm3.1": {"suites", "census", "lanes", "formulas", "dyadic"},
     "verify cor3.10": {"suites", "formulas", "dyadic"},
-    "expsum h --s 2 --k 2 --t 100": {"expsum", "builders", "gf2", "laurent", "census"},
-    "repcount --mode formula --q 1 --n 0 --k 2 --m 1": {"census", "formulas", "dyadic"},
+    "expsum h --s 2 --k 2 --t 100": EXPSUM,
+    "expsum g --s 2 --k 2 --t 100": EXPSUM,
+    "expsum g2 --m 1 --k 2 --t 100 --eta 10": EXPSUM,
+    "expsum f2 --m 1 --k 2 --t 100 --eta 10": EXPSUM,
+    "expsum fmulti --m 1 --k 2 --t 100 --etas 10,11": EXPSUM,
+    # repcount_* live in census, so a formula count loads the lanes too
+    "repcount --mode formula --q 1 --n 0 --k 2 --m 1": {"census", "lanes", "formulas", "dyadic"},
 }
+
+
+def persym_imports(path):
+    """The persym modules a source file imports, at the top or in any body."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:  # absolute: only persym and persym.x count
+                if module.partition(".")[0] != "persym":
+                    continue
+                module = module.partition(".")[2]
+            names |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[2] for alias in node.names
+                      if alias.name.startswith("persym.")}
+    return names
+
+
+def test_lanes_census_and_expsum_import_apart():
+    graph = {path.stem: persym_imports(path)
+             for path in pathlib.Path(cli.__file__).parent.glob("*.py")}
+    assert set().union(*graph.values()) <= set(graph)
+    assert {"lanes", "formulas"} <= graph["census"]  # formulas only in a function body
+    assert graph["lanes"] == set()
+    assert "expsum" not in graph["census"] and "census" not in graph["expsum"]
 
 
 def loaded_modules(argv, cwd):
