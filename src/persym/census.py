@@ -440,24 +440,17 @@ def _check_qnkm(q: int, n: int, k: int, m: int) -> None:
         )
 
 
-def repcount_multi_formula(
-    q: int, n: int, k: int, m: int, gamma: Optional[Mapping[int, int]] = None
-) -> int:
-    """Count of solution q-tuples for the stacked system, from a rank table.
-
-    With n = 0 the system is the window system of the (1+m) x k block.
-    Uses the closed rank distribution by default; pass a census table to
-    cross-check one against the other. The dyadic sum must come out an
-    integer; anything else signals an inconsistent table.
+def repcount_multi_formula(q: int, n: int, k: int, m: int) -> int:
+    """Count of solution q-tuples for the stacked system, from the closed
+    rank distribution. With n = 0 the system is the window system of the
+    (1+m) x k block. The dyadic sum must come out an integer.
     """
     from . import formulas
     from .dyadic import DyadicRational
 
     _check_qnkm(q, n, k, m)
-    if gamma is None:
-        gamma = formulas.stacked_gamma_table(n, m, k)
     acc = DyadicRational(0)
-    for i, count in gamma.items():
+    for i, count in formulas.stacked_gamma_table(n, m, k).items():
         acc += DyadicRational(count, -q * i)
     exponent = q * (k + m + n + 1) - ((n + 1) * k + m)
     return (acc * DyadicRational(1, exponent)).to_int()
@@ -529,30 +522,27 @@ def repcount_bruteforce(
     and sum(Y_i U_j^(i)) = 0 for each j. Every factor's contribution is
     built and tallied; the tuples whose contributions XOR to zero are
     counted by XOR-convolving the tallies of the first q // 2 factors and
-    of the rest.
+    of the rest. Each Y's products Y*Z are listed by doubling over Z's
+    shifts, so no polynomial is multiplied out.
     """
-    from .laurent import Poly2, poly_mul
-
     _check_qnkm(q, n, k, m)
     factor_bits = k + (m + 1) + n
     check_budget(
         q * factor_bits, budget_bits, "brute count q=%d n=%d k=%d m=%d" % (q, n, k, m)
     )
-    ymask = (1 << k) - 1
-    zmask = (1 << (m + 1)) - 1
     # one factor's contribution as one int: Y*Z in the low k+m bits, then
     # the n values Y*U_j packed k bits apart
     contributions: Counter = Counter()
-    for idx in range(1 << factor_bits):
-        y = idx & ymask
-        z = (idx >> k) & zmask
-        u = idx >> (k + m + 1)
-        product = poly_mul(Poly2(y), Poly2(z)).bits
-        spread = 0
+    for y in range(1 << k):
+        products = [0]
+        for j in range(m + 1):
+            products += [p ^ (y << j) for p in products]
+        # U's bit j keeps Y in the j-th k-bit field above the product
+        spreads = [0]
         for j in range(n):
-            if (u >> j) & 1:
-                spread |= 1 << (j * k)
-        contributions[product | (y * spread) << (k + m)] += 1
+            spreads += [v | y << ((k + m) + j * k) for v in spreads]
+        for v in spreads:
+            contributions.update([p | v for p in products])
 
     half = Counter({0: 1})
     for _ in range(q // 2):

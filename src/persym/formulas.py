@@ -1,9 +1,8 @@
 """Closed forms for the rank censuses and representation counts.
 
-Everything in this module is pure big-integer arithmetic (dyadic where a
-negative power of two appears mid-formula). The census module recomputes
-each of these tables by exhaustive enumeration; the two sides meet in the
-verification suites and in the test corpus.
+Everything in this module is pure big-integer arithmetic. The census
+module recomputes each of these tables by exhaustive enumeration; the two
+sides meet in the verification suites and in the test corpus.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import functools
 from typing import Dict, Iterator, List, Tuple
 
-from .dyadic import DyadicRational
 from .exceptions import CaseMismatch, NonIntegerResult
 
 __all__ = [
@@ -287,7 +285,10 @@ def repcount_piecewise(q: int, k: int, m: int) -> int:
     """Solution count R_q for the one-free-row system, split by exponent q.
 
     q = 1 and q = 2 have flat integer forms; q >= 3 folds a geometric sum
-    into an exact dyadic bracket. Requires m <= k - 1.
+    g into 2^E (1 + 3g 2^-a + D 2^-b), with E = (q-1)(k+m+1) + 1,
+    a = (q-2)m + 2, b = q(1+m) and D = 2^(k+m) - 2^(2m). Requires
+    m <= k - 1, so E - a = (q-1)k + m + q - 2 and E - b = (q-1)k - m are
+    both positive and every term is an integer shift.
     """
     if q < 1 or m < 0 or m > k - 1:
         raise ValueError("requires q >= 1 and 0 <= m <= k-1, got q=%d k=%d m=%d" % (q, k, m))
@@ -296,9 +297,6 @@ def repcount_piecewise(q: int, k: int, m: int) -> int:
     if q == 2:
         return (1 << (2 * k)) + 3 * (m + 1) * (1 << (k + m))
     geometric = sum(1 << ((q - 2) * r) for r in range(m))
-    bracket = (
-        DyadicRational(1)
-        + DyadicRational(3 * geometric, -((q - 2) * m + 2))
-        + DyadicRational((1 << (k + m)) - (1 << (2 * m)), -q * (1 + m))
-    )
-    return (DyadicRational(1, (q - 1) * (k + m + 1) + 1) * bracket).to_int()
+    return ((1 << ((q - 1) * (k + m + 1) + 1))
+            + (3 * geometric << ((q - 1) * k + m + q - 2))
+            + (((1 << (k + m)) - (1 << (2 * m))) << ((q - 1) * k - m)))

@@ -35,14 +35,6 @@ class BitMatrix:
     def rows(self) -> Tuple[int, ...]:
         return self._rows
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return (self.nrows, self.ncols, self._rows) == (other.nrows, other.ncols, other._rows)
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self._rows))
-
     def __repr__(self) -> str:
         return "BitMatrix(%d, %d, %r)" % (self.nrows, self.ncols, list(self._rows))
 

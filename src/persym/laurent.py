@@ -10,12 +10,13 @@ precision: any operation that would need one raises InsufficientPrecision.
 The additive character E sends a series to (-1) raised to its T^-1
 coefficient; every exponential sum in this package is built from its
 value on the fractional part of t*p (`char_E_of_product`). The direct sums
-in `expsum` take that parity as the XOR of the monomials of the product.
+in `expsum` and the brute count in `census` take that parity as the XOR of
+the monomials of the product, on plain ints. So `Poly2`, `poly_mul` and
+`char_E_of_product` have no caller in the package; they stay because
+`perfbench/layers.py` times them.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .exceptions import InsufficientPrecision
 
@@ -41,37 +42,8 @@ class Poly2:
             raise ValueError("coefficient bits must be nonnegative")
         self.bits = bits
 
-    @classmethod
-    def from_string(cls, literal: str) -> "Poly2":
-        """Parse a bit-string literal; the leftmost character is the constant term."""
-        if literal == "" or literal.strip("01"):
-            raise ValueError("polynomial literal must be a nonempty string of 0/1")
-        return cls(int(literal[::-1], 2))
-
-    def to_string(self, width: Optional[int] = None) -> str:
-        if width is None:
-            width = max(1, self.bits.bit_length())
-        if self.bits.bit_length() > width:
-            raise ValueError("width too small for this polynomial")
-        return format(self.bits, "b").zfill(width)[::-1]
-
-    @property
-    def degree(self) -> Optional[int]:
-        """Degree of the polynomial, or None for the zero polynomial."""
-        if self.bits == 0:
-            return None
-        return self.bits.bit_length() - 1
-
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(("Poly2", self.bits))
 
     def __repr__(self) -> str:
         return "Poly2(0b%s)" % format(self.bits, "b")
@@ -91,10 +63,6 @@ class UnitSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, precision: int) -> "UnitSeries":
-        return cls(0, precision)
-
-    @classmethod
     def from_string(cls, literal: str) -> "UnitSeries":
         """Parse a bit-string literal; the leftmost character is a_1."""
         if literal.strip("01"):
@@ -104,16 +72,6 @@ class UnitSeries:
 
     def to_string(self) -> str:
         return format(self.coeffs, "b").zfill(self.precision)[::-1] if self.precision else ""
-
-    def coefficient(self, i: int) -> int:
-        """a_i, the coefficient of T^-i (1-indexed)."""
-        if i < 1:
-            raise ValueError("coefficients are indexed from 1")
-        if i > self.precision:
-            raise InsufficientPrecision(
-                "coefficient a_%d requested but only %d are stored" % (i, self.precision)
-            )
-        return (self.coeffs >> (i - 1)) & 1
 
     def require(self, precision: int) -> None:
         """Fail unless at least this many coefficients are stored."""
@@ -126,14 +84,6 @@ class UnitSeries:
         """Drop coefficients past the requested precision (never invents them)."""
         self.require(precision)
         return UnitSeries(self.coeffs & ((1 << precision) - 1), precision)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnitSeries):
-            return NotImplemented
-        return (self.precision, self.coeffs) == (other.precision, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash(("UnitSeries", self.precision, self.coeffs))
 
     def __repr__(self) -> str:
         return "UnitSeries(%r)" % self.to_string()

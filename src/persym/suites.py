@@ -5,8 +5,10 @@ A suite runner takes its parameters p, the parsed command line args and
 run_census(kind, params, label=None), which runs a rank census with the
 command's --threads, --budget-bits and --checkpoint (plus .label, or
 .kind). It returns (computed, expected), two JSON-ready dicts that are
-equal when the statement holds there. Only `persym verify` loads this
-module, and each runner imports the modules it calls in its own body.
+equal when the statement holds there. Five suites (thm3.1, thm3.3,
+thm3.8, thm3.9 and landsberg) set one census against one closed table,
+and share `_census_against_table` for it. Only `persym verify` loads
+this module, and each runner imports the modules it calls in its own body.
 """
 
 from collections import Counter
@@ -25,24 +27,30 @@ def _render(value):
     return value
 
 
-def verify_window_census(p, args, run_census):
-    """Window rank census against the closed product form."""
+def _census_against_table(run_census, census_args, table):
+    """run_census(*census_args), then table(formulas), the closed table it
+    should equal, both as the CLI prints them. The census runs first, so
+    its budget refuses a shape before any of the table is built."""
     from . import census, formulas
 
-    got = run_census("gamma", (p["s"], p["k"]))
-    want = formulas.gamma_table(p["s"], p["k"])
-    return census._table_text(got), census._table_text(want)
+    got = run_census(*census_args)
+    return census._table_text(got), census._table_text(table(formulas))
+
+
+def verify_window_census(p, args, run_census):
+    """Window rank census against the closed product form."""
+    s, k = p["s"], p["k"]
+    return _census_against_table(run_census, ("gamma", (s, k)),
+                                 lambda f: f.gamma_table(s, k))
 
 
 def verify_profile_census(p, args, run_census):
     """Rank profile census of the four nested windows against the closed table."""
-    from . import census, formulas
-
-    if not 1 <= p["s"] <= p["k"]:
-        raise ValueError("requires 1 <= s <= k, got s=%d k=%d" % (p["s"], p["k"]))
-    got = run_census("quad", (p["l"], p["s"], p["k"]))
-    want = formulas.quad_table(p["s"], p["k"])
-    return census._table_text(got), census._table_text(want)
+    s, k = p["s"], p["k"]
+    if not 1 <= s <= k:
+        raise ValueError("requires 1 <= s <= k, got s=%d k=%d" % (s, k))
+    return _census_against_table(run_census, ("quad", (p["l"], s, k)),
+                                 lambda f: f.quad_table(s, k))
 
 
 def _even_moment(s, k, g_tally, quads, q):
@@ -82,20 +90,16 @@ def verify_even_moments(p, args, run_census):
 
 def verify_one_extra_row(p, args, run_census):
     """Census with one appended row against the printed case tables."""
-    from . import census, formulas
-
-    got = run_census("stacked", (1, p["m"], p["k"]))
-    want = formulas.stacked1_gamma_table(p["m"], p["k"])
-    return census._table_text(got), census._table_text(want)
+    m, k = p["m"], p["k"]
+    return _census_against_table(run_census, ("stacked", (1, m, k)),
+                                 lambda f: f.stacked1_gamma_table(m, k))
 
 
 def verify_stacked_census(p, args, run_census):
     """Census with n appended rows against the coefficient expansion."""
-    from . import census, formulas
-
-    got = run_census("stacked", (p["n"], p["m"], p["k"]))
-    want = formulas.stacked_gamma_table(p["n"], p["m"], p["k"])
-    return census._table_text(got), census._table_text(want)
+    n, m, k = p["n"], p["m"], p["k"]
+    return _census_against_table(run_census, ("stacked", (n, m, k)),
+                                 lambda f: f.stacked_gamma_table(n, m, k))
 
 
 def verify_coefficient_rows(p, args, run_census):
@@ -144,13 +148,11 @@ def verify_unstructured(p, args, run_census):
 
     A rows x k matrix is one k-bit row with rows - 1 free rows below it.
     """
-    from . import census, formulas
-
     rows, k = p["rows"], p["k"]
     if rows < 1:
         raise ValueError("--rows must be at least 1, got %d" % rows)
-    got = run_census("stacked", (rows - 1, 0, k), "landsberg")
-    return census._table_text(got), census._table_text(formulas.landsberg_table(rows, k))
+    return _census_against_table(run_census, ("stacked", (rows - 1, 0, k), "landsberg"),
+                                 lambda f: f.landsberg_table(rows, k))
 
 
 def verify_partition_suite(p, args, run_census):

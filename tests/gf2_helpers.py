@@ -2,12 +2,13 @@
 
 The package works on bit-packed rows; these helpers build a matrix from
 nested 0/1 lists, read it back, and derive the transpose and the kernel
-dimension, so tests can state small examples entry by entry.
+dimension, so tests can state small examples entry by entry. A BitMatrix
+has no equality of its own: tests compare `shape_and_rows`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from persym.gf2 import BitMatrix, rank
 
@@ -28,6 +29,10 @@ def from_entries(entries: Sequence[Sequence[int]], ncols: int | None = None) -> 
             packed |= e << j
         rows.append(packed)
     return BitMatrix(nrows, ncols, rows)
+
+
+def shape_and_rows(m: BitMatrix) -> Tuple[int, int, Tuple[int, ...]]:
+    return (m.nrows, m.ncols, m.rows)
 
 
 def to_entries(m: BitMatrix) -> List[List[int]]:

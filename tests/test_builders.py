@@ -8,7 +8,7 @@ from persym.exceptions import InsufficientPrecision
 from persym.gf2 import rank
 from persym.laurent import UnitSeries
 
-from gf2_helpers import entry, from_entries, to_entries
+from gf2_helpers import entry, from_entries, shape_and_rows, to_entries
 from oracles import oracle_hankel_entries, oracle_rank_minors
 
 
@@ -22,7 +22,7 @@ def test_hankel_layout():
 
 
 def test_hankel_zero_series():
-    m = hankel(UnitSeries.zero(6), 1, 3, 4)
+    m = hankel(UnitSeries(0, 6), 1, 3, 4)
     assert rank(m) == 0
 
 
@@ -66,11 +66,11 @@ def test_hankel_matches_oracle_and_is_persymmetric(bits, l, n, m):
 
 def test_stacked_without_rows_is_plain_block():
     t = S("10110")
-    assert stacked(t, [], 2, 3) == hankel(t, 1, 3, 3)
+    assert shape_and_rows(stacked(t, [], 2, 3)) == shape_and_rows(hankel(t, 1, 3, 3))
 
 
 def test_stacked_zero_case():
-    m = stacked(UnitSeries.zero(2), [UnitSeries.zero(2)], 0, 2)
+    m = stacked(UnitSeries(0, 2), [UnitSeries(0, 2)], 0, 2)
     assert (m.nrows, m.ncols) == (2, 2)
     assert rank(m) == 0
 
@@ -93,7 +93,7 @@ def test_stacked_precision_guards():
 
 
 def test_rank_profile_zero():
-    assert rank_profile(UnitSeries.zero(3), 1, 2, 2) == (0, 0, 0, 0)
+    assert rank_profile(UnitSeries(0, 3), 1, 2, 2) == (0, 0, 0, 0)
 
 
 def test_rank_profile_examples():
@@ -161,5 +161,5 @@ def test_stacked_matches_explicit_build(t_bits, m, k, n_etas):
     etas = [UnitSeries((t_bits >> (3 * j)) & ((1 << k) - 1), k) for j in range(n_etas)]
     built = stacked(t, etas, m, k)
     top = hankel(t, 1, 1 + m, k)
-    expected = to_entries(top) + [[e.coefficient(i + 1) for i in range(k)] for e in etas]
-    assert built == from_entries(expected, k)
+    expected = to_entries(top) + [[(e.coeffs >> i) & 1 for i in range(k)] for e in etas]
+    assert shape_and_rows(built) == shape_and_rows(from_entries(expected, k))

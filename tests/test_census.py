@@ -13,7 +13,7 @@ from persym import census as C
 from persym import formulas as F
 from persym.builders import hankel, rank_profile, stacked
 from persym.dyadic import DyadicRational
-from persym.exceptions import BudgetExceeded, IncompleteDomain, NonIntegerResult
+from persym.exceptions import BudgetExceeded, IncompleteDomain
 from persym.expsum import g_closed, h_closed
 from persym.gf2 import rank
 from persym.laurent import UnitSeries
@@ -837,16 +837,6 @@ class TestRepcounts:
         assert C.repcount_multi_formula(2, 0, 2, 1) == 64
         assert C.repcount_multi_formula(1, 0, 4, 2) == (1 << 4) + (1 << 3) - 1
 
-    def test_formula_accepts_census_table(self):
-        for q, s, k in [(1, 2, 2), (2, 2, 3), (3, 3, 3)]:
-            census = C.enum_gamma(s, k)
-            assert C.repcount_multi_formula(q, 0, k, s - 1, census) == (
-                C.repcount_multi_formula(q, 0, k, s - 1))
-
-    def test_inconsistent_table_raises(self):
-        with pytest.raises(NonIntegerResult):
-            C.repcount_multi_formula(1, 0, 2, 1, {1: 3, 2: 1})
-
     def test_multi_formula_known_values(self):
         assert C.repcount_multi_formula(3, 5, 4, 2) == 24413824
         assert C.repcount_multi_formula(1, 1, 3, 2) == 23
@@ -868,6 +858,10 @@ class TestRepcounts:
             assert C.repcount_bruteforce(q, 0, k, m) == C.repcount_multi_formula(
                 q, 0, k, s - 1)
         assert C.repcount_bruteforce(1, 1, 3, 2) == 23
+
+    @pytest.mark.parametrize("q,n,k,m", [(2, 1, 4, 3), (2, 1, 4, 5)])
+    def test_bruteforce_at_the_benchmark_shapes(self, q, n, k, m):
+        assert C.repcount_bruteforce(q, n, k, m) == C.repcount_multi_formula(q, n, k, m)
 
     def test_integral_matches_formula(self):
         for q, s, k in [(1, 2, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2)]:

@@ -285,6 +285,53 @@ class TestVerifyCommand:
             '"expected":{"same,0":1,"same,1":6,"same,2":16,"up,1":3,"up,2":6,'
             '"sum,0":1,"sum,1":9,"sum,2":22},"match":true}\n')
 
+    @pytest.mark.parametrize("suite,report", [
+        ("thm3.1", '{"params":{"theorem":"thm3.1","s":3,"k":4},'
+                   '"computed":{"0":1,"1":3,"2":12,"3":48},'
+                   '"expected":{"0":1,"1":3,"2":12,"3":48},"match":true}\n'),
+        ("thm3.3", '{"params":{"theorem":"thm3.3","l":1,"s":2,"k":3},'
+                   '"computed":{"0,0,0,0":1,"0,0,0,1":1,"0,1,1,2":2,"1,1,1,1":2,'
+                   '"1,1,1,2":2,"1,1,2,2":8},'
+                   '"expected":{"0,0,0,0":1,"0,0,0,1":1,"0,1,1,2":2,"1,1,1,1":2,'
+                   '"1,1,1,2":2,"1,1,2,2":8},"match":true}\n'),
+        ("thm3.8", '{"params":{"theorem":"thm3.8","m":1,"k":3},'
+                   '"computed":{"0":1,"1":13,"2":66,"3":48},'
+                   '"expected":{"0":1,"1":13,"2":66,"3":48},"match":true}\n'),
+        ("thm3.9", '{"params":{"theorem":"thm3.9","n":1,"m":2,"k":3},'
+                   '"computed":{"0":1,"1":13,"2":66,"3":176},'
+                   '"expected":{"0":1,"1":13,"2":66,"3":176},"match":true}\n'),
+        ("landsberg", '{"params":{"theorem":"landsberg","rows":2,"k":2},'
+                      '"computed":{"0":1,"1":9,"2":6},'
+                      '"expected":{"0":1,"1":9,"2":6},"match":true}\n'),
+    ])
+    def test_table_suite_report_bytes(self, capsys, suite, report):
+        code, out, err = run_cli(["verify", suite], capsys)
+        assert (code, out, err) == (0, report, "")
+
+    def test_help_lists_every_suite_with_its_line(self, capsys):
+        code, out, _ = run_cli(["verify", "-h"], capsys)
+        assert code == 0
+        listed = " ".join(out.split())  # argparse wraps to the terminal width
+        for line in [
+            "thm3.1 Window rank census against the closed product form.",
+            "thm3.3 Rank profile census of the four nested windows against the "
+            "closed table.",
+            "thm3.5 Even power sums of g against the weighted diagonal profile counts.",
+            "thm3.8 Census with one appended row against the printed case tables.",
+            "thm3.9 Census with n appended rows against the coefficient expansion.",
+            "cor3.10 Coefficient recurrence against the closed alternating sum and "
+            "stored rows.",
+            "thm3.11 Brute-force representation count against the stacked-census "
+            "formula.",
+            "landsberg Rank census over all matrices of a shape against the "
+            "classical product.",
+            "lemmas5.x Deletion and parity identities tying the window censuses "
+            "together.",
+            "sigma6.x Split of the one-extra-row census by whether the row stays "
+            "in span.",
+        ]:
+            assert line in listed
+
     @pytest.mark.parametrize("lost", [lambda key: key[1] == 3, lambda key: True],
                              ids=["top-rank", "everything"])
     def test_row_split_census_that_loses_keys_exits_one(self, capsys, monkeypatch, lost):

@@ -21,8 +21,8 @@ EXPSUM = {"expsum", "builders", "gf2", "laurent", "lanes"}
 IMPORT_PATHS = {
     "census gamma --s 2 --k 2": {"census", "lanes"},
     "census quad --s 2 --k 2 --format csv": {"census", "lanes"},
-    "verify thm3.1": {"suites", "census", "lanes", "formulas", "dyadic"},
-    "verify cor3.10": {"suites", "formulas", "dyadic"},
+    "verify thm3.1": {"suites", "census", "lanes", "formulas"},
+    "verify cor3.10": {"suites", "formulas"},
     "expsum h --s 2 --k 2 --t 100": EXPSUM,
     "expsum g --s 2 --k 2 --t 100": EXPSUM,
     "expsum g2 --m 1 --k 2 --t 100 --eta 10": EXPSUM,
@@ -30,6 +30,8 @@ IMPORT_PATHS = {
     "expsum fmulti --m 1 --k 2 --t 100 --etas 10,11": EXPSUM,
     # repcount_* live in census, so a formula count loads the lanes too
     "repcount --mode formula --q 1 --n 0 --k 2 --m 1": {"census", "lanes", "formulas", "dyadic"},
+    # the brute count multiplies on plain ints, so it loads no laurent
+    "repcount --mode brute --q 1 --n 1 --k 2 --m 1": {"census", "lanes"},
 }
 
 
