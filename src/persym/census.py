@@ -3,7 +3,9 @@
 Every count the closed forms predict is recomputed here by walking the
 full coset grid: window rank distributions, corner-deleted rank
 quadruples, row-append comparisons, stacked-block distributions, and the
-brute-force representation counts. Censuses are data-parallel over
+brute-force representation counts. The coset integral of a representation
+count is the stacked distribution weighted by rank, as the closed count
+weights the closed table. Censuses are data-parallel over
 disjoint index ranges; partial tallies merge by plain addition, so any
 partitioning (including a resumed checkpoint file) gives identical
 results. A checkpoint file opens with a header naming its census,
@@ -42,10 +44,10 @@ import os
 from collections import Counter
 from typing import Container, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-# only the stdlib, lanes and exceptions here: the integrals and representation
-# counts import what they use in their own bodies, so a census loads no more
+# only the stdlib, lanes and exceptions here: the coset integrals import dyadic
+# and the closed count formulas in their own bodies, so a census loads no more
 from . import lanes
-from .exceptions import DEFAULT_BUDGET_BITS, IncompleteDomain, check_budget
+from .exceptions import DEFAULT_BUDGET_BITS, IncompleteDomain, NonIntegerResult, check_budget
 
 __all__ = [
     "DEFAULT_BUDGET_BITS",
@@ -440,20 +442,26 @@ def _check_qnkm(q: int, n: int, k: int, m: int) -> None:
         )
 
 
+def _count_from_ranks(ranks: Mapping[int, int], q: int, n: int, k: int, m: int) -> int:
+    """R = 2^-(k+m+nk) * sum_r count_r * 2^(q(k+m+n+1-r)), from the rank
+    distribution of the stacked census: 2^(k+m+n+1-r) is the character sum
+    at a grid point of rank r. The sum must come out an integer."""
+    total = sum(count << q * (k + m + n + 1 - r) for r, count in ranks.items())
+    bits = k + m + n * k
+    if total & ((1 << bits) - 1):
+        raise NonIntegerResult("count %d / 2^%d is not an integer" % (total, bits))
+    return total >> bits
+
+
 def repcount_multi_formula(q: int, n: int, k: int, m: int) -> int:
     """Count of solution q-tuples for the stacked system, from the closed
     rank distribution. With n = 0 the system is the window system of the
-    (1+m) x k block. The dyadic sum must come out an integer.
+    (1+m) x k block.
     """
     from . import formulas
-    from .dyadic import DyadicRational
 
     _check_qnkm(q, n, k, m)
-    acc = DyadicRational(0)
-    for i, count in formulas.stacked_gamma_table(n, m, k).items():
-        acc += DyadicRational(count, -q * i)
-    exponent = q * (k + m + n + 1) - ((n + 1) * k + m)
-    return (acc * DyadicRational(1, exponent)).to_int()
+    return _count_from_ranks(formulas.stacked_gamma_table(n, m, k), q, n, k, m)
 
 
 def repcount_integral(
@@ -462,45 +470,14 @@ def repcount_integral(
     """Count of solution q-tuples as an exact coset integral.
 
     At each grid point (t, eta_1..eta_n) the closed character sum is
-    2^(k+m+n+1-r), r the rank of the t block over the n eta rows; the
-    values are tallied and the q-th power integrated off the tally, and
-    the result must be an integer.
-
-    Each t block is reduced once (echelon of its hankel_rows). Reducing an
-    eta row against it clears the block's pivot columns without leaving
-    the span, so r is the block's rank plus the rank of the reduced eta
-    rows. The reduced rows are exactly the rows on the block's free
-    (non-pivot) columns, each reached from 2^(block rank) eta rows. So the
-    t blocks are tallied by their free columns, and each n-tuple of rows
-    on those columns is ranked once per distinct set of free columns,
-    weighted by the points that reduce to it.
+    2^(k+m+n+1-r), r the rank of the (1+m) x k t block over the n eta
+    rows, so the integral of its q-th power over the 2^(k+m+nk) points is
+    the stacked census weighted by 2^(q(k+m+n+1-r)). Only the source of
+    the rank distribution differs from `repcount_multi_formula`.
     """
-    from .builders import hankel_rows
-    from .gf2 import echelon
-    from .laurent import UnitSeries
-
     _check_qnkm(q, n, k, m)
-    t_bits = k + m
-    bits = t_bits + n * k
-    check_budget(bits, budget_bits, "integral q=%d n=%d k=%d m=%d" % (q, n, k, m))
-    frees: Counter = Counter()  # free columns of the t block -> number of t
-    for tv in range(1 << t_bits):
-        free = (1 << k) - 1
-        for row in echelon(hankel_rows(UnitSeries(tv, t_bits), 1, 1 + m, k)):
-            free ^= row & -row
-        frees[free] += 1
-    values: Counter = Counter()
-    for free, count in frees.items():
-        block_rank = k - free.bit_count()
-        forms = [0]
-        for j in range(k):
-            if free >> j & 1:
-                forms += [form | 1 << j for form in forms]
-        weight = count << (block_rank * n)
-        for etas in itertools.product(forms, repeat=n):
-            r = block_rank + len(echelon(etas))
-            values[1 << (k + m + n + 1 - r)] += weight
-    return integrate_tally(values, bits, q).to_int()
+    ranks = enum_stacked_gamma(n, m, k, budget_bits=budget_bits)
+    return _count_from_ranks(ranks, q, n, k, m)
 
 
 def _xor_convolve(a: Mapping[int, int], b: Mapping[int, int]) -> Counter:

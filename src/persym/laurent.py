@@ -70,9 +70,6 @@ class UnitSeries:
         bits = int(literal[::-1], 2) if literal else 0
         return cls(bits, len(literal))
 
-    def to_string(self) -> str:
-        return format(self.coeffs, "b").zfill(self.precision)[::-1] if self.precision else ""
-
     def require(self, precision: int) -> None:
         """Fail unless at least this many coefficients are stored."""
         if precision > self.precision:
@@ -86,7 +83,7 @@ class UnitSeries:
         return UnitSeries(self.coeffs & ((1 << precision) - 1), precision)
 
     def __repr__(self) -> str:
-        return "UnitSeries(%r)" % self.to_string()
+        return "UnitSeries(%r)" % "".join(str(self.coeffs >> i & 1) for i in range(self.precision))
 
 
 def poly_mul(a: Poly2, b: Poly2) -> Poly2:

@@ -14,7 +14,7 @@ from persym import formulas as F
 from persym.builders import hankel, rank_profile, stacked
 from persym.dyadic import DyadicRational
 from persym.exceptions import BudgetExceeded, IncompleteDomain
-from persym.expsum import g_closed, h_closed
+from persym.expsum import fmulti_closed, g_closed, h_closed
 from persym.gf2 import rank
 from persym.laurent import UnitSeries
 
@@ -720,11 +720,12 @@ class TestRouteIndependence:
             for attr, value in list(vars(module).items()):
                 if id(value) in oracles:
                     monkeypatch.setattr(module, attr, refuse)
-        with pytest.raises(AssertionError):
-            C.repcount_integral(2, 1, 2, 1)
+        with pytest.raises(AssertionError):  # the patch reaches a gf2 caller
+            fmulti_closed(0, 1, UnitSeries(0, 1), [UnitSeries(0, 1)])
         same, up = split_sigma(C.enum_sigma(1, 3))
         assert [dict(C.enum_gamma(3, 4)), dict(C.enum_quadruple(1, 3, 3)), dict(same + up),
                 dict(C.enum_stacked_gamma(2, 1, 2))] == want
+        assert C.repcount_integral(2, 1, 2, 1) == 148
 
 
 WALK_WORKER = C._walk_worker
@@ -872,6 +873,14 @@ class TestRepcounts:
 
     def test_integral_at_the_benchmark_shape(self):
         assert C.repcount_integral(2, 1, 6, 6) == C.repcount_multi_formula(2, 1, 6, 6) == 163456
+
+    @pytest.mark.parametrize("q, n, k, m, budget_bits", [
+        (2, 2, 8, 4, 28), (2, 1, 12, 4, 28), (2, 3, 6, 4, 28), (2, 4, 5, 3, 28),
+        (2, 3, 8, 4, 36),  # 2^36 points, over the default budget
+    ])
+    def test_integral_at_the_roadmap_shapes(self, q, n, k, m, budget_bits):
+        assert C.repcount_integral(q, n, k, m, budget_bits=budget_bits) == \
+            C.repcount_multi_formula(q, n, k, m)
 
     def test_piecewise_matches_formula(self):
         for q in range(1, 6):

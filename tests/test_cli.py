@@ -575,6 +575,14 @@ class TestRepcountCommand:
              "--m", "2"], capsys)
         assert code == 0 and out == "23\n"
 
+    def test_integral_runs_at_its_budget_and_exits_two_one_bit_under(self, capsys):
+        argv = ["repcount", "--mode", "integral", "--q", "1", "--n", "1", "--k", "3",
+                "--m", "2", "--budget-bits"]
+        assert run_cli(argv + ["8"], capsys) == (0, "23\n", "")
+        assert run_cli(argv + ["7"], capsys) == (
+            2, "", "error: census stacked n=1 m=2 k=3 needs a 2^8 point domain,"
+            " over the 2^7 budget\n")
+
     def test_check_mode_runs_affordable_modes(self, capsys):
         code, out, _ = run_cli(
             ["repcount", "--check", "--q", "2", "--n", "1", "--k", "2", "--m", "1"],

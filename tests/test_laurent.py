@@ -122,7 +122,7 @@ def test_frac_mul_shifts_out_integer_part():
 
 def test_frac_mul_shift_by_one():
     out = frac_mul(S("010"), P("01"))
-    assert out.precision == 2 and out.to_string() == "10"
+    assert (out.precision, out.coeffs) == (2, 1)  # a_1 = 1, a_2 = 0
 
 
 def test_frac_mul_zero_poly():
@@ -224,7 +224,7 @@ def test_full_polynomial_sum_collapses_or_vanishes(u_bits, j):
 
 
 def test_series_literal_round_trip():
-    assert S("0110").to_string() == "0110"
+    assert repr(S("0110")) == "UnitSeries('0110')"
     assert S("").precision == 0
     assert S("100").coeffs == 1 and S("001").coeffs == 4
 

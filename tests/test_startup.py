@@ -29,7 +29,9 @@ IMPORT_PATHS = {
     "expsum f2 --m 1 --k 2 --t 100 --eta 10": EXPSUM,
     "expsum fmulti --m 1 --k 2 --t 100 --etas 10,11": EXPSUM,
     # repcount_* live in census, so a formula count loads the lanes too
-    "repcount --mode formula --q 1 --n 0 --k 2 --m 1": {"census", "lanes", "formulas", "dyadic"},
+    "repcount --mode formula --q 1 --n 0 --k 2 --m 1": {"census", "lanes", "formulas"},
+    # the integral is the stacked census, weighted
+    "repcount --mode integral --q 1 --n 1 --k 2 --m 1": {"census", "lanes"},
     # the brute count multiplies on plain ints, so it loads no laurent
     "repcount --mode brute --q 1 --n 1 --k 2 --m 1": {"census", "lanes"},
 }
@@ -57,6 +59,7 @@ def test_lanes_census_and_expsum_import_apart():
              for path in pathlib.Path(cli.__file__).parent.glob("*.py")}
     assert set().union(*graph.values()) <= set(graph)
     assert {"lanes", "formulas"} <= graph["census"]  # formulas only in a function body
+    assert not {"gf2", "builders", "laurent"} & graph["census"]
     assert graph["lanes"] == set()
     assert "expsum" not in graph["census"] and "census" not in graph["expsum"]
 
