@@ -44,7 +44,7 @@ import os
 from collections import Counter
 from typing import Container, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-# only the stdlib, lanes and exceptions here: the coset integrals import dyadic
+# only the stdlib, lanes and exceptions here: the coset integral imports dyadic
 # and the closed count formulas in their own bodies, so a census loads no more
 from . import lanes
 from .exceptions import DEFAULT_BUDGET_BITS, IncompleteDomain, NonIntegerResult, check_budget
@@ -56,7 +56,6 @@ __all__ = [
     "enum_sigma",
     "enum_stacked_gamma",
     "integrate_coset",
-    "integrate_tally",
     "repcount_multi_formula",
     "repcount_integral",
     "repcount_bruteforce",
@@ -199,7 +198,8 @@ def _run_chunks(
     The kind's data (name, blocks, rows, free, split) is positional only, so
     no forwarded option reaches it. The keyword options every enum_* forwards
     are declared here only: threads=1 (worker processes, at least 1),
-    budget_bits=DEFAULT_BUDGET_BITS (refuse over 2^budget_bits points),
+    budget_bits=DEFAULT_BUDGET_BITS (refuse over 2^budget_bits windows ranked,
+    or free rows of over budget_bits bits in all),
     checkpoint=None (a file to append finished chunks to and resume from),
     chunk_size=None (windows per chunk; None means total >> 6, but at least
     one whole 2^lanes._LANE_BITS-lane word, or the whole domain if it is smaller).
@@ -215,7 +215,9 @@ def _run_chunks(
     finished before it stay in the checkpoint for a rerun to resume.
     """
     k = max(width for width, _ in blocks)
-    check_budget(k + rows - 1 + free * k, budget_bits, "census " + name)
+    # the kernel ranks 2^(k+rows-1) windows; free rows are only expanded,
+    # and their bits bound the size of the printed counts
+    check_budget(max(k + rows - 1, free * k), budget_bits, "census " + name)
     total = 1 << (k + rows - 1)
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
@@ -319,9 +321,11 @@ def _walk_worker(args: Tuple[Blocks, int, int, int]) -> Counter:
         for width, with_last in blocks:
             ge, last = seen[width]
             if not with_last:  # the last row's pivot, if any, leaves the block
-                ge = [(ge[r] & (full ^ last)) | (ge[r + 1] & last) for r in range(top + 1)] + [0]
-            joint = [(key + (r,), both) for key, lanes_in in joint for r in range(top + 1)
-                     if (both := lanes_in & (ge[r] ^ ge[r + 1]))]
+                keep = full ^ last
+                ge = [(ge[r] & keep) | (ge[r + 1] & last) for r in range(top + 1)] + [0]
+            exact = [(r, lanes_r) for r in range(top + 1) if (lanes_r := ge[r] ^ ge[r + 1])]
+            joint = [(key + (r,), both) for key, lanes_in in joint for r, lanes_r in exact
+                     if (both := lanes_in & lanes_r)]
         for key, lanes_in in joint:
             counts[key if len(key) > 1 else key[0]] += lanes_in.bit_count()
     return counts
@@ -412,25 +416,6 @@ def integrate_coset(values, N: int) -> DyadicRational:
                 "expected %d representatives, got %d" % (size, len(seq))
             )
         total = sum(seq)
-    return DyadicRational(total, -N)
-
-
-def integrate_tally(tally: Mapping[int, int], N: int, power: int = 1) -> DyadicRational:
-    """Exact Haar integral of f^power from the tally of f over the depth-N grid.
-
-    tally maps each value of f to the number of representatives in
-    [0, 2^N) where f takes it; together they must cover all 2^N.
-    """
-    from .dyadic import DyadicRational
-
-    if N < 0:
-        raise ValueError("coset depth must be nonnegative, got %d" % N)
-    points = sum(tally.values())
-    if points != 1 << N:
-        raise IncompleteDomain(
-            "expected %d representatives, got %d" % (1 << N, points)
-        )
-    total = sum(count * value**power for value, count in tally.items())
     return DyadicRational(total, -N)
 
 

@@ -38,6 +38,7 @@ from .exceptions import (
     IncompleteDomain,
     InsufficientPrecision,
     NonIntegerResult,
+    check_budget,
 )
 
 
@@ -111,6 +112,10 @@ _VERIFIERS = {
 _SUITE_FLAG_HELP = {
     ("cor3.10", "n"): "rows 1..N of the coefficient triangle; the closed side "
     "grows about as N^5, so N is refused when the bit length of N^4 is over "
+    "--budget-bits (default: %(default)s)",
+    ("thm3.5", "q"): "powers g^2 .. g^2q; the report prints 2q values of up to "
+    "2q(k+s) bits, and printing W 64-bit words takes about W^2 steps, so q is "
+    "refused when the bit length of 2q W^2, W = q(k+s)//32 + 1, is over "
     "--budget-bits (default: %(default)s)",
 }
 
@@ -215,6 +220,9 @@ _REPCOUNT_MODES = {
 def _cmd_repcount(args) -> int:
     from . import census
 
+    # the count has up to q(k+m+n+1) bits, W 64-bit words printed in about W^2 steps
+    words = max(0, args.q * (args.k + args.m + args.n + 1)) // 64 + 1
+    check_budget((words * words).bit_length(), args.budget_bits, "repcount q=%d" % args.q)
     params = (census, args.q, args.n, args.k, args.m, args.budget_bits)
     if not args.check:
         print(_REPCOUNT_MODES[args.mode](*params))
@@ -338,7 +346,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES))
     how.add_argument("--check", action="store_true",
                      help="run every mode within budget and compare")
-    required(rep, ("q", "n", "k", "m"))
+    rep.add_argument("--q", required=True, type=int, help="tuple length; the count "
+                     "has up to q(k+m+n+1) bits, and printing W 64-bit words takes "
+                     "about W^2 steps, so q is refused when the bit length of W^2, "
+                     "W = q(k+m+n+1)//64 + 1, is over --budget-bits")
+    required(rep, ("n", "k", "m"))
     budget(rep)
     # accepted so that every census-running command takes the same flags
     rep.add_argument("--threads", type=_worker_count, help="accepted and unused: "

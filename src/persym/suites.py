@@ -16,15 +16,12 @@ from collections import Counter
 from .exceptions import check_budget
 
 
-def _render(value):
-    """JSON-friendly form of a count; dyadic fractions become strings."""
-    from .dyadic import DyadicRational
-
-    if isinstance(value, DyadicRational):
-        if value.is_integer():
-            return value.to_int()
-        return "%d/2^%d" % (value.mantissa, -value.exponent)
-    return value
+def _over_power_of_two(n, e):
+    """n / 2^e as a report prints it: an int when exact, else "m/2^e" in
+    lowest terms."""
+    shift = min(e, (n & -n).bit_length() - 1) if n else e
+    n, e = n >> shift, e - shift
+    return n if e == 0 else "%d/2^%d" % (n, e)
 
 
 def _census_against_table(run_census, census_args, table):
@@ -54,16 +51,12 @@ def verify_profile_census(p, args, run_census):
 
 
 def _even_moment(s, k, g_tally, quads, q):
-    """Integral of g^{2q} over the window grid, and the weighted (j,j,j,j) sum."""
-    from . import census
-    from .dyadic import DyadicRational
-
-    lhs = census.integrate_tally(g_tally, k + s - 1, 2 * q)
-    rhs = DyadicRational(0)
-    for j in range(s):
-        rhs += DyadicRational(quads[(j, j, j, j)], -2 * q * j)
-    rhs *= DyadicRational(1, (s + k - 2) * (2 * q - 1))
-    return _render(lhs), _render(rhs)
+    """Integral of g^{2q} over the window grid, and the weighted (j,j,j,j)
+    sum, each an integer over a power of two."""
+    lhs = sum(count * value ** (2 * q) for value, count in g_tally.items())
+    rhs = sum(quads[(j, j, j, j)] << 2 * q * (s - 1 - j) for j in range(s))
+    return (_over_power_of_two(lhs, k + s - 1),
+            _over_power_of_two(rhs << (s + k - 2) * (2 * q - 1), 2 * q * (s - 1)))
 
 
 def verify_even_moments(p, args, run_census):
@@ -74,17 +67,20 @@ def verify_even_moments(p, args, run_census):
     set the exponential sum itself against the census."""
     from . import expsum
 
-    s, k = p["s"], p["k"]
-    if p["q"] < 1:
-        raise ValueError("--q must be at least 1, got %d" % p["q"])
+    s, k, q = p["s"], p["k"], p["q"]
+    if q < 1:
+        raise ValueError("--q must be at least 1, got %d" % q)
+    # 2q values of up to 2q(k+s) bits are printed, W 64-bit words in about W^2 steps
+    words = max(0, q * (k + s)) // 32 + 1
+    check_budget((2 * q * words * words).bit_length(), args.budget_bits, "verify thm3.5 q=%d" % q)
     g = expsum.g_vector(s, k)
     g1, g2 = expsum.g_boundary_vectors(s, k)
     factored = sum(a * a == b * c for a, b, c in zip(g, g1, g2))
     gs = Counter(g)
     quads = run_census("quad", (1, s, k))
     computed, expected = {"g^2 factors": factored}, {"g^2 factors": 1 << (k + s - 1)}
-    for q in range(1, p["q"] + 1):
-        computed["q=%d" % q], expected["q=%d" % q] = _even_moment(s, k, gs, quads, q)
+    for i in range(1, q + 1):
+        computed["q=%d" % i], expected["q=%d" % i] = _even_moment(s, k, gs, quads, i)
     return computed, expected
 
 

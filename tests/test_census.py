@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from persym import builders, gf2, lanes
+from persym import builders, gf2, lanes, suites
 from persym import census as C
 from persym import formulas as F
 from persym.builders import hankel, rank_profile, stacked
@@ -355,11 +355,19 @@ class TestEnumSigma:
         assert same.total() + up.total() == 1 << (3 + 2 + 3)
 
     def test_budget_boundary(self):
-        # 2^(k+m) windows times 2^k free rows
-        same, up = split_sigma(C.enum_sigma(2, 3, budget_bits=8))
+        # 2^(k+m) windows are ranked; the free row's k bits are fewer
+        same, up = split_sigma(C.enum_sigma(2, 3, budget_bits=5))
         assert same.total() + up.total() == 1 << 8
-        with pytest.raises(BudgetExceeded, match="census sigma m=2 k=3 needs a 2"):
-            C.enum_sigma(2, 3, budget_bits=7)
+        with pytest.raises(BudgetExceeded, match=re.escape("census sigma m=2 k=3 needs a 2^5 ")):
+            C.enum_sigma(2, 3, budget_bits=4)
+
+    def test_budget_charges_the_windows_ranked(self):
+        # 2^21 windows, 2^29 (window, free row) pairs
+        same, up = split_sigma(C.enum_sigma(13, 8))
+        assert dict(same + up) == F.stacked_gamma_table(1, 13, 8)
+        assert sum(C.enum_sigma(13, 8, budget_bits=21).values()) == 1 << 29
+        with pytest.raises(BudgetExceeded, match=re.escape("census sigma m=13 k=8 needs a 2^21 ")):
+            C.enum_sigma(13, 8, budget_bits=20)
 
 
 class TestEnumStacked:
@@ -378,8 +386,12 @@ class TestEnumStacked:
             assert dict(C.enum_stacked_gamma(n, m, k)) == F.stacked_gamma_table(n, m, k)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            C.enum_stacked_gamma(5, 2, 4, budget_bits=25)
+        # 2^6 windows, 5 free rows of 4 bits
+        assert dict(C.enum_stacked_gamma(5, 2, 4, budget_bits=20)) == (
+            F.stacked_gamma_table(5, 2, 4))
+        with pytest.raises(BudgetExceeded,
+                           match=re.escape("census stacked n=5 m=2 k=4 needs a 2^20 ")):
+            C.enum_stacked_gamma(5, 2, 4, budget_bits=19)
 
     def test_many_free_rows_over_a_small_block(self):
         # 2^33 and 2^32 tuples: only the windows are walked, and each chunk
@@ -666,7 +678,7 @@ class TestOptionForwarding:
     @pytest.mark.parametrize("name", ENUMS)
     def test_budget_below_the_domain_is_refused(self, name):
         with pytest.raises(BudgetExceeded):
-            getattr(C, name)(*TINY[name], budget_bits=3)
+            getattr(C, name)(*TINY[name], budget_bits=2)
 
     @pytest.mark.parametrize("name", ENUMS)
     @pytest.mark.parametrize("keyword", [
@@ -804,23 +816,28 @@ class TestIntegrateCoset:
             ]
             assert C.integrate_coset(values, 3) == DyadicRational(0)
 
-    def test_tally_domain_checked(self):
-        assert C.integrate_tally({5: 1, 3: 1}, 1) == DyadicRational(4)
-        assert C.integrate_tally({-2: 3, 2: 1}, 2, 3) == DyadicRational(-4)
-        with pytest.raises(IncompleteDomain):
-            C.integrate_tally({5: 1}, 1)
-        with pytest.raises(IncompleteDomain):
-            C.integrate_tally({1: 9}, 3)
+    def test_integer_moments_print_as_the_coset_integral(self):
+        # the even-moment suites print n / 2^e from plain ints
+        def printed(value):
+            if value.is_integer():
+                return value.to_int()
+            return "%d/2^%d" % (value.mantissa, -value.exponent)
 
-    def test_g_tallies_match_explicit_lists(self):
         for depth in range(3, 13):
             for s in range(2, depth):
                 k = depth + 1 - s
                 values = [g_closed(s, k, UnitSeries(v, depth)) for v in range(1 << depth)]
                 tally = Counter(values)
                 for power in range(1, 7):
-                    assert C.integrate_tally(tally, depth, power) == C.integrate_coset(
-                        [value**power for value in values], depth), (s, k, power)
+                    total = sum(count * value**power for value, count in tally.items())
+                    assert suites._over_power_of_two(total, depth) == printed(
+                        C.integrate_coset([value**power for value in values], depth)
+                    ), (s, k, power)
+        for n, e in [(0, 0), (0, 5), (7, 0), (40, 3), (-40, 3), (12, 4), (-6, 3), (5, 9)]:
+            assert suites._over_power_of_two(n, e) == printed(DyadicRational(n, -e)), (n, e)
+        assert suites._over_power_of_two(0, 5) == 0
+        assert suites._over_power_of_two(12, 4) == "3/2^2"
+        assert suites._over_power_of_two(-6, 3) == "-3/2^2"
 
     def test_mapping_domain_checked(self):
         assert C.integrate_coset({0: 5, 1: 3}, 1) == DyadicRational(4)

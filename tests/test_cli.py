@@ -405,6 +405,29 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", suite, "--s", "3", "--k", "4"], capsys)
         assert code == 0 and json.loads(out)["match"] is True
 
+    @pytest.mark.parametrize("q,budget,need", [("32", "10", 11), ("2048", "28", 29),
+                                               ("10000", "28", 35)])
+    def test_even_moments_over_their_print_budget_exit_two_before_any_work(
+            self, capsys, monkeypatch, q, budget, need):
+        # 2q values of up to 2q(k+s) bits: 2q W^2 with W = q(k+s)//32 + 1
+        def refuse(*args):
+            raise AssertionError("the grid was summed")
+
+        monkeypatch.setattr(expsum, "g_vector", refuse)
+        assert run_cli(["verify", "thm3.5", "--q", q, "--budget-bits", budget], capsys) == (
+            2, "", "error: verify thm3.5 q=%s needs a 2^%d point domain, over the 2^%s budget\n"
+            % (q, need, budget))
+
+    def test_even_moments_at_their_print_budget_run(self, capsys):
+        code, out, _ = run_cli(["verify", "thm3.5", "--q", "31", "--budget-bits", "10"], capsys)
+        assert code == 0 and json.loads(out)["match"] is True
+
+    def test_stacked_census_with_many_free_rows_is_refused(self, capsys):
+        # 2^2 windows, but 80 free rows of 2 bits
+        assert run_cli(["verify", "thm3.9", "--n", "80", "--m", "0", "--k", "2"], capsys) == (
+            2, "", "error: census stacked n=80 m=0 k=2 needs a 2^160 point domain,"
+            " over the 2^28 budget\n")
+
     @pytest.mark.parametrize("suite,flag", [("thm3.5", "q"), ("cor3.10", "n"),
                                             ("landsberg", "rows")])
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -578,10 +601,41 @@ class TestRepcountCommand:
     def test_integral_runs_at_its_budget_and_exits_two_one_bit_under(self, capsys):
         argv = ["repcount", "--mode", "integral", "--q", "1", "--n", "1", "--k", "3",
                 "--m", "2", "--budget-bits"]
-        assert run_cli(argv + ["8"], capsys) == (0, "23\n", "")
-        assert run_cli(argv + ["7"], capsys) == (
-            2, "", "error: census stacked n=1 m=2 k=3 needs a 2^8 point domain,"
-            " over the 2^7 budget\n")
+        # 2^5 windows are ranked; the free row's 3 bits are fewer
+        assert run_cli(argv + ["5"], capsys) == (0, "23\n", "")
+        assert run_cli(argv + ["4"], capsys) == (
+            2, "", "error: census stacked n=1 m=2 k=3 needs a 2^5 point domain,"
+            " over the 2^4 budget\n")
+
+    def test_integral_charges_the_windows_it_ranks(self, capsys):
+        # 2^14 windows, 2 free rows of 8 bits: 2^16 at most
+        argv = ["repcount", "--q", "2", "--n", "2", "--k", "8", "--m", "6", "--mode"]
+        code, out, err = run_cli(argv + ["integral"], capsys)
+        assert (code, err) == (0, "")
+        assert run_cli(argv + ["formula"], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("mode", [["--mode", "formula"], ["--mode", "brute"],
+                                      ["--mode", "integral"], ["--check"]])
+    @pytest.mark.parametrize("q,budget,need", [("496", "10", 11), ("1000000", "28", 32)])
+    def test_count_over_its_print_budget_exits_two_in_every_mode(
+            self, capsys, monkeypatch, mode, q, budget, need):
+        # up to q(k+m+n+1) bits: W^2 with W = q(k+m+n+1)//64 + 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("a count ran")
+
+        for name in ("repcount_multi_formula", "repcount_bruteforce", "repcount_integral"):
+            monkeypatch.setattr(census, name, refuse)
+        argv = ["repcount"] + mode + ["--q", q, "--n", "0", "--k", "2", "--m", "1",
+                                      "--budget-bits", budget]
+        assert run_cli(argv, capsys) == (
+            2, "", "error: repcount q=%s needs a 2^%d point domain, over the 2^%s budget\n"
+            % (q, need, budget))
+
+    def test_count_at_its_print_budget_runs(self, capsys):
+        argv = ["repcount", "--mode", "formula", "--q", "495", "--n", "0", "--k", "2",
+                "--m", "1", "--budget-bits", "10"]
+        assert run_cli(argv, capsys) == (
+            0, "%d\n" % census.repcount_multi_formula(495, 0, 2, 1), "")
 
     def test_check_mode_runs_affordable_modes(self, capsys):
         code, out, _ = run_cli(

@@ -23,6 +23,9 @@ IMPORT_PATHS = {
     "census quad --s 2 --k 2 --format csv": {"census", "lanes"},
     "verify thm3.1": {"suites", "census", "lanes", "formulas"},
     "verify cor3.10": {"suites", "formulas"},
+    # the even moments are plain ints over powers of two: no dyadic
+    "verify thm3.5": {"suites", "census", "lanes", "expsum", "builders", "gf2", "laurent"},
+    "verify lemmas5.x": {"suites", "census", "lanes", "expsum", "builders", "gf2", "laurent"},
     "expsum h --s 2 --k 2 --t 100": EXPSUM,
     "expsum g --s 2 --k 2 --t 100": EXPSUM,
     "expsum g2 --m 1 --k 2 --t 100 --eta 10": EXPSUM,
@@ -37,10 +40,10 @@ IMPORT_PATHS = {
 }
 
 
-def persym_imports(path):
-    """The persym modules a source file imports, at the top or in any body."""
+def persym_imports(tree):
+    """The persym modules a syntax tree imports, at the top or in any body."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if not node.level:  # absolute: only persym and persym.x count
@@ -54,14 +57,29 @@ def persym_imports(path):
     return names
 
 
+def source_trees():
+    """Each persym module's syntax tree, by module name."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in pathlib.Path(cli.__file__).parent.glob("*.py")}
+
+
 def test_lanes_census_and_expsum_import_apart():
-    graph = {path.stem: persym_imports(path)
-             for path in pathlib.Path(cli.__file__).parent.glob("*.py")}
+    graph = {name: persym_imports(tree) for name, tree in source_trees().items()}
     assert set().union(*graph.values()) <= set(graph)
     assert {"lanes", "formulas"} <= graph["census"]  # formulas only in a function body
     assert not {"gf2", "builders", "laurent"} & graph["census"]
     assert graph["lanes"] == set()
     assert "expsum" not in graph["census"] and "census" not in graph["expsum"]
+
+
+def test_only_the_coset_integral_imports_dyadic():
+    trees = source_trees()
+    assert {name for name, tree in trees.items() if "dyadic" in persym_imports(tree)} == {
+        "census"}
+    census = trees["census"]
+    coset = next(node for node in census.body if getattr(node, "name", "") == "integrate_coset")
+    census.body.remove(coset)
+    assert "dyadic" in persym_imports(coset) and "dyadic" not in persym_imports(census)
 
 
 def loaded_modules(argv, cwd):
