@@ -47,7 +47,8 @@ from typing import Container, Dict, Iterable, Mapping, Optional, Tuple, Union
 # only the stdlib, lanes and exceptions here: the coset integral imports dyadic
 # and the closed count formulas in their own bodies, so a census loads no more
 from . import lanes
-from .exceptions import DEFAULT_BUDGET_BITS, IncompleteDomain, NonIntegerResult, check_budget
+from .exceptions import (DEFAULT_BUDGET_BITS, GRID_MAX_BITS, BudgetExceeded, IncompleteDomain,
+                         NonIntegerResult, check_budget)
 
 __all__ = [
     "DEFAULT_BUDGET_BITS",
@@ -398,24 +399,12 @@ def integrate_coset(values, N: int) -> DyadicRational:
     if N < 0:
         raise ValueError("coset depth must be nonnegative, got %d" % N)
     size = 1 << N
-    if isinstance(values, Mapping):
-        if len(values) != size:
-            raise IncompleteDomain(
-                "expected %d representatives, got %d" % (size, len(values))
-            )
-        try:
-            total = sum(values[v] for v in range(size))
-        except KeyError as missing:
-            raise IncompleteDomain(
-                "missing representative %s at depth %d" % (missing, N)
-            ) from None
-    else:
-        seq = list(values)
-        if len(seq) != size:
-            raise IncompleteDomain(
-                "expected %d representatives, got %d" % (size, len(seq))
-            )
-        total = sum(seq)
+    if len(values) != size:
+        raise IncompleteDomain("expected %d representatives, got %d" % (size, len(values)))
+    try:
+        total = sum(values[v] for v in range(size))
+    except KeyError as missing:
+        raise IncompleteDomain("missing representative %s at depth %d" % (missing, N)) from None
     return DyadicRational(total, -N)
 
 
@@ -484,27 +473,27 @@ def repcount_bruteforce(
     and sum(Y_i U_j^(i)) = 0 for each j. Every factor's contribution is
     built and tallied; the tuples whose contributions XOR to zero are
     counted by XOR-convolving the tallies of the first q // 2 factors and
-    of the rest. Each Y's products Y*Z are listed by doubling over Z's
-    shifts, so no polynomial is multiplied out.
+    of the rest. Each Y's contributions are the lanes._span of its shifts,
+    so no polynomial is multiplied out.
+
+    The j-th convolution visits at most 2^(j f) pairs, f = k+m+1+n, so the
+    budget charges ceil(q/2) f bits, the last one's; a tally of j factors
+    has at most min(2^(k+m+nk), 2^(j f)) keys, refused over 2^GRID_MAX_BITS.
     """
     _check_qnkm(q, n, k, m)
-    factor_bits = k + (m + 1) + n
-    check_budget(
-        q * factor_bits, budget_bits, "brute count q=%d n=%d k=%d m=%d" % (q, n, k, m)
-    )
+    what = "brute count q=%d n=%d k=%d m=%d" % (q, n, k, m)
+    half_bits = (q + 1) // 2 * (k + m + 1 + n)
+    check_budget(half_bits, budget_bits, what)
+    key_bits = min(k + m + n * k, half_bits)
+    if key_bits > GRID_MAX_BITS:
+        raise BudgetExceeded("%s holds a tally of up to 2^%d keys, over the fixed 2^%d"
+                             " key ceiling of a brute count" % (what, key_bits, GRID_MAX_BITS))
     # one factor's contribution as one int: Y*Z in the low k+m bits, then
-    # the n values Y*U_j packed k bits apart
+    # Y*U_j in the j-th k-bit field above them
+    shifts = [*range(m + 1), *range(k + m, k + m + n * k, k)]
     contributions: Counter = Counter()
     for y in range(1 << k):
-        products = [0]
-        for j in range(m + 1):
-            products += [p ^ (y << j) for p in products]
-        # U's bit j keeps Y in the j-th k-bit field above the product
-        spreads = [0]
-        for j in range(n):
-            spreads += [v | y << ((k + m) + j * k) for v in spreads]
-        for v in spreads:
-            contributions.update([p | v for p in products])
+        contributions.update(lanes._span(0, [y << j for j in shifts]))
 
     half = Counter({0: 1})
     for _ in range(q // 2):

@@ -33,9 +33,9 @@ from typing import Optional
 
 from .exceptions import (
     DEFAULT_BUDGET_BITS,
+    GRID_MAX_BITS,
     BudgetExceeded,
     CaseMismatch,
-    IncompleteDomain,
     InsufficientPrecision,
     NonIntegerResult,
     check_budget,
@@ -343,7 +343,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if not wanted("repcount"):
         return parser
     how = rep.add_mutually_exclusive_group(required=True)
-    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES))
+    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="brute convolves "
+                     "the tallies of ceil(q/2) factors of f = k+m+1+n bits, so it is "
+                     "charged ceil(q/2) f bits, and it is refused when a tally could "
+                     "hold over 2^%d keys: min(k+m+nk, ceil(q/2) f) > %d"
+                     % (GRID_MAX_BITS, GRID_MAX_BITS))
     how.add_argument("--check", action="store_true",
                      help="run every mode within budget and compare")
     rep.add_argument("--q", required=True, type=int, help="tuple length; the count "
@@ -372,7 +376,7 @@ def main(argv=None) -> int:
     except (CaseMismatch, NonIntegerResult) as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return 1
-    except (BudgetExceeded, InsufficientPrecision, IncompleteDomain, ValueError,
+    except (BudgetExceeded, InsufficientPrecision, ValueError,
             OSError) as exc:  # OSError: a checkpoint path that cannot be opened
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,6 +1,11 @@
-"""Exception types shared across the package, and the point budget check."""
+"""Exception types shared across the package, the point budget check and the memory ceiling."""
 
 DEFAULT_BUDGET_BITS = 28
+
+# a whole-grid vector holds one int per grid point (`verify thm3.5` keeps
+# three, and peaks at about 120 MiB at 2^20 points), and a brute count's
+# tally one key per XOR of products; neither may pass 2^GRID_MAX_BITS
+GRID_MAX_BITS = 20
 
 
 class PersymError(Exception):

@@ -28,9 +28,9 @@ from operator import xor
 from typing import List, Sequence, Tuple
 
 from .builders import hankel_rows, rank_profile, stacked_rows
-from .exceptions import DEFAULT_BUDGET_BITS, BudgetExceeded, check_budget
+from .exceptions import DEFAULT_BUDGET_BITS, GRID_MAX_BITS, BudgetExceeded, check_budget
 from .gf2 import echelon, rank_of_rows
-from .lanes import _lane_words, _wht
+from .lanes import _lane_words, _span, _wht
 from .laurent import UnitSeries
 
 __all__ = [
@@ -114,18 +114,13 @@ def g_closed(s: int, k: int, t: UnitSeries) -> int:
     return -(1 << (s + k - j1 - 2))
 
 
-# a whole-grid vector holds one int per grid point: `verify thm3.5` keeps
-# three, and peaks at about 120 MiB at 2^20 points
-GRID_MAX_BITS = 20
-
-
 def _grid_sums(bits: int, ys: range, free: int, z_top: bool, what: str) -> List[int]:
     """Sum of E(tYZ) at every point t of the depth-bits grid, index t.coeffs.
 
     Y runs over ys; Z over the polynomials of degree < free, plus T^free
     when z_top. Since E(tYZ) = (-1)^popcount(t & YZ), the sums are the
-    transform of the tally of the products YZ; each Y's products are listed
-    by doubling over Z's shifts, so no rank is read.
+    transform of the tally of the products YZ; each Y's products are the
+    lanes._span of its shifts, so no rank is read.
     """
     if bits > GRID_MAX_BITS:
         raise BudgetExceeded(
@@ -133,10 +128,7 @@ def _grid_sums(bits: int, ys: range, free: int, z_top: bool, what: str) -> List[
             "whole-grid sum" % (what, bits, GRID_MAX_BITS))
     tally = [0] * (1 << bits)
     for y in ys:
-        products = [y << free if z_top else 0]
-        for j in range(free):
-            products += [p ^ (y << j) for p in products]
-        for p in products:
+        for p in _span(y << free if z_top else 0, [y << j for j in range(free)]):
             tally[p] += 1
     _wht(tally)
     return tally
@@ -181,7 +173,6 @@ def g2var_direct(
 
 def g2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
     """2^(k+m+1-r) if appending the eta row preserves the rank, else 0."""
-    _check_two_var(m, k)
     rows = stacked_rows(t, [eta], m, k)
     top = echelon(rows[:-1])
     r = len(top)
@@ -209,7 +200,6 @@ def fmulti_direct(
 
 def fmulti_closed(m: int, k: int, t: UnitSeries, etas: Sequence[UnitSeries]) -> int:
     """2^(k+m+n+1-r) with r the rank of the stacked matrix over n eta rows."""
-    _check_two_var(m, k)
     r = rank_of_rows(stacked_rows(t, etas, m, k))
     return 1 << (k + m + len(etas) + 1 - r)
 

@@ -78,8 +78,6 @@ def quad_closed(s: int, k: int, j1: int, j2: int, j3: int, j4: int) -> int:
 
 def quad_table(s: int, k: int) -> Dict[Tuple[int, int, int, int], int]:
     """All rank quadruples with nonzero count for s x k windows."""
-    if not 1 <= s <= k:
-        raise ValueError("requires 1 <= s <= k, got s=%d k=%d" % (s, k))
     candidates = [(0, 0, 0, 0), (0, 0, 0, 1), (s - 1, s - 1, s, s)]
     for j in range(1, s):
         candidates += [(j, j, j, j), (j, j, j, j + 1), (j - 1, j, j, j + 1)]

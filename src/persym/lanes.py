@@ -1,4 +1,4 @@
-"""Bit-sliced lane words, and the Walsh-Hadamard transform; imports no persym.
+"""Bit-sliced lane words, F2 spans and the Walsh-Hadamard transform; imports no persym.
 
 Lane x of a word stands for the integer base + x (a census window, or one
 term of a direct sum), the word covering an aligned block of 2^b integers,
@@ -8,7 +8,7 @@ mask in every word; a bit p >= b is all ones or zeros, from bit p of base.
 
 import functools
 from operator import add, sub
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 # a word holds at most 2^16 lanes: at 2^26 windows 2^18 lanes saved about
 # a tenth of the time and raised peak memory from 15 to 21 MiB
@@ -45,6 +45,15 @@ def _lane_words(depth: int, lo: int, hi: int):
         start = max(lo - base, 0)
         valid = ((1 << (min(hi - base, lanes) - start)) - 1) << start
         yield [*masks, *[full if base >> p & 1 else 0 for p in range(b, depth)]], valid, full
+
+
+def _span(base: int, vectors: Iterable[int]) -> List[int]:
+    """base XOR each subset-sum of vectors, one entry per subset (equal sums repeat),
+    by doubling; over Y's shifts, these are the literal products YZ."""
+    out = [base]
+    for v in vectors:
+        out += [x ^ v for x in out]
+    return out
 
 
 def _wht(v: List[int]) -> None:

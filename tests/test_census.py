@@ -954,6 +954,34 @@ class TestRepcounts:
         with pytest.raises(BudgetExceeded):
             C.repcount_bruteforce(9, 2, 9, 8, budget_bits=28)
 
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_bruteforce_charges_its_last_convolution(self, q):
+        # ceil(q/2) factors of k+m+1+n = 5 bits: 2^10 pairs at most
+        assert C.repcount_bruteforce(q, 1, 2, 1, budget_bits=10) == \
+            C.repcount_multi_formula(q, 1, 2, 1)
+        with pytest.raises(BudgetExceeded, match=re.escape(
+                "brute count q=%d n=1 k=2 m=1 needs a 2^10 point domain, over the 2^9"
+                " budget" % q)):
+            C.repcount_bruteforce(q, 1, 2, 1, budget_bits=9)
+
+    def test_bruteforce_refuses_a_tally_over_the_key_ceiling(self):
+        # a factor's 22 bits are within the budget, its k+m = 21 product bits are not
+        with pytest.raises(BudgetExceeded, match=re.escape(
+                "brute count q=1 n=0 k=10 m=11 holds a tally of up to 2^21 keys, over"
+                " the fixed 2^20 key ceiling of a brute count")):
+            C.repcount_bruteforce(1, 0, 10, 11)
+
+    # at a ceiling of 2^6 keys: min(k+m+nk, ceil(q/2)(k+m+1+n)) is 6, then 7
+    @pytest.mark.parametrize("under,over", [
+        ((1, 0, 3, 3), (1, 0, 3, 4)),  # the k+m+nk product and U bits
+        ((1, 2, 3, 0), (1, 2, 3, 1)),  # the bits of one factor
+    ])
+    def test_bruteforce_key_ceiling_one_bit_under_and_over(self, monkeypatch, under, over):
+        monkeypatch.setattr(C, "GRID_MAX_BITS", 6)
+        assert C.repcount_bruteforce(*under) == C.repcount_multi_formula(*under)
+        with pytest.raises(BudgetExceeded, match="up to 2\\^7 keys, over the fixed 2\\^6"):
+            C.repcount_bruteforce(*over)
+
 
 class TestPartitionLemmas:
     """Window-deletion identities tying the quadruple census together."""

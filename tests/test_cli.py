@@ -574,6 +574,17 @@ class TestExpsumCommand:
         assert "agree=false" in out
 
 
+# runs `persym` on its arguments, then prints [exit code, stdout, stderr, the
+# command's peak RSS in KiB] as JSON
+_PEAK_RSS_HELPER = """
+import json, resource, subprocess, sys
+run = subprocess.run([sys.executable, "-m", "persym.cli"] + sys.argv[1:],
+                     capture_output=True, text=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([run.returncode, run.stdout, run.stderr, peak]))
+"""
+
+
 class TestRepcountCommand:
     def test_brute_example(self, capsys):
         code, out, _ = run_cli(
@@ -581,6 +592,44 @@ class TestRepcountCommand:
              "--m", "2"], capsys)
         assert code == 0
         assert out == "23\n"
+
+    def test_brute_charges_its_last_convolution(self, capsys):
+        # ceil(3/2) factors of k+m+1+n = 5 bits
+        argv = ["repcount", "--mode", "brute", "--q", "3", "--n", "1", "--k", "2", "--m",
+                "1", "--budget-bits"]
+        assert run_cli(argv + ["10"], capsys) == (
+            0, "%d\n" % census.repcount_multi_formula(3, 1, 2, 1), "")
+        assert run_cli(argv + ["9"], capsys) == (
+            2, "", "error: brute count q=3 n=1 k=2 m=1 needs a 2^10 point domain, over"
+            " the 2^9 budget\n")
+
+    def test_brute_refuses_a_tally_over_the_key_ceiling(self, capsys):
+        # one factor has k+m+1+n = 21 bits; the budget charges only those
+        argv = ["repcount", "--mode", "brute", "--q", "1", "--n", "2", "--k", "8", "--m", "10"]
+        assert run_cli(argv, capsys) == (
+            2, "", "error: brute count q=1 n=2 k=8 m=10 holds a tally of up to 2^21 keys,"
+            " over the fixed 2^20 key ceiling of a brute count\n")
+
+    def test_check_skips_a_brute_count_over_the_key_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setattr(census, "GRID_MAX_BITS", 6)
+        argv = ["repcount", "--check", "--q", "1", "--n", "0", "--k", "3", "--m"]
+        count = census.repcount_multi_formula(1, 0, 3, 3)
+        assert run_cli(argv + ["3"], capsys) == (
+            0, "formula=%d brute=%d integral=%d agree=true\n" % (count, count, count), "")
+        count = census.repcount_multi_formula(1, 0, 3, 4)
+        assert run_cli(argv + ["4"], capsys) == (
+            0, "formula=%d integral=%d agree=true\n" % (count, count), "")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_brute_at_its_key_ceiling_peaks_under_256_mib(self):
+        # 2^20 keys at the default budget: a helper runs the command alone, so
+        # its peak is not pytest's own high-water mark, which a child inherits
+        argv = ["repcount", "--mode", "brute", "--q", "1", "--n", "2", "--k", "8", "--m", "9"]
+        result = subprocess.run([sys.executable, "-c", _PEAK_RSS_HELPER] + argv,
+                                capture_output=True, text=True, timeout=120)
+        code, out, err, peak_kib = json.loads(result.stdout)
+        assert (code, out, err) == (0, "%d\n" % census.repcount_multi_formula(1, 2, 8, 9), "")
+        assert peak_kib < 256 << 10
 
     def test_formula_examples(self, capsys):
         code, out, _ = run_cli(

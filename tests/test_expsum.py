@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import random
 import sys
-from itertools import product
+from collections import Counter
+from functools import reduce
+from itertools import combinations, product
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -379,6 +382,55 @@ def test_closed_forms_never_call_the_lanes(monkeypatch):
     assert g2var_closed(2, 3, t, eta) == oracle_g2var(2, 3, a, b)
     assert fmulti_closed(2, 3, t, [eta, t]) == oracle_fmulti(2, 3, a, [b, a])
     assert formulas.gamma_table(3, 4) == want
+    # the literal product lists reach lanes._span; the closed counts do not
+    with pytest.raises(AssertionError):
+        g_boundary_vectors(3, 3)
+    with pytest.raises(AssertionError):
+        census.repcount_bruteforce(2, 1, 2, 1)
+    assert census.repcount_multi_formula(2, 1, 2, 1) == 148
+    assert formulas.quad_table(2, 3)[(1, 1, 2, 2)] == 8
+
+
+def test_literal_products_are_listed_by_the_span_only(monkeypatch):
+    listed = []
+    span = lanes._span
+
+    def counting(base, vectors):
+        out = span(base, vectors)
+        listed.append(len(out))
+        return out
+
+    for module in (lanes, expsum):
+        monkeypatch.setattr(module, "_span", counting)
+    # one span per Y, one entry per (Z, U_1..U_n): every tuple of one factor
+    q, n, k, m = 2, 1, 3, 2
+    assert census.repcount_bruteforce(q, n, k, m) == census.repcount_multi_formula(q, n, k, m)
+    assert listed == [1 << (m + 1 + n)] * (1 << k)
+    s, k = 3, 4
+    listed.clear()
+    g_vector(s, k)
+    assert listed == [1 << (s - 1)] * (1 << (k - 1))
+    listed.clear()
+    g_boundary_vectors(s, k)
+    assert listed == [1 << (s - 1)] * (1 << (k - 1)) * 2
+
+
+@pytest.mark.parametrize("closed,args,text", [
+    (g2var_closed, (-1, 2), "m must be nonnegative"),
+    (g2var_closed, (2, 0), "k must be positive"),
+    (g2var_closed, (-1, 0), "m must be nonnegative"),
+    (fmulti_closed, (-1, 2), "m must be nonnegative"),
+    (fmulti_closed, (2, 0), "k must be positive"),
+    (fmulti_closed, (-1, 0), "m must be nonnegative"),
+    (formulas.quad_table, (0, 3), "requires 1 <= s <= k, got s=0 k=3"),
+    (formulas.quad_table, (4, 3), "requires 1 <= s <= k, got s=4 k=3"),
+    (formulas.quad_table, (-2, -5), "requires 1 <= s <= k, got s=-2 k=-5"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_closed_forms_name_the_bad_shape(closed, args, text):
+    series = {g2var_closed: (S("1011"), S("11")), fmulti_closed: (S("1011"), [S("11")])}
+    with pytest.raises(ValueError) as caught:
+        closed(*args, *series.get(closed, ()))
+    assert str(caught.value) == text
 
 
 # ------------------------------------------------------- whole-grid sums
@@ -393,6 +445,19 @@ def test_wht_equals_the_naive_transform(bits):
                 for t in range(1 << bits)]
         lanes._wht(v)
         assert v == want
+
+
+@pytest.mark.parametrize("base,vectors", [
+    (0, []), (6, []), (0, [1, 2, 4]), (5, [3, 0, 12]), (0, [0, 0, 0]),
+    (9, [6, 6]), (3, [5, 5, 5, 10]), (1 << 40, [1 << 40, 7, 1 << 41]),
+])
+def test_span_lists_base_xor_every_subset_sum_once(base, vectors):
+    # combinations picks by position, so equal vectors are distinct subsets
+    want = Counter(reduce(xor, subset, base) for r in range(len(vectors) + 1)
+                   for subset in combinations(vectors, r))
+    got = lanes._span(base, vectors)
+    assert len(got) == 1 << len(vectors)
+    assert Counter(got) == want
 
 
 # every (s, k) whose grid holds at most 2^12 points
