@@ -416,15 +416,18 @@ def _check_qnkm(q: int, n: int, k: int, m: int) -> None:
         )
 
 
-def _count_from_ranks(ranks: Mapping[int, int], q: int, n: int, k: int, m: int) -> int:
-    """R = 2^-(k+m+nk) * sum_r count_r * 2^(q(k+m+n+1-r)), from the rank
-    distribution of the stacked census: 2^(k+m+n+1-r) is the character sum
-    at a grid point of rank r. The sum must come out an integer."""
-    total = sum(count << q * (k + m + n + 1 - r) for r, count in ranks.items())
-    bits = k + m + n * k
+def _over_grid(total: int, bits: int) -> int:
+    """total / 2^bits, the integral of a sum over 2^bits points; it must be an integer."""
     if total & ((1 << bits) - 1):
         raise NonIntegerResult("count %d / 2^%d is not an integer" % (total, bits))
     return total >> bits
+
+
+def _count_from_ranks(ranks: Mapping[int, int], q: int, n: int, k: int, m: int) -> int:
+    """R = 2^-(k+m+nk) * sum_r count_r * 2^(q(k+m+n+1-r)), from the stacked census's
+    ranks: 2^(k+m+n+1-r) is the character sum at a grid point of rank r."""
+    return _over_grid(sum(count << q * (k + m + n + 1 - r) for r, count in ranks.items()),
+                      k + m + n * k)
 
 
 def repcount_multi_formula(q: int, n: int, k: int, m: int) -> int:
@@ -454,49 +457,43 @@ def repcount_integral(
     return _count_from_ranks(ranks, q, n, k, m)
 
 
-def _xor_convolve(a: Mapping[int, int], b: Mapping[int, int]) -> Counter:
-    """Tally of x ^ y over pairs drawn from the tallies a and b."""
-    out: Counter = Counter()
-    for x, cx in a.items():
-        for y, cy in b.items():
-            out[x ^ y] += cx * cy
-    return out
-
-
 def repcount_bruteforce(
     q: int, n: int, k: int, m: int, *, budget_bits: int = DEFAULT_BUDGET_BITS
 ) -> int:
-    """Count solution q-tuples by enumerating every polynomial tuple.
+    """Count solution q-tuples as the integral of the q-th power of the literal sum.
 
     Variables per factor: Y of degree <= k-1, Z of degree <= m, and n
     constant-or-zero multipliers U_j. A tuple counts when sum(Y_i Z_i) = 0
-    and sum(Y_i U_j^(i)) = 0 for each j. Every factor's contribution is
-    built and tallied; the tuples whose contributions XOR to zero are
-    counted by XOR-convolving the tallies of the first q // 2 factors and
-    of the rest. Each Y's contributions are the lanes._span of its shifts,
-    so no polynomial is multiplied out.
+    and sum(Y_i U_j^(i)) = 0 for each j. A factor's contribution (Y*Z in the
+    low k+m bits, Y*U_j in the j-th k-bit field above) has K = k+m+nk bits,
+    and each Y's are the lanes._span of its shifts. One lanes._wht of their
+    tally T gives the literal sum F(x) = sum_c T[c] (-1)^popcount(x & c) at
+    each grid point x, and R = 2^-K sum_x F(x)^q; by Parseval, R = T[0] at
+    q = 1 and sum_c T[c]^2 at q = 2, with no transform.
 
-    The j-th convolution visits at most 2^(j f) pairs, f = k+m+1+n, so the
-    budget charges ceil(q/2) f bits, the last one's; a tally of j factors
-    has at most min(2^(k+m+nk), 2^(j f)) keys, refused over 2^GRID_MAX_BITS.
+    Listing visits 2^f contributions, f = k+m+1+n: f bits. At q <= 2 the tally
+    holds at most min(2^K, 2^f) keys. At q >= 3 the transform holds 2^K, refused
+    first over 2^GRID_MAX_BITS, and takes about K 2^K steps: K + bit_length(K) bits.
     """
     _check_qnkm(q, n, k, m)
     what = "brute count q=%d n=%d k=%d m=%d" % (q, n, k, m)
-    half_bits = (q + 1) // 2 * (k + m + 1 + n)
-    check_budget(half_bits, budget_bits, what)
-    key_bits = min(k + m + n * k, half_bits)
-    if key_bits > GRID_MAX_BITS:
+    f, grid = k + m + 1 + n, k + m + n * k
+    if q <= 2:  # the tally alone gives R
+        check_budget(f, budget_bits, what)
+    keys = min(grid, f) if q <= 2 else grid
+    if keys > GRID_MAX_BITS:
         raise BudgetExceeded("%s holds a tally of up to 2^%d keys, over the fixed 2^%d"
-                             " key ceiling of a brute count" % (what, key_bits, GRID_MAX_BITS))
-    # one factor's contribution as one int: Y*Z in the low k+m bits, then
-    # Y*U_j in the j-th k-bit field above them
+                             " key ceiling of a brute count" % (what, keys, GRID_MAX_BITS))
+    if q > 2:
+        check_budget(max(f, grid + grid.bit_length()), budget_bits, what)
     shifts = [*range(m + 1), *range(k + m, k + m + n * k, k)]
-    contributions: Counter = Counter()
-    for y in range(1 << k):
-        contributions.update(lanes._span(0, [y << j for j in shifts]))
-
-    half = Counter({0: 1})
-    for _ in range(q // 2):
-        half = _xor_convolve(half, contributions)
-    rest = _xor_convolve(half, contributions) if q % 2 else half
-    return sum(count * rest[key] for key, count in half.items())
+    contributions = itertools.chain.from_iterable(
+        lanes._span(0, [y << j for j in shifts]) for y in range(1 << k))
+    if q <= 2:
+        tally = Counter(contributions)
+        return tally[0] if q == 1 else sum(count * count for count in tally.values())
+    sums = [0] * (1 << grid)
+    for c in contributions:
+        sums[c] += 1
+    lanes._wht(sums)
+    return _over_grid(sum(value ** q for value in sums), grid)

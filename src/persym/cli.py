@@ -343,11 +343,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if not wanted("repcount"):
         return parser
     how = rep.add_mutually_exclusive_group(required=True)
-    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="brute convolves "
-                     "the tallies of ceil(q/2) factors of f = k+m+1+n bits, so it is "
-                     "charged ceil(q/2) f bits, and it is refused when a tally could "
-                     "hold over 2^%d keys: min(k+m+nk, ceil(q/2) f) > %d"
-                     % (GRID_MAX_BITS, GRID_MAX_BITS))
+    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="brute tallies "
+                     "2^f factor contributions of K = k+m+nk bits, f = k+m+1+n. At q <= 2 "
+                     "it reads R off the tally: charged f bits, refused when min(K, f) > "
+                     "%d. At q >= 3 it transforms the tally: refused when K > %d, charged "
+                     "max(f, K + bit_length(K)) bits" % (GRID_MAX_BITS, GRID_MAX_BITS))
     how.add_argument("--check", action="store_true",
                      help="run every mode within budget and compare")
     rep.add_argument("--q", required=True, type=int, help="tuple length; the count "

@@ -4,7 +4,8 @@ DEFAULT_BUDGET_BITS = 28
 
 # a whole-grid vector holds one int per grid point (`verify thm3.5` keeps
 # three, and peaks at about 120 MiB at 2^20 points), and a brute count's
-# tally one key per XOR of products; neither may pass 2^GRID_MAX_BITS
+# tally or transform one entry per contribution value; neither may pass
+# 2^GRID_MAX_BITS
 GRID_MAX_BITS = 20
 
 

@@ -114,7 +114,19 @@ def g_closed(s: int, k: int, t: UnitSeries) -> int:
     return -(1 << (s + k - j1 - 2))
 
 
-def _grid_sums(bits: int, ys: range, free: int, z_top: bool, what: str) -> List[int]:
+def _g_depth(s: int, k: int) -> int:
+    """k+s-1, the depth of g's grid, refusing s or k below 2 and a grid over
+    2^GRID_MAX_BITS points (the suites call it first, before their census)."""
+    if s < 2 or k < 2:
+        raise ValueError("g is defined for s, k >= 2")
+    if k + s - 1 > GRID_MAX_BITS:
+        raise BudgetExceeded(
+            "g s=%d k=%d holds a 2^%d point grid, over the fixed 2^%d point ceiling of a "
+            "whole-grid sum" % (s, k, k + s - 1, GRID_MAX_BITS))
+    return k + s - 1
+
+
+def _grid_sums(bits: int, ys: range, free: int, z_top: bool) -> List[int]:
     """Sum of E(tYZ) at every point t of the depth-bits grid, index t.coeffs.
 
     Y runs over ys; Z over the polynomials of degree < free, plus T^free
@@ -122,10 +134,6 @@ def _grid_sums(bits: int, ys: range, free: int, z_top: bool, what: str) -> List[
     transform of the tally of the products YZ; each Y's products are the
     lanes._span of its shifts, so no rank is read.
     """
-    if bits > GRID_MAX_BITS:
-        raise BudgetExceeded(
-            "%s holds a 2^%d point grid, over the fixed 2^%d point ceiling of a "
-            "whole-grid sum" % (what, bits, GRID_MAX_BITS))
     tally = [0] * (1 << bits)
     for y in ys:
         for p in _span(y << free if z_top else 0, [y << j for j in range(free)]):
@@ -137,21 +145,16 @@ def _grid_sums(bits: int, ys: range, free: int, z_top: bool, what: str) -> List[
 def g_vector(s: int, k: int) -> List[int]:
     """g at every point of the depth k+s-1 grid (index: the coefficient bits
     of t), summed directly: deg Y = k-1 and deg Z = s-1, both exact."""
-    if s < 2 or k < 2:
-        raise ValueError("g is defined for s, k >= 2")
-    return _grid_sums(k + s - 1, range(1 << (k - 1), 1 << k), s - 1, True,
-                      "g s=%d k=%d" % (s, k))
+    return _grid_sums(_g_depth(s, k), range(1 << (k - 1), 1 << k), s - 1, True)
 
 
 def g_boundary_vectors(s: int, k: int) -> Tuple[List[int], List[int]]:
     """The two boundary sums whose product is g^2, at every point of the
     depth k+s-1 grid, summed directly: g1 relaxes the Y degree (deg Y <= k-2,
     deg Z = s-1), g2 the Z degree (deg Y = k-1, deg Z <= s-2)."""
-    if s < 2 or k < 2:
-        raise ValueError("boundary sums exist for s, k >= 2")
-    what = "g boundary sums s=%d k=%d" % (s, k)
-    return (_grid_sums(k + s - 1, range(1 << (k - 1)), s - 1, True, what),
-            _grid_sums(k + s - 1, range(1 << (k - 1), 1 << k), s - 1, False, what))
+    bits = _g_depth(s, k)
+    return (_grid_sums(bits, range(1 << (k - 1)), s - 1, True),
+            _grid_sums(bits, range(1 << (k - 1), 1 << k), s - 1, False))
 
 
 def g2var_direct(

@@ -73,11 +73,12 @@ def verify_even_moments(p, args, run_census):
     # 2q values of up to 2q(k+s) bits are printed, W 64-bit words in about W^2 steps
     words = max(0, q * (k + s)) // 32 + 1
     check_budget((2 * q * words * words).bit_length(), args.budget_bits, "verify thm3.5 q=%d" % q)
+    expsum._g_depth(s, k)  # g's refusals, then the census's, before any grid sum
+    quads = run_census("quad", (1, s, k))
     g = expsum.g_vector(s, k)
     g1, g2 = expsum.g_boundary_vectors(s, k)
     factored = sum(a * a == b * c for a, b, c in zip(g, g1, g2))
     gs = Counter(g)
-    quads = run_census("quad", (1, s, k))
     computed, expected = {"g^2 factors": factored}, {"g^2 factors": 1 << (k + s - 1)}
     for i in range(1, q + 1):
         computed["q=%d" % i], expected["q=%d" % i] = _even_moment(s, k, gs, quads, i)
@@ -158,8 +159,9 @@ def verify_partition_suite(p, args, run_census):
     s, k = p["s"], p["k"]
     if not 2 <= s <= k:  # the deletion identities are stated for s <= k
         raise ValueError("the partition suite needs 2 <= s <= k, got s=%d k=%d" % (s, k))
-    gs = Counter(expsum.g_vector(s, k))
+    expsum._g_depth(s, k)  # g's refusals, then the census's, before any grid sum
     quads = run_census("quad", (1, s, k))
+    gs = Counter(expsum.g_vector(s, k))
     computed, expected = {}, {}
     for q in (0, 1, 2):
         power = 2 * q + 1

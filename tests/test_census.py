@@ -904,14 +904,34 @@ class TestRepcounts:
             for k, m in [(2, 1), (3, 1), (3, 2), (4, 0)]:
                 assert F.repcount_piecewise(q, k, m) == C.repcount_multi_formula(q, 0, k, m)
 
-    @pytest.mark.parametrize("q", [1, 2, 3])
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    # every shape with q(k+m+1+n) <= 12 and q <= 6: both Parseval reads and the transform
+    @pytest.mark.parametrize("n,q", [(n, q) for n in range(11) for q in range(1, 7)
+                                     if q * (n + 2) <= 12])
     def test_bruteforce_matches_literal_product_count(self, q, n):
-        for k in (1, 2, 3):
-            for m in (0, 1, 2):
+        for k in range(1, 12):
+            for m in range(11):
                 if q * (k + m + 1 + n) <= 12:
                     assert C.repcount_bruteforce(q, n, k, m) == oracle_repcount(
                         q, n, k, m), (k, m)
+
+    # K = 18 and 16: a q-fold product of 2^14 and 2^12 contributions, each under 1 s
+    @pytest.mark.parametrize("q,n,k,m", [(3, 1, 6, 6), (6, 1, 6, 4)])
+    def test_bruteforce_at_the_transform_shapes(self, q, n, k, m):
+        assert C.repcount_bruteforce(q, n, k, m) == C.repcount_multi_formula(q, n, k, m)
+
+    @pytest.mark.parametrize("q,n,k,m", [(1, 1, 3, 2), (2, 2, 2, 1), (3, 1, 3, 2),
+                                         (4, 0, 3, 3), (5, 2, 2, 0)])
+    def test_bruteforce_transforms_once_at_q_three_and_up(self, monkeypatch, q, n, k, m):
+        lengths = []
+        wht = lanes._wht
+
+        def counting(v):
+            lengths.append(len(v))
+            wht(v)
+
+        monkeypatch.setattr(lanes, "_wht", counting)
+        assert C.repcount_bruteforce(q, n, k, m) == C.repcount_multi_formula(q, n, k, m)
+        assert lengths == ([1 << (k + m + n * k)] if q >= 3 else [])
 
     def test_integral_matches_explicit_lists(self):
         """Every integral grid of 2^12 points or fewer, against per-point
@@ -955,14 +975,21 @@ class TestRepcounts:
             C.repcount_bruteforce(9, 2, 9, 8, budget_bits=28)
 
     @pytest.mark.parametrize("q", [3, 4])
-    def test_bruteforce_charges_its_last_convolution(self, q):
-        # ceil(q/2) factors of k+m+1+n = 5 bits: 2^10 pairs at most
-        assert C.repcount_bruteforce(q, 1, 2, 1, budget_bits=10) == \
+    def test_bruteforce_charges_its_transform(self, q):
+        # 2^5 contributions listed, then K 2^K steps at K = k+m+nk = 5: 5 + 3 bits
+        assert C.repcount_bruteforce(q, 1, 2, 1, budget_bits=8) == \
             C.repcount_multi_formula(q, 1, 2, 1)
         with pytest.raises(BudgetExceeded, match=re.escape(
-                "brute count q=%d n=1 k=2 m=1 needs a 2^10 point domain, over the 2^9"
+                "brute count q=%d n=1 k=2 m=1 needs a 2^8 point domain, over the 2^7"
                 " budget" % q)):
-            C.repcount_bruteforce(q, 1, 2, 1, budget_bits=9)
+            C.repcount_bruteforce(q, 1, 2, 1, budget_bits=7)
+
+    def test_bruteforce_refuses_a_transform_over_the_key_ceiling_before_the_budget(self):
+        # K = k+m+nk = 24: no budget admits the 2^24 entries, so the ceiling is named
+        with pytest.raises(BudgetExceeded, match=re.escape(
+                "brute count q=3 n=3 k=6 m=0 holds a tally of up to 2^24 keys, over"
+                " the fixed 2^20 key ceiling of a brute count")):
+            C.repcount_bruteforce(3, 3, 6, 0, budget_bits=10)
 
     def test_bruteforce_refuses_a_tally_over_the_key_ceiling(self):
         # a factor's 22 bits are within the budget, its k+m = 21 product bits are not

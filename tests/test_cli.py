@@ -418,6 +418,19 @@ class TestVerifyCommand:
             2, "", "error: verify thm3.5 q=%s needs a 2^%d point domain, over the 2^%s budget\n"
             % (q, need, budget))
 
+    @pytest.mark.parametrize("suite,flags", [("thm3.5", ["--q", "1"]), ("lemmas5.x", [])])
+    def test_whole_grid_suites_charge_their_census_before_the_grid(
+            self, capsys, monkeypatch, suite, flags):
+        def refuse(*args):
+            raise AssertionError("the grid was summed")
+
+        monkeypatch.setattr(expsum, "g_vector", refuse)
+        argv = ["verify", suite, "--s", "10", "--k", "11", "--budget-bits", "10",
+                "--threads", "1"]
+        assert run_cli(argv + flags, capsys) == (
+            2, "", "error: census quad l=1 n=10 m=11 needs a 2^20 point domain, over the"
+            " 2^10 budget\n")
+
     def test_even_moments_at_their_print_budget_run(self, capsys):
         code, out, _ = run_cli(["verify", "thm3.5", "--q", "31", "--budget-bits", "10"], capsys)
         assert code == 0 and json.loads(out)["match"] is True
@@ -593,15 +606,22 @@ class TestRepcountCommand:
         assert code == 0
         assert out == "23\n"
 
-    def test_brute_charges_its_last_convolution(self, capsys):
-        # ceil(3/2) factors of k+m+1+n = 5 bits
+    def test_brute_charges_its_transform(self, capsys):
+        # 2^5 contributions of K = k+m+nk = 5 bits, transformed in about K 2^K steps
         argv = ["repcount", "--mode", "brute", "--q", "3", "--n", "1", "--k", "2", "--m",
                 "1", "--budget-bits"]
-        assert run_cli(argv + ["10"], capsys) == (
+        assert run_cli(argv + ["8"], capsys) == (
             0, "%d\n" % census.repcount_multi_formula(3, 1, 2, 1), "")
-        assert run_cli(argv + ["9"], capsys) == (
-            2, "", "error: brute count q=3 n=1 k=2 m=1 needs a 2^10 point domain, over"
-            " the 2^9 budget\n")
+        assert run_cli(argv + ["7"], capsys) == (
+            2, "", "error: brute count q=3 n=1 k=2 m=1 needs a 2^8 point domain, over"
+            " the 2^7 budget\n")
+
+    def test_brute_refuses_a_transform_over_the_key_ceiling(self, capsys):
+        # K = k+m+nk = 24 bits, although a factor has only k+m+1+n = 10
+        argv = ["repcount", "--mode", "brute", "--q", "3", "--n", "3", "--k", "6", "--m", "0"]
+        assert run_cli(argv, capsys) == (
+            2, "", "error: brute count q=3 n=3 k=6 m=0 holds a tally of up to 2^24 keys,"
+            " over the fixed 2^20 key ceiling of a brute count\n")
 
     def test_brute_refuses_a_tally_over_the_key_ceiling(self, capsys):
         # one factor has k+m+1+n = 21 bits; the budget charges only those
@@ -630,6 +650,21 @@ class TestRepcountCommand:
         code, out, err, peak_kib = json.loads(result.stdout)
         assert (code, out, err) == (0, "%d\n" % census.repcount_multi_formula(1, 2, 8, 9), "")
         assert peak_kib < 256 << 10
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_brute_transform_at_its_key_ceiling_peaks_under_128_mib(self):
+        # q >= 3 transforms 2^K entries, K = k+m+nk: 2^20 runs, 2^21 is refused
+        argv = ["repcount", "--mode", "brute", "--q", "3", "--n", "0", "--k", "10", "--m"]
+        result = subprocess.run([sys.executable, "-c", _PEAK_RSS_HELPER] + argv + ["10"],
+                                capture_output=True, text=True, timeout=120)
+        code, out, err, peak_kib = json.loads(result.stdout)
+        assert (code, out, err) == (0, "%d\n" % census.repcount_multi_formula(3, 0, 10, 10), "")
+        assert peak_kib < 128 << 10
+        result = subprocess.run([sys.executable, "-c", _PEAK_RSS_HELPER] + argv + ["11"],
+                                capture_output=True, text=True, timeout=120)
+        assert json.loads(result.stdout)[:3] == [
+            2, "", "error: brute count q=3 n=0 k=10 m=11 holds a tally of up to 2^21 keys,"
+            " over the fixed 2^20 key ceiling of a brute count\n"]
 
     def test_formula_examples(self, capsys):
         code, out, _ = run_cli(

@@ -196,6 +196,30 @@ class TestStackedGamma:
         for m, k in [(0, 2), (1, 3), (2, 2), (3, 3), (2, 5)]:
             assert F.stacked_gamma_table(1, m, k) == F.stacked1_gamma_table(m, k)
 
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_table_matches_the_per_entry_sum(self, m):
+        # each entry summed on its own, its a_j from a_coeff_recurrence
+        for n in range(41):
+            k = n or 1
+            a = [F.a_coeff_recurrence(n, j) for j in range(n + 1)]
+            want = {}
+            for i in range(min(k, n + m + 1) + 1):
+                want[i] = 0
+                for j in range(min(i, n) + 1):
+                    coeff = a[j] << ((n - j) * (i - j))
+                    for l in range(1, j + 1):
+                        coeff *= (1 << k) - (1 << (i - l))
+                    want[i] += coeff * F.gamma_closed(1 + m, k, i - j)
+            assert F.stacked_gamma_table(n, m, k) == want, n
+            assert [F.stacked_gamma_closed(n, m, k, i) for i in want] == list(want.values())
+
+    def test_table_builds_the_coefficient_rows_once(self, monkeypatch):
+        calls = []
+        rows = F.a_coeff_rows
+        monkeypatch.setattr(F, "a_coeff_rows", lambda n: calls.append(n) or rows(n))
+        F.stacked_gamma_table(7, 2, 6)
+        assert calls == [7]
+
     def test_unstructured_block_matches_landsberg(self):
         for n in range(5):
             for k in range(1, 7):
