@@ -473,7 +473,8 @@ def repcount_bruteforce(
 
     Listing visits 2^f contributions, f = k+m+1+n: f bits. At q <= 2 the tally
     holds at most min(2^K, 2^f) keys. At q >= 3 the transform holds 2^K, refused
-    first over 2^GRID_MAX_BITS, and takes about K 2^K steps: K + bit_length(K) bits.
+    first over 2^GRID_MAX_BITS, takes about K 2^K steps, then raises 2^K values to
+    powers of up to W = q f // 64 + 1 words, W^2 steps each: K + bit_length(K W^2) bits.
     """
     _check_qnkm(q, n, k, m)
     what = "brute count q=%d n=%d k=%d m=%d" % (q, n, k, m)
@@ -485,7 +486,7 @@ def repcount_bruteforce(
         raise BudgetExceeded("%s holds a tally of up to 2^%d keys, over the fixed 2^%d"
                              " key ceiling of a brute count" % (what, keys, GRID_MAX_BITS))
     if q > 2:
-        check_budget(max(f, grid + grid.bit_length()), budget_bits, what)
+        check_budget(grid + (grid * (q * f // 64 + 1) ** 2).bit_length(), budget_bits, what)
     shifts = [*range(m + 1), *range(k + m, k + m + n * k, k)]
     contributions = itertools.chain.from_iterable(
         lanes._span(0, [y << j for j in shifts]) for y in range(1 << k))

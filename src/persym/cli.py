@@ -346,8 +346,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="brute tallies "
                      "2^f factor contributions of K = k+m+nk bits, f = k+m+1+n. At q <= 2 "
                      "it reads R off the tally: charged f bits, refused when min(K, f) > "
-                     "%d. At q >= 3 it transforms the tally: refused when K > %d, charged "
-                     "max(f, K + bit_length(K)) bits" % (GRID_MAX_BITS, GRID_MAX_BITS))
+                     "%d. At q >= 3 it transforms the tally and raises its 2^K values to the "
+                     "q-th power: refused when K > %d, charged K + bit_length(K W^2) "
+                     "bits, W = qf//64 + 1" % (GRID_MAX_BITS, GRID_MAX_BITS))
     how.add_argument("--check", action="store_true",
                      help="run every mode within budget and compare")
     rep.add_argument("--q", required=True, type=int, help="tuple length; the count "

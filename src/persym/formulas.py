@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .exceptions import CaseMismatch, NonIntegerResult
 
@@ -164,11 +164,17 @@ def a_coeff_rows(n: int) -> Iterator[List[int]]:
         yield row
 
 
+@functools.lru_cache(maxsize=1)
+def _a_coeff_row(n: int) -> Tuple[int, ...]:
+    """Row n of a_coeff_rows; cached, since stacked_gamma_closed reads it at every (i, j)."""
+    return tuple(deque(a_coeff_rows(n), maxlen=1)[0])
+
+
 def a_coeff_recurrence(n: int, j: int) -> int:
     """Row-stacking coefficient a_j for n free rows, by the triangle recurrence."""
     if n < 0 or not 0 <= j <= n:
         raise ValueError("requires 0 <= j <= n, got n=%d j=%d" % (n, j))
-    return deque(a_coeff_rows(n), maxlen=1)[0][j]
+    return _a_coeff_row(n)[j]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -225,22 +231,16 @@ def a_coeff_table(n: int) -> Tuple[int, ...]:
     return _A_ROWS[n]
 
 
-def stacked_gamma_closed(n: int, m: int, k: int, i: int, row: Sequence[int] = ()) -> int:
-    """Rank-i count for n free rows stacked on a (1+m) x k window block.
-
-    Linear combination of the window-block rank counts with the a_j of n
-    free rows: row[j] when the caller passes row n of a_coeff_rows, else
-    a_coeff_recurrence(n, j). Nonzero only for 0 <= i <= min(k, n+m+1).
-    """
+def stacked_gamma_closed(n: int, m: int, k: int, i: int) -> int:
+    """Rank-i count for n free rows stacked on a (1+m) x k window block: the window-block
+    rank counts combined with a_j coefficients, nonzero only for 0 <= i <= min(k, n+m+1)."""
     if n < 0 or m < 0 or k < 1:
-        raise ValueError(
-            "requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k)
-        )
+        raise ValueError("requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k))
     total = 0
     for j in range(min(i, n) + 1):
         base = gamma_closed(1 + m, k, i - j)
         if base:
-            coeff = (row[j] if row else a_coeff_recurrence(n, j)) << ((n - j) * (i - j))
+            coeff = a_coeff_recurrence(n, j) << ((n - j) * (i - j))
             for l in range(1, j + 1):
                 coeff *= (1 << k) - (1 << (i - l))
             total += coeff * base
@@ -248,10 +248,8 @@ def stacked_gamma_closed(n: int, m: int, k: int, i: int, row: Sequence[int] = ()
 
 
 def stacked_gamma_table(n: int, m: int, k: int) -> Dict[int, int]:
-    """Full rank distribution {i: count} for the stacked census, building
-    row n of a_coeff_rows once."""
-    row = deque(a_coeff_rows(n), maxlen=1)[0]
-    return {i: stacked_gamma_closed(n, m, k, i, row) for i in range(min(k, n + m + 1) + 1)}
+    """Full rank distribution {i: count} for the stacked census."""
+    return {i: stacked_gamma_closed(n, m, k, i) for i in range(min(k, n + m + 1) + 1)}
 
 
 def landsberg(rows: int, k: int, i: int) -> int:

@@ -984,6 +984,18 @@ class TestRepcounts:
                 " budget" % q)):
             C.repcount_bruteforce(q, 1, 2, 1, budget_bits=7)
 
+    def test_bruteforce_charges_the_powers_of_a_large_q(self):
+        # each F(x)^200 has up to 200*5 bits, W = 16 words: 5 + bit_length(5*16^2) bits
+        assert C.repcount_bruteforce(200, 1, 2, 1, budget_bits=16) == \
+            C.repcount_multi_formula(200, 1, 2, 1)
+        with pytest.raises(BudgetExceeded, match=re.escape(
+                "brute count q=200 n=1 k=2 m=1 needs a 2^16 point domain, over the 2^15"
+                " budget")):
+            C.repcount_bruteforce(200, 1, 2, 1, budget_bits=15)
+        # 2^20 values of up to 840,000 bits: refused before any is listed
+        with pytest.raises(BudgetExceeded, match="needs a 2\\^52 point domain"):
+            C.repcount_bruteforce(40000, 0, 10, 10)
+
     def test_bruteforce_refuses_a_transform_over_the_key_ceiling_before_the_budget(self):
         # K = k+m+nk = 24: no budget admits the 2^24 entries, so the ceiling is named
         with pytest.raises(BudgetExceeded, match=re.escape(

@@ -616,6 +616,16 @@ class TestRepcountCommand:
             2, "", "error: brute count q=3 n=1 k=2 m=1 needs a 2^8 point domain, over"
             " the 2^7 budget\n")
 
+    def test_brute_charges_the_powers_of_a_large_q(self, capsys):
+        # 2^5 values raised to the 200th power, W = 1000//64 + 1 = 16 words each
+        argv = ["repcount", "--mode", "brute", "--q", "200", "--n", "1", "--k", "2",
+                "--m", "1", "--budget-bits"]
+        assert run_cli(argv + ["16"], capsys) == (
+            0, "%d\n" % census.repcount_multi_formula(200, 1, 2, 1), "")
+        assert run_cli(argv + ["15"], capsys) == (
+            2, "", "error: brute count q=200 n=1 k=2 m=1 needs a 2^16 point domain, over"
+            " the 2^15 budget\n")
+
     def test_brute_refuses_a_transform_over_the_key_ceiling(self, capsys):
         # K = k+m+nk = 24 bits, although a factor has only k+m+1+n = 10
         argv = ["repcount", "--mode", "brute", "--q", "3", "--n", "3", "--k", "6", "--m", "0"]

@@ -217,8 +217,11 @@ class TestStackedGamma:
         calls = []
         rows = F.a_coeff_rows
         monkeypatch.setattr(F, "a_coeff_rows", lambda n: calls.append(n) or rows(n))
+        F._a_coeff_row.cache_clear()
         F.stacked_gamma_table(7, 2, 6)
         assert calls == [7]
+        F.stacked_gamma_table(8, 2, 6)
+        assert calls == [7, 8]
 
     def test_unstructured_block_matches_landsberg(self):
         for n in range(5):
