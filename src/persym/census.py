@@ -10,9 +10,10 @@ disjoint index ranges; partial tallies merge by plain addition, so any
 partitioning (including a resumed checkpoint file) gives identical
 results. A checkpoint file opens with a header naming its census,
 parameters, window count and chunk size; a file with another header, or
-a line with a field that does not parse, a count below 1, a key the
-census cannot produce, a repeated key or range, or counts that do not
-sum to its range's window count, is rejected.
+a line with a count below 1, a key the census cannot produce, a repeated
+key or range, or counts that do not sum to its range's window count, is
+rejected, and a chunk line is accepted only as the exact bytes the
+writer gives (canonical decimals, keys in sorted order, single spaces).
 
 A coset representative of depth N is an N-bit integer whose bit b (least
 significant first) is the coefficient alpha_{l+b} of the series; window
@@ -82,19 +83,6 @@ def _table_text(table: Mapping[Key, int]) -> Dict[str, int]:
             for key, count in sorted(table.items())}
 
 
-def _decimal(text: str) -> int:
-    """The int that %d writes as text; a sign, padding or underscore is refused."""
-    value = int(text)
-    if "%d" % value != text:
-        raise ValueError("%r is not a canonical decimal" % text)
-    return value
-
-
-def _key_from_text(text: str) -> Key:
-    parts = tuple(_decimal(part) for part in text.split(","))
-    return parts if len(parts) > 1 else parts[0]
-
-
 def _read_checkpoint(
     path: str,
     header: str,
@@ -102,7 +90,8 @@ def _read_checkpoint(
     keys: Container[Key],
 ) -> Dict[Tuple[int, int], Counter]:
     """Finished chunks of a checkpoint file; keys are those the census can
-    produce, and a chunk's counts sum to its window count.
+    produce, a chunk's counts sum to its window count, and each chunk line
+    is the bytes _checkpoint_line writes for them.
 
     The file must open with this census's header line. A last line
     without a newline was cut off mid-write (the header included): it is
@@ -122,7 +111,7 @@ def _read_checkpoint(
         )
     complete = data[: data.rfind(b"\n") + 1]
     try:
-        lines = complete.decode("ascii").splitlines()
+        lines = complete.decode("ascii").split("\n")
     except UnicodeDecodeError as err:
         raise ValueError(
             "checkpoint line %d has a non-ASCII byte; remove %s to start over"
@@ -130,24 +119,18 @@ def _read_checkpoint(
         ) from None
     valid_set = set(valid)
     for line in lines[1:]:
-        fields = line.split()
-        if not fields:
+        if not line.strip():
             continue
+        malformed = ValueError("checkpoint line %r has a malformed field;"
+                               " remove %s to start over" % (line, path))
+        # read leniently; the line is kept only if _checkpoint_line writes it back
         try:
-            rng = tuple(_decimal(field) for field in fields[:2])
-            entries = [(text, _key_from_text(text), _decimal(count))
-                       for text, _, count in (f.rpartition(":") for f in fields[2:])]
+            lo, hi, *fields = line.split(" ")
+            rng = (int(lo), int(hi))
+            entries = [(text, tuple(map(int, text.split(","))) if "," in text else int(text),
+                        int(count)) for text, _, count in (f.rpartition(":") for f in fields)]
         except ValueError:
-            raise ValueError(
-                "checkpoint line %r has a malformed field;"
-                " remove %s to start over" % (line, path)
-            ) from None
-        if rng not in valid_set or rng in done:
-            raise ValueError(
-                "checkpoint range %r %s; remove %s to start over"
-                % (rng, "appears twice" if rng in done
-                   else "does not match this census", path)
-            )
+            raise malformed from None
         counts = Counter()
         for key_text, key, count in entries:
             if count < 1:
@@ -163,6 +146,14 @@ def _read_checkpoint(
                        key_text, path)
                 )
             counts[key] = count
+        if _checkpoint_line(rng, counts) != line + "\n":
+            raise malformed
+        if rng not in valid_set or rng in done:
+            raise ValueError(
+                "checkpoint range %r %s; remove %s to start over"
+                % (rng, "appears twice" if rng in done
+                   else "does not match this census", path)
+            )
         points = rng[1] - rng[0]
         if counts.total() != points:
             raise ValueError(
@@ -471,8 +462,8 @@ def repcount_bruteforce(
     each grid point x, and R = 2^-K sum_x F(x)^q; by Parseval, R = T[0] at
     q = 1 and sum_c T[c]^2 at q = 2, with no transform.
 
-    Listing visits 2^f contributions, f = k+m+1+n: f bits. At q <= 2 the tally
-    holds at most min(2^K, 2^f) keys. At q >= 3 the transform holds 2^K, refused
+    Listing visits 2^f contributions, f = k+m+1+n: f bits. At q = 1 it holds one span
+    of 2^(f-k) at a time; at q = 2 the tally holds at most min(2^K, 2^f) keys. At q >= 3 the transform holds 2^K, refused
     first over 2^GRID_MAX_BITS, takes about K 2^K steps, then raises 2^K values to
     powers of up to W = q f // 64 + 1 words, W^2 steps each: K + bit_length(K W^2) bits.
     """
@@ -488,11 +479,12 @@ def repcount_bruteforce(
     if q > 2:
         check_budget(grid + (grid * (q * f // 64 + 1) ** 2).bit_length(), budget_bits, what)
     shifts = [*range(m + 1), *range(k + m, k + m + n * k, k)]
-    contributions = itertools.chain.from_iterable(
-        lanes._span(0, [y << j for j in shifts]) for y in range(1 << k))
-    if q <= 2:
-        tally = Counter(contributions)
-        return tally[0] if q == 1 else sum(count * count for count in tally.values())
+    spans = (lanes._span(0, [y << j for j in shifts]) for y in range(1 << k))
+    if q == 1:  # T[0], counted one span at a time
+        return sum(span.count(0) for span in spans)
+    contributions = itertools.chain.from_iterable(spans)
+    if q == 2:
+        return sum(count * count for count in Counter(contributions).values())
     sums = [0] * (1 << grid)
     for c in contributions:
         sums[c] += 1

@@ -231,11 +231,15 @@ def a_coeff_table(n: int) -> Tuple[int, ...]:
     return _A_ROWS[n]
 
 
+def _check_stacked(n: int, m: int, k: int) -> None:
+    if n < 0 or m < 0 or k < 1:
+        raise ValueError("requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k))
+
+
 def stacked_gamma_closed(n: int, m: int, k: int, i: int) -> int:
     """Rank-i count for n free rows stacked on a (1+m) x k window block: the window-block
     rank counts combined with a_j coefficients, nonzero only for 0 <= i <= min(k, n+m+1)."""
-    if n < 0 or m < 0 or k < 1:
-        raise ValueError("requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k))
+    _check_stacked(n, m, k)
     total = 0
     for j in range(min(i, n) + 1):
         base = gamma_closed(1 + m, k, i - j)
@@ -249,6 +253,7 @@ def stacked_gamma_closed(n: int, m: int, k: int, i: int) -> int:
 
 def stacked_gamma_table(n: int, m: int, k: int) -> Dict[int, int]:
     """Full rank distribution {i: count} for the stacked census."""
+    _check_stacked(n, m, k)
     return {i: stacked_gamma_closed(n, m, k, i) for i in range(min(k, n + m + 1) + 1)}
 
 

@@ -3,10 +3,12 @@ import functools
 import os
 import re
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from persym import builders, gf2, lanes, suites
 from persym import census as C
@@ -522,6 +524,19 @@ class TestPartitioning:
         with pytest.raises(ValueError, match=re.escape(message)):
             C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=1)
 
+    @pytest.mark.parametrize("line", [
+        # the reader once accepted each of these, but the writer never writes them
+        "0 4 1:3 0:1", "0 4 0:1  1:3", "0 4 0:1 1:3 ", "0 4\t0:1 1:3", "0 4 0:1 1:3\r"])
+    def test_checkpoint_line_the_writer_never_writes_is_rejected(self, tmp_path, line):
+        path = tmp_path / "gamma.ckpt"
+        C.enum_gamma(1, 3, checkpoint=str(path), chunk_size=4)
+        header, first, *rest = path.read_text().split("\n")
+        assert first == "0 4 0:1 1:3"
+        path.write_text("\n".join([header, line] + rest))
+        message = "line %r has a malformed field; remove %s to start over" % (line, path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            C.enum_gamma(1, 3, checkpoint=str(path), chunk_size=4)
+
     def test_checkpoint_line_with_a_non_ascii_byte_is_rejected(self, tmp_path):
         path = tmp_path / "gamma.ckpt"
         C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=1)
@@ -636,6 +651,43 @@ class TestCheckpointFormat:
         path.write_bytes(b"".join(data.splitlines(keepends=True)[:2]))
         assert run_census(kind, params, **opts) == full
         assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("kind,params", [
+        ("gamma", (3, 4)), ("quad", (1, 3, 3)), ("sigma", (1, 2)), ("stacked", (2, 1, 2)),
+    ])
+    @pytest.mark.parametrize("chunk_size", [1, 3, None])
+    def test_every_written_line_reads_back_as_its_chunk(self, tmp_path, kind, params,
+                                                        chunk_size):
+        ranks = naive_window_ranks(kind, params)
+        path = tmp_path / "census.ckpt"
+        run_census(kind, params, checkpoint=str(path), chunk_size=chunk_size)
+        header = path.read_text().split("\n", 1)[0]
+        chunks = checkpoint_chunks(str(path))
+        keys = {key for counts in ranks for key in counts}
+        done = C._read_checkpoint(str(path), header, chunks, keys)
+        assert sorted(done) == sorted(chunks)
+        for (lo, hi), counts in done.items():
+            assert counts == merged_tally(ranks[lo:hi]), (lo, hi)
+
+    @given(st.lists(st.one_of(
+        st.dictionaries(st.integers(0, 40), st.integers(1, 1 << 70), min_size=1),
+        st.dictionaries(st.tuples(*[st.integers(0, 12)] * 4), st.integers(1, 1 << 70),
+                        min_size=1)), min_size=1, max_size=4))
+    def test_random_tallies_read_back_as_written(self, tallies):
+        ranges, lo = [], 0
+        for tally in tallies:
+            ranges.append((lo, lo + sum(tally.values())))
+            lo = ranges[-1][1]
+        header = "#census gamma s=1 k=1 points=%d chunk=1" % lo
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "census.ckpt")
+            with open(path, "w") as handle:
+                handle.write(header + "\n")
+                for rng, tally in zip(ranges, tallies):
+                    handle.write(C._checkpoint_line(rng, Counter(tally)))
+            keys = {key for tally in tallies for key in tally}
+            done = C._read_checkpoint(path, header, ranges, keys)
+        assert done == dict(zip(ranges, tallies))
 
     @pytest.mark.parametrize("kind,params", list(OLDER_CHECKPOINT_BYTES))
     def test_older_expanded_checkpoint_is_refused_untouched(self, tmp_path, kind, params):

@@ -662,6 +662,16 @@ class TestRepcountCommand:
         assert peak_kib < 256 << 10
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_q1_brute_counts_zeros_a_span_at_a_time_under_48_mib(self):
+        # the shape above at q = 1 holds one 2^12-contribution span, not a tally
+        argv = ["repcount", "--mode", "brute", "--q", "1", "--n", "2", "--k", "8", "--m", "9"]
+        result = subprocess.run([sys.executable, "-c", _PEAK_RSS_HELPER] + argv,
+                                capture_output=True, text=True, timeout=120)
+        code, out, err, peak_kib = json.loads(result.stdout)
+        assert (code, out, err) == (0, "%d\n" % census.repcount_multi_formula(1, 2, 8, 9), "")
+        assert peak_kib < 48 << 10
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_brute_transform_at_its_key_ceiling_peaks_under_128_mib(self):
         # q >= 3 transforms 2^K entries, K = k+m+nk: 2^20 runs, 2^21 is refused
         argv = ["repcount", "--mode", "brute", "--q", "3", "--n", "0", "--k", "10", "--m"]

@@ -188,6 +188,13 @@ class TestStackedGamma:
             0: 1, 1: 561, 2: 65670, 3: 3731208, 4: 63311424,
         }
 
+    def test_table_refuses_a_negative_shape_like_the_entry(self):
+        message = "requires n, m >= 0 and k >= 1, got n=-5 m=0 k=3"
+        for call in (lambda: F.stacked_gamma_table(-5, 0, 3),
+                     lambda: F.stacked_gamma_closed(-5, 0, 3, 0)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_no_free_rows_reduces_to_window_census(self):
         for m, k in [(0, 1), (1, 2), (2, 3), (3, 2)]:
             assert F.stacked_gamma_table(0, m, k) == F.gamma_table(1 + m, k)
