@@ -49,7 +49,7 @@ from typing import Container, Dict, Iterable, Mapping, Optional, Tuple, Union
 # and the closed count formulas in their own bodies, so a census loads no more
 from . import lanes
 from .exceptions import (DEFAULT_BUDGET_BITS, GRID_MAX_BITS, BudgetExceeded, IncompleteDomain,
-                         NonIntegerResult, check_budget)
+                         NonIntegerResult, bigint_bits, check_budget)
 
 __all__ = [
     "DEFAULT_BUDGET_BITS",
@@ -457,36 +457,32 @@ def repcount_bruteforce(
     constant-or-zero multipliers U_j. A tuple counts when sum(Y_i Z_i) = 0
     and sum(Y_i U_j^(i)) = 0 for each j. A factor's contribution (Y*Z in the
     low k+m bits, Y*U_j in the j-th k-bit field above) has K = k+m+nk bits,
-    and each Y's are the lanes._span of its shifts. One lanes._wht of their
-    tally T gives the literal sum F(x) = sum_c T[c] (-1)^popcount(x & c) at
+    and each Y's are the lanes._span of its shifts. lanes._product_sums gives
+    the literal sum F(x) = sum_c T[c] (-1)^popcount(x & c), T their tally, at
     each grid point x, and R = 2^-K sum_x F(x)^q; by Parseval, R = T[0] at
     q = 1 and sum_c T[c]^2 at q = 2, with no transform.
 
-    Listing visits 2^f contributions, f = k+m+1+n: f bits. At q = 1 it holds one span
-    of 2^(f-k) at a time; at q = 2 the tally holds at most min(2^K, 2^f) keys. At q >= 3 the transform holds 2^K, refused
-    first over 2^GRID_MAX_BITS, takes about K 2^K steps, then raises 2^K values to
-    powers of up to W = q f // 64 + 1 words, W^2 steps each: K + bit_length(K W^2) bits.
+    Listing visits 2^f contributions, f = k+m+1+n, charged f bits at q <= 2.
+    Refused first over 2^GRID_MAX_BITS entries held: one span of 2^(m+1+n) at
+    q = 1, a tally of up to min(2^K, 2^f) keys at q = 2, the 2^K-point transform
+    at q >= 3, charged bigint_bits(K 2^K, q f) for its K 2^K steps and q-th powers.
     """
     _check_qnkm(q, n, k, m)
     what = "brute count q=%d n=%d k=%d m=%d" % (q, n, k, m)
     f, grid = k + m + 1 + n, k + m + n * k
-    if q <= 2:  # the tally alone gives R
+    if q <= 2:  # the span or tally alone gives R
         check_budget(f, budget_bits, what)
-    keys = min(grid, f) if q <= 2 else grid
-    if keys > GRID_MAX_BITS:
-        raise BudgetExceeded("%s holds a tally of up to 2^%d keys, over the fixed 2^%d"
-                             " key ceiling of a brute count" % (what, keys, GRID_MAX_BITS))
-    if q > 2:
-        check_budget(grid + (grid * (q * f // 64 + 1) ** 2).bit_length(), budget_bits, what)
+    held = m + 1 + n if q == 1 else min(grid, f) if q == 2 else grid
+    if held > GRID_MAX_BITS:
+        holds = "a span of 2^%d contributions" if q == 1 else "a tally of up to 2^%d keys"
+        raise BudgetExceeded(("%s holds " + holds + ", over the fixed 2^%d key ceiling of a"
+                              " brute count") % (what, held, GRID_MAX_BITS))
     shifts = [*range(m + 1), *range(k + m, k + m + n * k, k)]
+    if q > 2:
+        check_budget(bigint_bits(grid << grid, q * f), budget_bits, what)
+        sums = lanes._product_sums(grid, range(1 << k), shifts)
+        return _over_grid(sum(value ** q for value in sums), grid)
     spans = (lanes._span(0, [y << j for j in shifts]) for y in range(1 << k))
     if q == 1:  # T[0], counted one span at a time
         return sum(span.count(0) for span in spans)
-    contributions = itertools.chain.from_iterable(spans)
-    if q == 2:
-        return sum(count * count for count in Counter(contributions).values())
-    sums = [0] * (1 << grid)
-    for c in contributions:
-        sums[c] += 1
-    lanes._wht(sums)
-    return _over_grid(sum(value ** q for value in sums), grid)
+    return sum(count * count for count in Counter(itertools.chain.from_iterable(spans)).values())

@@ -38,6 +38,7 @@ from .exceptions import (
     CaseMismatch,
     InsufficientPrecision,
     NonIntegerResult,
+    bigint_bits,
     check_budget,
 )
 
@@ -220,9 +221,8 @@ _REPCOUNT_MODES = {
 def _cmd_repcount(args) -> int:
     from . import census
 
-    # the count has up to q(k+m+n+1) bits, W 64-bit words printed in about W^2 steps
-    words = max(0, args.q * (args.k + args.m + args.n + 1)) // 64 + 1
-    check_budget((words * words).bit_length(), args.budget_bits, "repcount q=%d" % args.q)
+    check_budget(bigint_bits(1, args.q * (args.k + args.m + args.n + 1)), args.budget_bits,
+                 "repcount q=%d" % args.q)
     params = (census, args.q, args.n, args.k, args.m, args.budget_bits)
     if not args.check:
         print(_REPCOUNT_MODES[args.mode](*params))
@@ -343,12 +343,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if not wanted("repcount"):
         return parser
     how = rep.add_mutually_exclusive_group(required=True)
-    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="brute tallies "
-                     "2^f factor contributions of K = k+m+nk bits, f = k+m+1+n. At q <= 2 "
-                     "it reads R off the tally: charged f bits, refused when min(K, f) > "
-                     "%d. At q >= 3 it transforms the tally and raises its 2^K values to the "
-                     "q-th power: refused when K > %d, charged K + bit_length(K W^2) "
-                     "bits, W = qf//64 + 1" % (GRID_MAX_BITS, GRID_MAX_BITS))
+    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="brute lists 2^f factor "
+                     "contributions of K = k+m+nk bits, f = k+m+1+n. q = 1 counts the zeros of "
+                     "each Y's 2^(m+1+n) span, q = 2 reads R off their tally of up to 2^min(K, f) "
+                     "keys: charged f bits, refused over 2^%d entries. q >= 3 sums the q-th "
+                     "powers of the tally's 2^K-point transform: refused when K > %d, charged K + "
+                     "bit_length(K W^2) bits, W = qf//64 + 1" % (GRID_MAX_BITS, GRID_MAX_BITS))
     how.add_argument("--check", action="store_true",
                      help="run every mode within budget and compare")
     rep.add_argument("--q", required=True, type=int, help="tuple length; the count "

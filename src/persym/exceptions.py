@@ -34,6 +34,11 @@ def check_budget(bits: int, budget_bits: int, what: str) -> None:
         )
 
 
+def bigint_bits(values: int, bits: int) -> int:
+    """bit_length(values W^2): values ints of W = bits//64 + 1 words, W^2 steps each."""
+    return (values * (max(0, bits) // 64 + 1) ** 2).bit_length()
+
+
 class IncompleteDomain(PersymError):
     """A coset integral was requested over a value map that misses representatives."""
 

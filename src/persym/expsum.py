@@ -15,10 +15,9 @@ second series eta with one extra factor, constant (deg U = 0); fmulti adds
 n series eta_j, each with a factor free over U_j in {0,1} (the two-variable
 f is fmulti with one eta).
 
-g and its two boundary sums also have whole-grid forms: the direct sum at
-every point of the depth k+s-1 grid at once, by one Walsh-Hadamard
-transform of the tally of the products YZ. These hold one int per grid
-point, so they refuse grids over 2^GRID_MAX_BITS points.
+g and its two boundary sums also have whole-grid forms: lanes._product_sums
+of the products YZ, the direct sum at every point of the depth k+s-1 grid,
+one int per point, so they refuse grids over 2^GRID_MAX_BITS points.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import List, Sequence, Tuple
 from .builders import hankel_rows, rank_profile, stacked_rows
 from .exceptions import DEFAULT_BUDGET_BITS, GRID_MAX_BITS, BudgetExceeded, check_budget
 from .gf2 import echelon, rank_of_rows
-from .lanes import _lane_words, _span, _wht
+from .lanes import _lane_words, _product_sums
 from .laurent import UnitSeries
 
 __all__ = [
@@ -126,26 +125,10 @@ def _g_depth(s: int, k: int) -> int:
     return k + s - 1
 
 
-def _grid_sums(bits: int, ys: range, free: int, z_top: bool) -> List[int]:
-    """Sum of E(tYZ) at every point t of the depth-bits grid, index t.coeffs.
-
-    Y runs over ys; Z over the polynomials of degree < free, plus T^free
-    when z_top. Since E(tYZ) = (-1)^popcount(t & YZ), the sums are the
-    transform of the tally of the products YZ; each Y's products are the
-    lanes._span of its shifts, so no rank is read.
-    """
-    tally = [0] * (1 << bits)
-    for y in ys:
-        for p in _span(y << free if z_top else 0, [y << j for j in range(free)]):
-            tally[p] += 1
-    _wht(tally)
-    return tally
-
-
 def g_vector(s: int, k: int) -> List[int]:
     """g at every point of the depth k+s-1 grid (index: the coefficient bits
     of t), summed directly: deg Y = k-1 and deg Z = s-1, both exact."""
-    return _grid_sums(_g_depth(s, k), range(1 << (k - 1), 1 << k), s - 1, True)
+    return _product_sums(_g_depth(s, k), range(1 << (k - 1), 1 << k), range(s - 1), s - 1)
 
 
 def g_boundary_vectors(s: int, k: int) -> Tuple[List[int], List[int]]:
@@ -153,8 +136,8 @@ def g_boundary_vectors(s: int, k: int) -> Tuple[List[int], List[int]]:
     depth k+s-1 grid, summed directly: g1 relaxes the Y degree (deg Y <= k-2,
     deg Z = s-1), g2 the Z degree (deg Y = k-1, deg Z <= s-2)."""
     bits = _g_depth(s, k)
-    return (_grid_sums(bits, range(1 << (k - 1)), s - 1, True),
-            _grid_sums(bits, range(1 << (k - 1), 1 << k), s - 1, False))
+    return (_product_sums(bits, range(1 << (k - 1)), range(s - 1), s - 1),
+            _product_sums(bits, range(1 << (k - 1), 1 << k), range(s - 1)))
 
 
 def g2var_direct(

@@ -4,11 +4,14 @@ Lane x of a word stands for the integer base + x (a census window, or one
 term of a direct sum), the word covering an aligned block of 2^b integers,
 so one big-int operation acts on all of them. Bit p < b is the same lane
 mask in every word; a bit p >= b is all ones or zeros, from bit p of base.
+
+_product_sums is the one literal sum at every grid point, for g's grid
+vectors and the brute representation count: the _wht of a tally of _spans.
 """
 
 import functools
 from operator import add, sub
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 # a word holds at most 2^16 lanes: at 2^26 windows 2^18 lanes saved about
 # a tenth of the time and raised peak memory from 15 to 21 MiB
@@ -80,3 +83,16 @@ def _wht(v: List[int]) -> None:
                 v[lo:mid] = map(add, a, b)
                 v[mid:hi] = map(sub, a, b)
         h = step
+
+
+def _product_sums(bits: int, ys: Iterable[int], shifts: Sequence[int],
+                  top: Optional[int] = None) -> List[int]:
+    """The sum of (-1)^popcount(x & p) over the products p of each y in ys, at
+    every point x of the depth-bits grid: the _wht of the tally of the _span of
+    y << j over shifts, from y << top (or 0), so no rank is read."""
+    tally = [0] * (1 << bits)
+    for y in ys:
+        for p in _span(0 if top is None else y << top, [y << j for j in shifts]):
+            tally[p] += 1
+    _wht(tally)
+    return tally

@@ -13,7 +13,7 @@ this module, and each runner imports the modules it calls in its own body.
 
 from collections import Counter
 
-from .exceptions import check_budget
+from .exceptions import bigint_bits, check_budget
 
 
 def _over_power_of_two(n, e):
@@ -70,9 +70,8 @@ def verify_even_moments(p, args, run_census):
     s, k, q = p["s"], p["k"], p["q"]
     if q < 1:
         raise ValueError("--q must be at least 1, got %d" % q)
-    # 2q values of up to 2q(k+s) bits are printed, W 64-bit words in about W^2 steps
-    words = max(0, q * (k + s)) // 32 + 1
-    check_budget((2 * q * words * words).bit_length(), args.budget_bits, "verify thm3.5 q=%d" % q)
+    # 2q values of up to 2q(k+s) bits are printed
+    check_budget(bigint_bits(2 * q, 2 * q * (k + s)), args.budget_bits, "verify thm3.5 q=%d" % q)
     expsum._g_depth(s, k)  # g's refusals, then the census's, before any grid sum
     quads = run_census("quad", (1, s, k))
     g = expsum.g_vector(s, k)

@@ -1058,20 +1058,30 @@ class TestRepcounts:
     def test_bruteforce_refuses_a_tally_over_the_key_ceiling(self):
         # a factor's 22 bits are within the budget, its k+m = 21 product bits are not
         with pytest.raises(BudgetExceeded, match=re.escape(
-                "brute count q=1 n=0 k=10 m=11 holds a tally of up to 2^21 keys, over"
+                "brute count q=2 n=0 k=10 m=11 holds a tally of up to 2^21 keys, over"
                 " the fixed 2^20 key ceiling of a brute count")):
-            C.repcount_bruteforce(1, 0, 10, 11)
+            C.repcount_bruteforce(2, 0, 10, 11)
 
-    # at a ceiling of 2^6 keys: min(k+m+nk, ceil(q/2)(k+m+1+n)) is 6, then 7
+    # at a ceiling of 2^6 keys: min(k+m+nk, k+m+1+n) is 6, then 7
     @pytest.mark.parametrize("under,over", [
-        ((1, 0, 3, 3), (1, 0, 3, 4)),  # the k+m+nk product and U bits
-        ((1, 2, 3, 0), (1, 2, 3, 1)),  # the bits of one factor
+        ((2, 0, 3, 3), (2, 0, 3, 4)),  # the k+m+nk product and U bits
+        ((2, 2, 3, 0), (2, 2, 3, 1)),  # the bits of one factor
     ])
     def test_bruteforce_key_ceiling_one_bit_under_and_over(self, monkeypatch, under, over):
         monkeypatch.setattr(C, "GRID_MAX_BITS", 6)
         assert C.repcount_bruteforce(*under) == C.repcount_multi_formula(*under)
         with pytest.raises(BudgetExceeded, match="up to 2\\^7 keys, over the fixed 2\\^6"):
             C.repcount_bruteforce(*over)
+
+    # q = 1 holds one Y's span of 2^(m+1+n) contributions: 6 bits, then 7, at a
+    # ceiling of 2^6, although K = k+m+nk is 18 and 19
+    def test_bruteforce_q1_span_ceiling_one_bit_under_and_over(self, monkeypatch):
+        monkeypatch.setattr(C, "GRID_MAX_BITS", 6)
+        assert C.repcount_bruteforce(1, 2, 5, 3) == C.repcount_multi_formula(1, 2, 5, 3)
+        with pytest.raises(BudgetExceeded, match=re.escape(
+                "brute count q=1 n=2 k=5 m=4 holds a span of 2^7 contributions, over the"
+                " fixed 2^6 key ceiling of a brute count")):
+            C.repcount_bruteforce(1, 2, 5, 4)
 
 
 class TestPartitionLemmas:

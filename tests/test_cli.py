@@ -635,18 +635,24 @@ class TestRepcountCommand:
 
     def test_brute_refuses_a_tally_over_the_key_ceiling(self, capsys):
         # one factor has k+m+1+n = 21 bits; the budget charges only those
+        argv = ["repcount", "--mode", "brute", "--q", "2", "--n", "2", "--k", "8", "--m", "10"]
+        assert run_cli(argv, capsys) == (
+            2, "", "error: brute count q=2 n=2 k=8 m=10 holds a tally of up to 2^21 keys,"
+            " over the fixed 2^20 key ceiling of a brute count\n")
+
+    def test_q1_brute_at_the_shape_of_a_refused_tally_prints_the_formula(self, capsys):
+        # q = 1 holds one 2^13-contribution span of the 2^21, not their tally
         argv = ["repcount", "--mode", "brute", "--q", "1", "--n", "2", "--k", "8", "--m", "10"]
         assert run_cli(argv, capsys) == (
-            2, "", "error: brute count q=1 n=2 k=8 m=10 holds a tally of up to 2^21 keys,"
-            " over the fixed 2^20 key ceiling of a brute count\n")
+            0, "%d\n" % census.repcount_multi_formula(1, 2, 8, 10), "")
 
     def test_check_skips_a_brute_count_over_the_key_ceiling(self, capsys, monkeypatch):
         monkeypatch.setattr(census, "GRID_MAX_BITS", 6)
-        argv = ["repcount", "--check", "--q", "1", "--n", "0", "--k", "3", "--m"]
-        count = census.repcount_multi_formula(1, 0, 3, 3)
+        argv = ["repcount", "--check", "--q", "2", "--n", "0", "--k", "3", "--m"]
+        count = census.repcount_multi_formula(2, 0, 3, 3)
         assert run_cli(argv + ["3"], capsys) == (
             0, "formula=%d brute=%d integral=%d agree=true\n" % (count, count, count), "")
-        count = census.repcount_multi_formula(1, 0, 3, 4)
+        count = census.repcount_multi_formula(2, 0, 3, 4)
         assert run_cli(argv + ["4"], capsys) == (
             0, "formula=%d integral=%d agree=true\n" % (count, count), "")
 
@@ -654,11 +660,11 @@ class TestRepcountCommand:
     def test_brute_at_its_key_ceiling_peaks_under_256_mib(self):
         # 2^20 keys at the default budget: a helper runs the command alone, so
         # its peak is not pytest's own high-water mark, which a child inherits
-        argv = ["repcount", "--mode", "brute", "--q", "1", "--n", "2", "--k", "8", "--m", "9"]
+        argv = ["repcount", "--mode", "brute", "--q", "2", "--n", "2", "--k", "8", "--m", "9"]
         result = subprocess.run([sys.executable, "-c", _PEAK_RSS_HELPER] + argv,
                                 capture_output=True, text=True, timeout=120)
         code, out, err, peak_kib = json.loads(result.stdout)
-        assert (code, out, err) == (0, "%d\n" % census.repcount_multi_formula(1, 2, 8, 9), "")
+        assert (code, out, err) == (0, "%d\n" % census.repcount_multi_formula(2, 2, 8, 9), "")
         assert peak_kib < 256 << 10
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

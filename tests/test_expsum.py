@@ -400,8 +400,7 @@ def test_literal_products_are_listed_by_the_span_only(monkeypatch):
         listed.append(len(out))
         return out
 
-    for module in (lanes, expsum):
-        monkeypatch.setattr(module, "_span", counting)
+    monkeypatch.setattr(lanes, "_span", counting)
     # one span per Y, one entry per (Z, U_1..U_n): every tuple of one factor
     q, n, k, m = 2, 1, 3, 2
     assert census.repcount_bruteforce(q, n, k, m) == census.repcount_multi_formula(q, n, k, m)
@@ -458,6 +457,55 @@ def test_span_lists_base_xor_every_subset_sum_once(base, vectors):
     got = lanes._span(base, vectors)
     assert len(got) == 1 << len(vectors)
     assert Counter(got) == want
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_sums_equal_the_naive_literal_sum(seed):
+    rng = random.Random(seed)
+    bits = rng.randint(3, 7)
+    width = rng.randint(1, bits - 1)  # ys below 2^width, shifted by at most bits - width
+    ys = [rng.randrange(1 << width) for _ in range(rng.randint(1, 5))]
+    shifts = [rng.randint(0, bits - width) for _ in range(rng.randint(0, 3))]
+    for top in (None, rng.randint(0, bits - width)):
+        # y << top (or 0) XOR the y << j of each subset of shifts, by position
+        products = [reduce(xor, [y << j for j in subset], 0 if top is None else y << top)
+                    for y in ys for r in range(len(shifts) + 1)
+                    for subset in combinations(shifts, r)]
+        want = [sum((-1) ** (x & p).bit_count() for p in products) for x in range(1 << bits)]
+        assert lanes._product_sums(bits, ys, shifts, top) == want, top
+
+
+# every brute count grid of K = k+m+nk <= 10 bits
+PRODUCT_GRIDS = [(n, k, m) for n in range(4) for k in range(1, 11) for m in range(10)
+                 if k + m + n * k <= 10]
+
+
+@pytest.mark.parametrize("n,k,m", PRODUCT_GRIDS)
+def test_brute_products_sum_to_fmulti_direct_at_every_point(n, k, m):
+    # the brute count's F: contribution Y*Z in the low k+m bits, Y*U_j in the
+    # j-th k-bit field above, so point x is t and the eta_j read off those fields
+    bits, shifts = k + m + n * k, [*range(m + 1), *range(k + m, k + m + n * k, k)]
+    sums = lanes._product_sums(bits, range(1 << k), shifts)
+    for x in range(1 << bits):
+        t = UnitSeries(x & ((1 << (k + m)) - 1), k + m)
+        etas = [UnitSeries(x >> (k + m + j * k) & ((1 << k) - 1), k) for j in range(n)]
+        assert sums[x] == fmulti_direct(m, k, t, etas), x
+
+
+# the brute count's one transform at q >= 3 is pinned in test_census.py
+def test_g_g1_and_g2_each_transform_once(monkeypatch):
+    lengths = []
+    wht = lanes._wht
+
+    def counting(v):
+        lengths.append(len(v))
+        wht(v)
+
+    monkeypatch.setattr(lanes, "_wht", counting)
+    g_vector(3, 4)
+    assert lengths == [1 << 6]
+    g_boundary_vectors(3, 4)
+    assert lengths == [1 << 6] * 3
 
 
 # every (s, k) whose grid holds at most 2^12 points
