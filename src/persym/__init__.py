@@ -5,7 +5,8 @@ The package has three layers:
 
 * carriers: bit-packed GF(2) matrices (`gf2`), truncated Laurent-series
   arithmetic and additive characters (`laurent`), structured-matrix builders
-  (`builders`), exact dyadic rationals (`dyadic`), lane words (`lanes`);
+  (`builders`), lane words (`lanes`), and exact dyadic rationals (`dyadic`),
+  which, like `laurent.Poly2`, stay only for the benchmark's `perfbench/layers.py`;
 * two independent routes to every quantity: literal character sums and
   exhaustive enumeration (`expsum`, `census`) versus closed-form count
   calculators (`formulas`);

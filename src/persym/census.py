@@ -118,9 +118,7 @@ def _read_checkpoint(
             % (complete.count(b"\n", 0, err.start) + 1, path)
         ) from None
     valid_set = set(valid)
-    for line in lines[1:]:
-        if not line.strip():
-            continue
+    for line in lines[1:-1]:  # the text ends at its last newline
         malformed = ValueError("checkpoint line %r has a malformed field;"
                                " remove %s to start over" % (line, path))
         # read leniently; the line is kept only if _checkpoint_line writes it back
@@ -421,14 +419,21 @@ def _count_from_ranks(ranks: Mapping[int, int], q: int, n: int, k: int, m: int) 
                       k + m + n * k)
 
 
-def repcount_multi_formula(q: int, n: int, k: int, m: int) -> int:
+def repcount_multi_formula(
+    q: int, n: int, k: int, m: int, *, budget_bits: int = DEFAULT_BUDGET_BITS
+) -> int:
     """Count of solution q-tuples for the stacked system, from the closed
     rank distribution. With n = 0 the system is the window system of the
-    (1+m) x k block.
+    (1+m) x k block. Charged first bit_length(P W V) bits: the table makes
+    P = n^2 + (k+1)(min(n, k, m+1)+1)(min(n, k)+2) big-int products (n^2 for
+    coefficient row n), each of W = max(n^2/4, k+m+nk)//64 + 1 by V = max(n, k)//64 + 1 words.
     """
     from . import formulas
 
     _check_qnkm(q, n, k, m)
+    products = n * n + (k + 1) * (min(n, k, m + 1) + 1) * (min(n, k) + 2)
+    steps = products * (max(n * n // 4, k + m + n * k) // 64 + 1) * (max(n, k) // 64 + 1)
+    check_budget(steps.bit_length(), budget_bits, "formula table n=%d k=%d m=%d" % (n, k, m))
     return _count_from_ranks(formulas.stacked_gamma_table(n, m, k), q, n, k, m)
 
 

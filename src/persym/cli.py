@@ -14,7 +14,8 @@ errors or when an enumeration would exceed the point budget.  Output for
 a given input is byte-identical across runs and across worker counts.
 
 Series arguments are bit strings whose leftmost character is the
-coefficient of T^-1, so `--t 100` means t = T^-1 exactly.
+coefficient of T^-1, so `--t 100` means t = T^-1 exactly. A sum reads only
+the coefficients its matrix holds, refusing fewer after its shape and budget.
 
 A run loads only what its command uses: the verify suites live in
 `persym.suites`, each function imports the persym modules it calls in its
@@ -65,12 +66,6 @@ def _checkpoint_path(text: str) -> str:
     return text
 
 
-def _parse_series(literal: str, depth: int):
-    from .laurent import UnitSeries
-
-    return UnitSeries.from_string(literal).truncate(depth)
-
-
 # census kind: (its enumeration in persym.census, its parameters in call order);
 # the enumeration is looked up by name at each call, so a rebinding is seen
 _CENSUS_KINDS = {
@@ -99,7 +94,7 @@ def _census(args, kind: str, params, label: Optional[str] = None) -> Counter:
 # looked up by name at each call, and only verify imports persym.suites
 _VERIFIERS = {
     "thm3.1": ("verify_window_census", {"s": 3, "k": 4}),
-    "thm3.3": ("verify_profile_census", {"l": 1, "s": 2, "k": 3}),
+    "thm3.3": ("verify_profile_census", {"s": 2, "k": 3}),
     "thm3.5": ("verify_even_moments", {"s": 2, "k": 2, "q": 2}),
     "thm3.8": ("verify_one_extra_row", {"m": 1, "k": 3}),
     "thm3.9": ("verify_stacked_census", {"n": 1, "m": 2, "k": 3}),
@@ -179,10 +174,10 @@ _SERIES_HELP = {
 
 def _cmd_expsum(args) -> int:
     from . import expsum
+    from .laurent import UnitSeries
 
-    kind = args.kind
+    kind, t = args.kind, UnitSeries.from_string(args.t)
     if kind in ("h", "g"):
-        t = _parse_series(args.t, args.k + args.s - 1)
         if kind == "h":
             direct = expsum.h_direct(args.s, args.k, t, budget_bits=args.budget_bits)
             closed = expsum.h_closed(args.s, args.k, t)
@@ -190,14 +185,12 @@ def _cmd_expsum(args) -> int:
             direct = expsum.g_direct(args.s, args.k, t, budget_bits=args.budget_bits)
             closed = expsum.g_closed(args.s, args.k, t)
     elif kind == "g2":
-        t = _parse_series(args.t, args.k + args.m)
-        eta = _parse_series(args.eta, args.k)
+        eta = UnitSeries.from_string(args.eta)
         direct = expsum.g2var_direct(args.m, args.k, t, eta, budget_bits=args.budget_bits)
         closed = expsum.g2var_closed(args.m, args.k, t, eta)
     else:  # f2 is fmulti with one eta
-        t = _parse_series(args.t, args.k + args.m)
         literals = [args.eta] if kind == "f2" else args.etas.split(",")
-        etas = [_parse_series(part, args.k) for part in literals]
+        etas = [UnitSeries.from_string(part) for part in literals]
         direct = expsum.fmulti_direct(args.m, args.k, t, etas, budget_bits=args.budget_bits)
         closed = expsum.fmulti_closed(args.m, args.k, t, etas)
     agree = direct == closed
@@ -210,7 +203,8 @@ def _cmd_expsum(args) -> int:
 
 # every mode, in the order --check reports them; each takes persym.census
 _REPCOUNT_MODES = {
-    "formula": lambda census, q, n, k, m, bits: census.repcount_multi_formula(q, n, k, m),
+    "formula": lambda census, q, n, k, m, bits: census.repcount_multi_formula(
+        q, n, k, m, budget_bits=bits),
     "brute": lambda census, q, n, k, m, bits: census.repcount_bruteforce(
         q, n, k, m, budget_bits=bits),
     "integral": lambda census, q, n, k, m, bits: census.repcount_integral(
@@ -232,7 +226,8 @@ def _cmd_repcount(args) -> int:
         try:
             results.append((name, count(*params)))
         except BudgetExceeded:
-            pass
+            if name == "formula":  # the count the others are checked against
+                raise
     agree = len({value for _, value in results}) == 1
     fields = ["%s=%d" % pair for pair in results]
     fields.append("agree=%s" % ("true" if agree else "false"))
@@ -320,12 +315,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             continue
         leaf = cens.add_parser(kind)
         required(leaf, [flag for flag in flags if flag != "l"])
-        if "l" in flags:
-            leaf.add_argument("--l", type=int, default=1,
-                              help="first window coefficient (default: 1)")
         leaf.add_argument("--format", choices=("json", "csv"), default="json")
         common(leaf)
-        leaf.set_defaults(run=_cmd_census)
+        leaf.set_defaults(run=_cmd_census, l=1)  # the quad window starts at alpha_1
 
     exps = sub.add_parser(
         "expsum", help="evaluate an exponential sum directly and in closed form"
@@ -343,14 +335,18 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if not wanted("repcount"):
         return parser
     how = rep.add_mutually_exclusive_group(required=True)
-    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="brute lists 2^f factor "
+    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="formula makes P = n^2 + "
+                     "(k+1)(min(n, k, m+1)+1)(min(n, k)+2) big-int products of W = max(n^2/4, "
+                     "k+m+nk)//64 + 1 by V = max(n, k)//64 + 1 words: charged bit_length(P W V) "
+                     "bits. brute lists 2^f factor "
                      "contributions of K = k+m+nk bits, f = k+m+1+n. q = 1 counts the zeros of "
                      "each Y's 2^(m+1+n) span, q = 2 reads R off their tally of up to 2^min(K, f) "
                      "keys: charged f bits, refused over 2^%d entries. q >= 3 sums the q-th "
                      "powers of the tally's 2^K-point transform: refused when K > %d, charged K + "
                      "bit_length(K W^2) bits, W = qf//64 + 1" % (GRID_MAX_BITS, GRID_MAX_BITS))
     how.add_argument("--check", action="store_true",
-                     help="run every mode within budget and compare")
+                     help="run every mode within budget and compare; refused when the "
+                     "formula is")
     rep.add_argument("--q", required=True, type=int, help="tuple length; the count "
                      "has up to q(k+m+n+1) bits, and printing W 64-bit words takes "
                      "about W^2 steps, so q is refused when the bit length of W^2, "

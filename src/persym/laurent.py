@@ -77,11 +77,6 @@ class UnitSeries:
                 "operation needs precision %d, series has %d" % (precision, self.precision)
             )
 
-    def truncate(self, precision: int) -> "UnitSeries":
-        """Drop coefficients past the requested precision (never invents them)."""
-        self.require(precision)
-        return UnitSeries(self.coeffs & ((1 << precision) - 1), precision)
-
     def __repr__(self) -> str:
         return "UnitSeries(%r)" % "".join(str(self.coeffs >> i & 1) for i in range(self.precision))
 

@@ -46,7 +46,7 @@ def verify_profile_census(p, args, run_census):
     s, k = p["s"], p["k"]
     if not 1 <= s <= k:
         raise ValueError("requires 1 <= s <= k, got s=%d k=%d" % (s, k))
-    return _census_against_table(run_census, ("quad", (p["l"], s, k)),
+    return _census_against_table(run_census, ("quad", (1, s, k)),
                                  lambda f: f.quad_table(s, k))
 
 
@@ -132,7 +132,7 @@ def verify_multi_count(p, args, run_census):
 
     q, n, k, m = p["q"], p["n"], p["k"], p["m"]
     computed = {"R": census.repcount_bruteforce(q, n, k, m, budget_bits=args.budget_bits)}
-    expected = {"R": census.repcount_multi_formula(q, n, k, m)}
+    expected = {"R": census.repcount_multi_formula(q, n, k, m, budget_bits=args.budget_bits)}
     if n == 0 and m <= k - 1:
         computed["R piecewise"] = formulas.repcount_piecewise(q, k, m)
         expected["R piecewise"] = expected["R"]

@@ -526,7 +526,8 @@ class TestPartitioning:
 
     @pytest.mark.parametrize("line", [
         # the reader once accepted each of these, but the writer never writes them
-        "0 4 1:3 0:1", "0 4 0:1  1:3", "0 4 0:1 1:3 ", "0 4\t0:1 1:3", "0 4 0:1 1:3\r"])
+        "0 4 1:3 0:1", "0 4 0:1  1:3", "0 4 0:1 1:3 ", "0 4\t0:1 1:3", "0 4 0:1 1:3\r",
+        pytest.param("", id="empty"), pytest.param("   ", id="spaces")])
     def test_checkpoint_line_the_writer_never_writes_is_rejected(self, tmp_path, line):
         path = tmp_path / "gamma.ckpt"
         C.enum_gamma(1, 3, checkpoint=str(path), chunk_size=4)

@@ -50,7 +50,7 @@ class TestCensusCommand:
          'key,count\n"same,0",1\n"same,1",6\n"same,2",16\n"up,1",3\n"up,2",6\n'),
         (["quad", "--s", "2", "--k", "3"],
          '{"0,0,0,0":1,"0,0,0,1":1,"0,1,1,2":2,"1,1,1,1":2,"1,1,1,2":2,"1,1,2,2":8}\n'),
-        (["quad", "--l", "2", "--s", "2", "--k", "2", "--format", "csv"],
+        (["quad", "--s", "2", "--k", "2", "--format", "csv"],
          'key,count\n"0,0,0,0",1\n"0,0,0,1",1\n"0,1,1,2",2\n"1,1,1,1",2\n"1,1,1,2",2\n'),
         (["stacked", "--n", "2", "--m", "1", "--k", "2"], '{"0":1,"1":21,"2":106}\n'),
         (["stacked", "--n", "2", "--m", "1", "--k", "2", "--format", "csv"],
@@ -108,6 +108,29 @@ class TestCensusCommand:
         assert "unrecognized arguments: --m 9 --n 4" in err
 
     @pytest.mark.parametrize("argv", [
+        ["census", "quad", "--s", "2", "--k", "2", "--l", "2"],
+        ["verify", "thm3.3", "--l", "1"],
+    ], ids=["census-quad", "verify-thm3.3"])
+    def test_quad_window_offset_is_no_flag(self, capsys, argv):
+        # every census runs over all coefficient sequences, so no offset is read
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --l" in err
+
+    def test_quad_checkpoint_keeps_its_header_and_resumes(self, tmp_path, capsys):
+        # the header keeps l=1, so every quad checkpoint written so far resumes
+        argv = ["census", "quad", "--s", "9", "--k", "9", "--threads", "1",
+                "--checkpoint", str(tmp_path / "run")]
+        code, out, _ = run_cli(argv, capsys)
+        path = tmp_path / "run.quad"
+        full = path.read_bytes()
+        header, first, second, end = full.split(b"\n")
+        assert (code, header) == (0, b"#census quad l=1 n=9 m=9 points=131072 chunk=65536")
+        path.write_bytes(b"\n".join([header, first, end]))
+        assert run_cli(argv, capsys) == (0, out, "")
+        assert path.read_bytes() == full
+
+    @pytest.mark.parametrize("argv", [
         ["census", "gamma", "--s", "2", "--k", "2"],
         ["verify", "thm3.1", "--s", "2", "--k", "2"],
         ["repcount", "--mode", "formula", "--q", "1", "--n", "0", "--k", "2", "--m", "1"],
@@ -119,7 +142,7 @@ class TestCensusCommand:
         assert "argument --threads: must be an integer of at least 1" in err
 
     @pytest.mark.parametrize("kind,own", [
-        ("gamma", {"s", "k"}), ("quad", {"l", "s", "k"}), ("sigma", {"m", "k"}),
+        ("gamma", {"s", "k"}), ("quad", {"s", "k"}), ("sigma", {"m", "k"}),
         ("stacked", {"n", "m", "k"}),
     ], ids=["gamma", "quad", "sigma", "stacked"])
     def test_help_lists_only_the_kinds_flags(self, capsys, kind, own):
@@ -289,7 +312,7 @@ class TestVerifyCommand:
         ("thm3.1", '{"params":{"theorem":"thm3.1","s":3,"k":4},'
                    '"computed":{"0":1,"1":3,"2":12,"3":48},'
                    '"expected":{"0":1,"1":3,"2":12,"3":48},"match":true}\n'),
-        ("thm3.3", '{"params":{"theorem":"thm3.3","l":1,"s":2,"k":3},'
+        ("thm3.3", '{"params":{"theorem":"thm3.3","s":2,"k":3},'
                    '"computed":{"0,0,0,0":1,"0,0,0,1":1,"0,1,1,2":2,"1,1,1,1":2,'
                    '"1,1,1,2":2,"1,1,2,2":8},'
                    '"expected":{"0,0,0,0":1,"0,0,0,1":1,"0,1,1,2":2,"1,1,1,1":2,'
@@ -542,6 +565,36 @@ class TestExpsumCommand:
                                capsys)
         assert code == 0
         assert out == "direct=8 closed=8 agree=true\n"
+        # a sum reads only the coefficients of its depth, so the rest change nothing
+        for argv, exact, long in [
+            (["g", "--s", "2", "--k", "2", "--t"], ["001"], ["00111"]),
+            (["g2", "--m", "1", "--k", "2", "--t"], ["010", "--eta", "10"],
+             ["01011", "--eta", "1011"]),
+            (["f2", "--m", "1", "--k", "2", "--t"], ["010", "--eta", "11"],
+             ["0101", "--eta", "111"]),
+            (["fmulti", "--m", "0", "--k", "2", "--t"], ["01", "--etas", "10,11"],
+             ["0111", "--etas", "101,110"]),
+        ]:
+            want = run_cli(["expsum"] + argv + exact, capsys)
+            assert want[0] == 0 and "agree=true" in want[1]
+            assert run_cli(["expsum"] + argv + long, capsys) == want
+
+    @pytest.mark.parametrize("argv,message", [
+        (["h", "--s", "-5", "--k", "2", "--t", "1"], "h is defined for s, k >= 1"),
+        (["g", "--s", "-5", "--k", "2", "--t", "1"], "g is defined for s, k >= 2"),
+        (["g2", "--m", "-3", "--k", "2", "--t", "1", "--eta", "1"], "m must be nonnegative"),
+        (["f2", "--m", "0", "--k", "-2", "--t", "1", "--eta", "1"], "k must be positive"),
+        (["fmulti", "--m", "1", "--k", "-2", "--t", "1", "--etas", "1,1"],
+         "k must be positive"),
+    ], ids=["h", "g", "g2", "f2", "fmulti"])
+    def test_negative_shape_gets_its_sums_message(self, capsys, argv, message):
+        assert run_cli(["expsum"] + argv, capsys) == (2, "", "error: %s\n" % message)
+
+    def test_short_literal_over_budget_is_refused_by_the_budget(self, capsys):
+        # the budget is charged before the literal's depth is read
+        assert run_cli(["expsum", "h", "--s", "30", "--k", "30", "--t", "1"], capsys) == (
+            2, "", "error: direct h sum s=30 k=30 needs a 2^60 point domain, over the 2^28"
+            " budget\n")
 
     def test_short_literal_is_an_error(self, capsys):
         code, _, err = run_cli(["expsum", "h", "--s", "2", "--k", "2", "--t", "10"],
@@ -746,6 +799,32 @@ class TestRepcountCommand:
                 "--m", "1", "--budget-bits", "10"]
         assert run_cli(argv, capsys) == (
             0, "%d\n" % census.repcount_multi_formula(495, 0, 2, 1), "")
+
+    def test_formula_runs_at_its_charge_and_exits_two_one_bit_under(self, capsys):
+        # P = 3^2 + 41 (3+1)(3+2) = 829 products of W = 163//64 + 1 = 3 by V = 1 words
+        argv = ["repcount", "--mode", "formula", "--q", "2", "--n", "3", "--k", "40", "--m",
+                "40", "--budget-bits"]
+        assert run_cli(argv + ["12"], capsys) == (
+            0, "%d\n" % census.repcount_multi_formula(2, 3, 40, 40), "")
+        assert run_cli(argv + ["11"], capsys) == (
+            2, "", "error: formula table n=3 k=40 m=40 needs a 2^12 point domain, over"
+            " the 2^11 budget\n")
+
+    @pytest.mark.parametrize("mode", [["--mode", "formula"], ["--check"]],
+                             ids=["formula", "check"])
+    def test_formula_over_its_charge_is_refused_before_the_table(
+            self, capsys, monkeypatch, mode):
+        # the table at n = k = 320 took seconds; --check has no count to compare without it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a count ran")
+
+        monkeypatch.setattr(formulas, "stacked_gamma_table", refuse)
+        for name in ("repcount_bruteforce", "repcount_integral"):
+            monkeypatch.setattr(census, name, refuse)
+        argv = ["repcount"] + mode + ["--q", "1", "--n", "320", "--k", "320", "--m", "0"]
+        assert run_cli(argv, capsys) == (
+            2, "", "error: formula table n=320 k=320 m=0 needs a 2^32 point domain, over"
+            " the 2^28 budget\n")
 
     def test_check_mode_runs_affordable_modes(self, capsys):
         code, out, _ = run_cli(

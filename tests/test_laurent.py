@@ -234,11 +234,3 @@ def test_bad_literals_rejected():
         UnitSeries.from_string("10x")
     with pytest.raises(ValueError):
         UnitSeries(0b100, 2)
-
-
-def test_truncate_never_extends():
-    t = S("1011")
-    cut = t.truncate(2)
-    assert (cut.precision, cut.coeffs) == (2, S("10").coeffs)
-    with pytest.raises(InsufficientPrecision):
-        t.truncate(5)
