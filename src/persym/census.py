@@ -425,14 +425,14 @@ def repcount_multi_formula(
     """Count of solution q-tuples for the stacked system, from the closed
     rank distribution. With n = 0 the system is the window system of the
     (1+m) x k block. Charged first bit_length(P W V) bits: the table makes
-    P = n^2 + (k+1)(min(n, k, m+1)+1)(min(n, k)+2) big-int products (n^2 for
-    coefficient row n), each of W = max(n^2/4, k+m+nk)//64 + 1 by V = max(n, k)//64 + 1 words.
+    P = n^2 + (k+1)(min(n, k, m+1)+1)(min(n, k)+2) big-int steps (n^2 shifts and
+    adds for coefficient row n), each on W = max(n^2/4, k+m+nk)//64 + 1 by V = k//64 + 1 words.
     """
     from . import formulas
 
     _check_qnkm(q, n, k, m)
     products = n * n + (k + 1) * (min(n, k, m + 1) + 1) * (min(n, k) + 2)
-    steps = products * (max(n * n // 4, k + m + n * k) // 64 + 1) * (max(n, k) // 64 + 1)
+    steps = products * (max(n * n // 4, k + m + n * k) // 64 + 1) * (k // 64 + 1)
     check_budget(steps.bit_length(), budget_bits, "formula table n=%d k=%d m=%d" % (n, k, m))
     return _count_from_ranks(formulas.stacked_gamma_table(n, m, k), q, n, k, m)
 

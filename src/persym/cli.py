@@ -221,13 +221,17 @@ def _cmd_repcount(args) -> int:
     if not args.check:
         print(_REPCOUNT_MODES[args.mode](*params))
         return 0
-    results = []
+    results, skipped = [], []
     for name, count in _REPCOUNT_MODES.items():
         try:
             results.append((name, count(*params)))
         except BudgetExceeded:
             if name == "formula":  # the count the others are checked against
                 raise
+            skipped.append(name)
+    if len(results) < 2:  # agree=true over one count would look checked
+        raise BudgetExceeded("repcount --check compared nothing: %s are over budget"
+                             % " and ".join(skipped))
     agree = len({value for _, value in results}) == 1
     fields = ["%s=%d" % pair for pair in results]
     fields.append("agree=%s" % ("true" if agree else "false"))
@@ -336,8 +340,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         return parser
     how = rep.add_mutually_exclusive_group(required=True)
     how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="formula makes P = n^2 + "
-                     "(k+1)(min(n, k, m+1)+1)(min(n, k)+2) big-int products of W = max(n^2/4, "
-                     "k+m+nk)//64 + 1 by V = max(n, k)//64 + 1 words: charged bit_length(P W V) "
+                     "(k+1)(min(n, k, m+1)+1)(min(n, k)+2) big-int steps on W = max(n^2/4, "
+                     "k+m+nk)//64 + 1 by V = k//64 + 1 words: charged bit_length(P W V) "
                      "bits. brute lists 2^f factor "
                      "contributions of K = k+m+nk bits, f = k+m+1+n. q = 1 counts the zeros of "
                      "each Y's 2^(m+1+n) span, q = 2 reads R off their tally of up to 2^min(K, f) "
@@ -346,7 +350,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                      "bit_length(K W^2) bits, W = qf//64 + 1" % (GRID_MAX_BITS, GRID_MAX_BITS))
     how.add_argument("--check", action="store_true",
                      help="run every mode within budget and compare; refused when the "
-                     "formula is")
+                     "formula is, or when both other modes are")
     rep.add_argument("--q", required=True, type=int, help="tuple length; the count "
                      "has up to q(k+m+n+1) bits, and printing W 64-bit words takes "
                      "about W^2 steps, so q is refused when the bit length of W^2, "

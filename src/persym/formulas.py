@@ -1,8 +1,8 @@
 """Closed forms for the rank censuses and representation counts.
 
-Everything in this module is pure big-integer arithmetic. The census
-module recomputes each of these tables by exhaustive enumeration; the two
-sides meet in the verification suites and in the test corpus.
+Everything in this module is pure big-integer arithmetic. Each census is a
+whole table, built in one call; the census module recomputes each table by
+exhaustive enumeration, and the two sides meet in the verification suites.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .exceptions import CaseMismatch, NonIntegerResult
 __all__ = [
     "gamma_closed",
     "gamma_table",
-    "quad_closed",
     "quad_table",
     "stacked1_gamma_closed",
     "stacked1_gamma_table",
@@ -25,9 +24,7 @@ __all__ = [
     "a_coeff_closed",
     "a_coeff_table",
     "gaussian_binomial",
-    "stacked_gamma_closed",
     "stacked_gamma_table",
-    "landsberg",
     "landsberg_table",
     "repcount_piecewise",
 ]
@@ -58,32 +55,18 @@ def gamma_table(s: int, k: int) -> Dict[int, int]:
     return {i: gamma_closed(s, k, i) for i in range(min(s, k) + 1)}
 
 
-def quad_closed(s: int, k: int, j1: int, j2: int, j3: int, j4: int) -> int:
-    """Number of windows whose corner-deleted rank quadruple is (j1,j2,j3,j4).
-
-    The quadruple lists the ranks of the (s-1)x(k-1), (s-1)xk, sx(k-1) and
-    sxk windows of one coefficient vector. Unreachable quadruples count 0.
-    """
+def quad_table(s: int, k: int) -> Dict[Tuple[int, int, int, int], int]:
+    """Theorem 3.3: every rank quadruple with nonzero count for s x k windows, the
+    ranks of a coefficient vector's (s-1)x(k-1), (s-1)xk, sx(k-1) and sxk windows."""
     if not 1 <= s <= k:
         raise ValueError("requires 1 <= s <= k, got s=%d k=%d" % (s, k))
-    if j1 == j2 == j3 == 0 and j4 in (0, 1):
-        return 1
-    if j1 == j2 == j3 and 1 <= j1 <= s - 1 and j4 in (j1, j1 + 1):
-        return 2 << (2 * j1 - 2)
-    if j2 == j3 == j1 + 1 and j4 == j1 + 2 and j4 <= s:
-        return 1 << (2 * j4 - 3)
-    if (j1, j2, j3, j4) == (s - 1, s - 1, s, s):
-        return (1 << (k + s - 1)) - (1 << (2 * s - 1))
-    return 0
-
-
-def quad_table(s: int, k: int) -> Dict[Tuple[int, int, int, int], int]:
-    """All rank quadruples with nonzero count for s x k windows."""
-    candidates = [(0, 0, 0, 0), (0, 0, 0, 1), (s - 1, s - 1, s, s)]
+    table = {(0, 0, 0, 0): 1, (0, 0, 0, 1): 1}
+    full = (1 << (k + s - 1)) - (1 << (2 * s - 1))
+    if full:
+        table[s - 1, s - 1, s, s] = full
     for j in range(1, s):
-        candidates += [(j, j, j, j), (j, j, j, j + 1), (j - 1, j, j, j + 1)]
-    counts = {quad: quad_closed(s, k, *quad) for quad in candidates}
-    return {quad: count for quad, count in counts.items() if count}
+        table[j, j, j, j] = table[j, j, j, j + 1] = table[j - 1, j, j, j + 1] = 1 << (2 * j - 1)
+    return table
 
 
 def stacked1_gamma_closed(m: int, k: int, i: int) -> int:
@@ -160,21 +143,16 @@ def a_coeff_rows(n: int) -> Iterator[List[int]]:
     row = [1]
     yield row
     for size in range(1, n + 1):
-        row = [1] + [(1 << j) * row[j] + row[j - 1] for j in range(1, size)] + [1]
+        row = [1] + [(row[j] << j) + row[j - 1] for j in range(1, size)] + [1]
         yield row
 
 
-@functools.lru_cache(maxsize=1)
-def _a_coeff_row(n: int) -> Tuple[int, ...]:
-    """Row n of a_coeff_rows; cached, since stacked_gamma_closed reads it at every (i, j)."""
-    return tuple(deque(a_coeff_rows(n), maxlen=1)[0])
-
-
 def a_coeff_recurrence(n: int, j: int) -> int:
-    """Row-stacking coefficient a_j for n free rows, by the triangle recurrence."""
+    """Coefficient a_j of row n of a_coeff_rows. No package code reads one entry;
+    it stays while perfbench/tracer.py traces it by name."""
     if n < 0 or not 0 <= j <= n:
         raise ValueError("requires 0 <= j <= n, got n=%d j=%d" % (n, j))
-    return _a_coeff_row(n)[j]
+    return deque(a_coeff_rows(n), maxlen=1)[0][j]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -231,52 +209,41 @@ def a_coeff_table(n: int) -> Tuple[int, ...]:
     return _A_ROWS[n]
 
 
-def _check_stacked(n: int, m: int, k: int) -> None:
+def stacked_gamma_table(n: int, m: int, k: int) -> Dict[int, int]:
+    """Theorem 3.9: {i: count} over ranks of n free rows stacked on a (1+m) x k window
+    block. Entry i sums, over j <= min(i, n), the block's rank i-j count times
+    a_j 2^((n-j)(i-j)) prod_{l=1..j} (2^k - 2^(i-l)), a_j from row n held alone."""
     if n < 0 or m < 0 or k < 1:
         raise ValueError("requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k))
-
-
-def stacked_gamma_closed(n: int, m: int, k: int, i: int) -> int:
-    """Rank-i count for n free rows stacked on a (1+m) x k window block: the window-block
-    rank counts combined with a_j coefficients, nonzero only for 0 <= i <= min(k, n+m+1)."""
-    _check_stacked(n, m, k)
-    total = 0
-    for j in range(min(i, n) + 1):
-        base = gamma_closed(1 + m, k, i - j)
-        if base:
-            coeff = a_coeff_recurrence(n, j) << ((n - j) * (i - j))
-            for l in range(1, j + 1):
-                coeff *= (1 << k) - (1 << (i - l))
-            total += coeff * base
-    return total
-
-
-def stacked_gamma_table(n: int, m: int, k: int) -> Dict[int, int]:
-    """Full rank distribution {i: count} for the stacked census."""
-    _check_stacked(n, m, k)
-    return {i: stacked_gamma_closed(n, m, k, i) for i in range(min(k, n + m + 1) + 1)}
-
-
-def landsberg(rows: int, k: int, i: int) -> int:
-    """Number of rows x k matrices over F2 of rank i (no structure at all)."""
-    if rows < 1 or k < 1:
-        raise ValueError("shape must be positive, got %dx%d" % (rows, k))
-    if i < 0 or i > min(rows, k):
-        return 0
-    num = 1
-    den = 1
-    for l in range(i):
-        num *= ((1 << rows) - (1 << l)) * ((1 << k) - (1 << l))
-        den *= (1 << i) - (1 << l)
-    value, rem = divmod(num, den)
-    if rem:
-        raise NonIntegerResult("rank count (%d, %d, %d) is not exact" % (rows, k, i))
-    return value
+    a = deque(a_coeff_rows(n), maxlen=1)[0]
+    table = {}
+    for i in range(min(k, n + m + 1) + 1):
+        total = 0
+        for j in range(min(i, n) + 1):
+            base = gamma_closed(1 + m, k, i - j)
+            if base:
+                coeff = a[j] << ((n - j) * (i - j))
+                for l in range(1, j + 1):
+                    coeff *= (1 << k) - (1 << (i - l))
+                total += coeff * base
+        table[i] = total
+    return table
 
 
 def landsberg_table(rows: int, k: int) -> Dict[int, int]:
-    """Full rank distribution over all rows x k matrices."""
-    return {i: landsberg(rows, k, i) for i in range(min(rows, k) + 1)}
+    """Rank distribution {i: count} over all rows x k matrices (no structure at all)."""
+    if rows < 1 or k < 1:
+        raise ValueError("shape must be positive, got %dx%d" % (rows, k))
+    table = {}
+    for i in range(min(rows, k) + 1):
+        num = den = 1
+        for l in range(i):
+            num *= ((1 << rows) - (1 << l)) * ((1 << k) - (1 << l))
+            den *= (1 << i) - (1 << l)
+        table[i], rem = divmod(num, den)
+        if rem:
+            raise NonIntegerResult("rank count (%d, %d, %d) is not exact" % (rows, k, i))
+    return table
 
 
 def repcount_piecewise(q: int, k: int, m: int) -> int:

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,7 +118,7 @@ def parse_key(text):
 def checkpoint_chunks(path):
     """{(lo, hi): tally} from a checkpoint file's lines after its header."""
     chunks = {}
-    header, *lines = open(path).read().splitlines()
+    header, *lines = Path(path).read_text().splitlines()
     assert header.startswith("#census ")
     for line in lines:
         lo, hi, *fields = line.split()
@@ -434,7 +435,7 @@ class TestPartitioning:
     def test_checkpoint_resume(self, tmp_path):
         path = str(tmp_path / "gamma.ckpt")
         full = dict(C.enum_gamma(4, 4, checkpoint=path, chunk_size=16))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 9
         assert lines[0] == "#census gamma s=4 k=4 points=128 chunk=16"
         first = lines[1].split()
@@ -455,7 +456,7 @@ class TestPartitioning:
         path = str(tmp_path / "quad.ckpt")
         ref = dict(C.enum_quadruple(1, 3, 3))
         C.enum_quadruple(1, 3, 3, checkpoint=path, chunk_size=8)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         with open(path, "w") as handle:
             handle.write("\n".join(lines[:2]) + "\n")
         assert dict(C.enum_quadruple(1, 3, 3, checkpoint=path, chunk_size=8)) == ref
@@ -463,7 +464,7 @@ class TestPartitioning:
     def test_torn_checkpoint_line_is_rejected(self, tmp_path):
         path = str(tmp_path / "gamma.ckpt")
         C.enum_gamma(4, 4, checkpoint=path, chunk_size=64)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[1].endswith(" 4:32")
         with open(path, "w") as handle:
             handle.write("\n".join(lines[:1] + [lines[1][:-1]] + lines[2:]) + "\n")

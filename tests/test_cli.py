@@ -810,6 +810,16 @@ class TestRepcountCommand:
             2, "", "error: formula table n=3 k=40 m=40 needs a 2^12 point domain, over"
             " the 2^11 budget\n")
 
+    def test_formula_row_is_charged_at_k_words_not_n(self, capsys):
+        # P = 500^2 + 3 * 2 * 4 products of W = 62500//64 + 1 words by V = 2//64 + 1 = 1
+        argv = ["repcount", "--mode", "formula", "--q", "1", "--n", "500", "--k", "2", "--m",
+                "0", "--budget-bits"]
+        assert run_cli(argv + ["28"], capsys) == (
+            0, "%d\n" % census.repcount_multi_formula(1, 500, 2, 0), "")
+        assert run_cli(argv + ["27"], capsys) == (
+            2, "", "error: formula table n=500 k=2 m=0 needs a 2^28 point domain, over"
+            " the 2^27 budget\n")
+
     @pytest.mark.parametrize("mode", [["--mode", "formula"], ["--check"]],
                              ids=["formula", "check"])
     def test_formula_over_its_charge_is_refused_before_the_table(
@@ -834,11 +844,17 @@ class TestRepcountCommand:
         assert out == "formula=148 brute=148 integral=148 agree=true\n"
 
     def test_check_mode_skips_over_budget_modes(self, capsys):
-        code, out, _ = run_cli(
-            ["repcount", "--check", "--q", "3", "--n", "5", "--k", "4", "--m", "2",
-             "--budget-bits", "10"], capsys)
-        assert code == 0
-        assert out == "formula=24413824 agree=true\n"
+        # brute's transform would hold 2^(6+0+3*6) entries; formula and integral still agree
+        assert run_cli(["repcount", "--check", "--q", "3", "--n", "3", "--k", "6", "--m", "0"],
+                       capsys) == (0, "formula=788824 integral=788824 agree=true\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "3", "--n", "5", "--k", "4", "--m", "2", "--budget-bits", "10"],
+        ["--q", "1", "--n", "5", "--k", "6", "--m", "25"]])
+    def test_check_mode_that_compares_nothing_exits_two(self, capsys, argv):
+        assert run_cli(["repcount", "--check"] + argv, capsys) == (
+            2, "", "error: repcount --check compared nothing: brute and integral are over"
+            " budget\n")
 
     def test_formula_prints_a_count_over_4300_digits(self, capsys):
         code, out, err = run_cli(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -57,26 +58,37 @@ class TestGamma:
 
 class TestQuad:
     def test_known_values(self):
-        assert F.quad_closed(3, 4, 1, 1, 1, 1) == 2
-        assert F.quad_closed(3, 4, 1, 2, 2, 3) == 8
-        assert F.quad_closed(3, 4, 0, 1, 1, 1) == 0
-        assert F.quad_closed(3, 4, 2, 2, 3, 3) == 32
-        assert F.quad_closed(2, 2, 0, 0, 0, 0) == 1
-        assert F.quad_closed(2, 2, 0, 0, 0, 1) == 1
+        table = F.quad_table(3, 4)
+        assert table.get((1, 1, 1, 1), 0) == 2
+        assert table.get((1, 2, 2, 3), 0) == 8
+        assert table.get((0, 1, 1, 1), 0) == 0
+        assert table.get((2, 2, 3, 3), 0) == 32
+        assert F.quad_table(2, 2).get((0, 0, 0, 0), 0) == 1
+        assert F.quad_table(2, 2).get((0, 0, 0, 1), 0) == 1
 
     def test_requires_wide_shape(self):
-        with pytest.raises(ValueError):
-            F.quad_closed(3, 2, 0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            F.quad_table(4, 3)
+        for s, k in [(3, 2), (4, 3), (0, 3)]:
+            with pytest.raises(ValueError, match="requires 1 <= s <= k, got s=%d k=%d" % (s, k)):
+                F.quad_table(s, k)
 
     def test_table_matches_pointwise_form(self):
-        # the table lists every quadruple the pointwise form counts
+        # Theorem 3.3's four cases, read pointwise: every quadruple in the box
+        def pointwise(s, k, j1, j2, j3, j4):
+            if j1 == j2 == j3 == 0 and j4 in (0, 1):
+                return 1
+            if j1 == j2 == j3 and 1 <= j1 <= s - 1 and j4 in (j1, j1 + 1):
+                return 2 << (2 * j1 - 2)
+            if j2 == j3 == j1 + 1 and j4 == j1 + 2 and j4 <= s:
+                return 1 << (2 * j4 - 3)
+            if (j1, j2, j3, j4) == (s - 1, s - 1, s, s):
+                return (1 << (k + s - 1)) - (1 << (2 * s - 1))
+            return 0
+
         for s, k in [(1, 1), (1, 3), (2, 2), (3, 4), (4, 5)]:
             table = F.quad_table(s, k)
             assert all(v > 0 for v in table.values())
             for quad in itertools.product(range(s + 1), repeat=4):
-                assert F.quad_closed(s, k, *quad) == table.get(quad, 0)
+                assert pointwise(s, k, *quad) == table.get(quad, 0)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6))
     def test_total_is_domain_size(self, s, extra):
@@ -188,12 +200,11 @@ class TestStackedGamma:
             0: 1, 1: 561, 2: 65670, 3: 3731208, 4: 63311424,
         }
 
-    def test_table_refuses_a_negative_shape_like_the_entry(self):
-        message = "requires n, m >= 0 and k >= 1, got n=-5 m=0 k=3"
-        for call in (lambda: F.stacked_gamma_table(-5, 0, 3),
-                     lambda: F.stacked_gamma_closed(-5, 0, 3, 0)):
+    def test_table_refuses_a_bad_shape(self):
+        for n, m, k in [(-5, 0, 3), (0, -1, 3), (2, 1, 0)]:
+            message = "requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k)
             with pytest.raises(ValueError, match=message):
-                call()
+                F.stacked_gamma_table(n, m, k)
 
     def test_no_free_rows_reduces_to_window_census(self):
         for m, k in [(0, 1), (1, 2), (2, 3), (3, 2)]:
@@ -218,23 +229,30 @@ class TestStackedGamma:
                         coeff *= (1 << k) - (1 << (i - l))
                     want[i] += coeff * F.gamma_closed(1 + m, k, i - j)
             assert F.stacked_gamma_table(n, m, k) == want, n
-            assert [F.stacked_gamma_closed(n, m, k, i) for i in want] == list(want.values())
 
     def test_table_builds_the_coefficient_rows_once(self, monkeypatch):
         calls = []
         rows = F.a_coeff_rows
         monkeypatch.setattr(F, "a_coeff_rows", lambda n: calls.append(n) or rows(n))
-        F._a_coeff_row.cache_clear()
         F.stacked_gamma_table(7, 2, 6)
         assert calls == [7]
         F.stacked_gamma_table(8, 2, 6)
         assert calls == [7, 8]
 
+    def test_coefficient_row_is_held_alone(self):
+        # every row up to n held at once peaks at about 4 MiB here
+        tracemalloc.start()
+        try:
+            F.stacked_gamma_table(160, 0, 160)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     def test_unstructured_block_matches_landsberg(self):
         for n in range(5):
             for k in range(1, 7):
-                for i in range(min(n + 1, k) + 2):
-                    assert F.stacked_gamma_closed(n, 0, k, i) == F.landsberg(n + 1, k, i)
+                assert F.stacked_gamma_table(n, 0, k) == F.landsberg_table(n + 1, k)
 
     @given(
         st.integers(min_value=0, max_value=4),
@@ -249,17 +267,22 @@ class TestStackedGamma:
 
 class TestLandsberg:
     def test_known_values(self):
-        assert F.landsberg(2, 2, 1) == 9
-        assert F.landsberg(4, 6, 0) == 1
-        assert F.landsberg(3, 3, 3) == 168
+        assert F.landsberg_table(2, 2)[1] == 9
+        assert F.landsberg_table(4, 6)[0] == 1
+        assert F.landsberg_table(3, 3)[3] == 168
 
     def test_matches_brute_enumeration(self):
         for rows, k in [(2, 2), (2, 3), (3, 3)]:
             assert F.landsberg_table(rows, k) == brute_rank_counts(rows, k)
 
     def test_out_of_range_is_zero(self):
-        assert F.landsberg(2, 3, 3) == 0
-        assert F.landsberg(2, 3, -1) == 0
+        assert F.landsberg_table(2, 3).get(3, 0) == 0
+        assert F.landsberg_table(2, 3).get(-1, 0) == 0
+
+    def test_rejects_bad_shapes(self):
+        for rows, k in [(0, 3), (3, 0), (-1, 2), (2, -1)]:
+            with pytest.raises(ValueError, match="shape must be positive, got %dx%d" % (rows, k)):
+                F.landsberg_table(rows, k)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
     def test_total_is_domain_size(self, rows, k):
