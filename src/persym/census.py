@@ -424,7 +424,7 @@ def repcount_multi_formula(
 ) -> int:
     """Count of solution q-tuples for the stacked system, from the closed
     rank distribution. With n = 0 the system is the window system of the
-    (1+m) x k block. Charged first bit_length(P W V) bits: the table makes
+    (1+m) x k block. Charged first bit_length(P W V) bits: the table is charged
     P = n^2 + (k+1)(min(n, k, m+1)+1)(min(n, k)+2) big-int steps (n^2 shifts and
     adds for coefficient row n), each on W = max(n^2/4, k+m+nk)//64 + 1 by V = k//64 + 1 words.
     """

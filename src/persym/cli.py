@@ -339,7 +339,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if not wanted("repcount"):
         return parser
     how = rep.add_mutually_exclusive_group(required=True)
-    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="formula makes P = n^2 + "
+    how.add_argument("--mode", choices=tuple(_REPCOUNT_MODES), help="formula is charged P = n^2 + "
                      "(k+1)(min(n, k, m+1)+1)(min(n, k)+2) big-int steps on W = max(n^2/4, "
                      "k+m+nk)//64 + 1 by V = k//64 + 1 words: charged bit_length(P W V) "
                      "bits. brute lists 2^f factor "

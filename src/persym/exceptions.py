@@ -48,4 +48,4 @@ class NonIntegerResult(PersymError):
 
 
 class CaseMismatch(PersymError):
-    """A printed case table disagreed with the recurrence that generates it."""
+    """A printed case table disagreed with the closed table it is checked against."""

@@ -70,20 +70,12 @@ def quad_table(s: int, k: int) -> Dict[Tuple[int, int, int, int], int]:
 
 
 def stacked1_gamma_closed(m: int, k: int, i: int) -> int:
-    """Rank-i count for one free row stacked on a (1+m) x k window block.
-
-    Computed by the one-row recurrence: the free row either stays inside
-    the row space of the window block (2^i choices) or leaves it
-    (2^k - 2^{i-1} choices on top of a rank i-1 block).
-    """
+    """Rank-i count for one free row stacked on a (1+m) x k window block: entry i
+    of Theorem 3.9's n = 1 table, 2^i gamma_i + (2^k - 2^(i-1)) gamma_(i-1), as the
+    row stays inside the block's row space or lifts a rank i-1 block."""
     if m < 0 or k < 1:
         raise ValueError("requires m >= 0 and k >= 1, got m=%d k=%d" % (m, k))
-    if i < 0 or i > min(k, m + 2):
-        return 0
-    value = (1 << i) * gamma_closed(1 + m, k, i)
-    if i >= 1:
-        value += ((1 << k) - (1 << (i - 1))) * gamma_closed(1 + m, k, i - 1)
-    return value
+    return stacked_gamma_table(1, m, k).get(i, 0)
 
 
 def _stacked1_case_table(m: int, k: int) -> Dict[int, int]:
@@ -118,18 +110,19 @@ def stacked1_gamma_table(m: int, k: int) -> Dict[int, int]:
     """Case-by-case closed tables for the one-free-row census.
 
     Five parameter families (k=2; m=0; m=1; k <= 1+m; 2 <= m <= k-2) have
-    fully expanded tables. They are redundant with the recurrence in
-    stacked1_gamma_closed and are kept as fixtures: every entry is checked
-    against the recurrence, and any disagreement raises CaseMismatch
-    rather than silently preferring one side.
+    fully expanded tables. They are kept as fixtures and checked against
+    Theorem 3.9's n = 1 table, built once: any disagreement raises
+    CaseMismatch rather than silently preferring one side.
     """
     table = _stacked1_case_table(m, k)
+    if m < 0:  # k = 2's case table takes any m: refuse it with the one-row count's text
+        stacked1_gamma_closed(m, k, 0)
+    theorem = stacked_gamma_table(1, m, k)
     for i, value in table.items():
-        recurrence = stacked1_gamma_closed(m, k, i)
-        if value != recurrence:
+        if value != theorem.get(i, 0):
             raise CaseMismatch(
-                "case table and recurrence disagree at m=%d k=%d i=%d: %d vs %d"
-                % (m, k, i, value, recurrence)
+                "case table and Theorem 3.9 disagree at m=%d k=%d i=%d: %d vs %d"
+                % (m, k, i, value, theorem.get(i, 0))
             )
     return table
 
@@ -212,20 +205,20 @@ def a_coeff_table(n: int) -> Tuple[int, ...]:
 def stacked_gamma_table(n: int, m: int, k: int) -> Dict[int, int]:
     """Theorem 3.9: {i: count} over ranks of n free rows stacked on a (1+m) x k window
     block. Entry i sums, over j <= min(i, n), the block's rank i-j count times
-    a_j 2^((n-j)(i-j)) prod_{l=1..j} (2^k - 2^(i-l)), a_j from row n held alone."""
+    a_j 2^((n-j)(i-j)) prod_{l=1..j} (2^k - 2^(i-l)), a_j from row n held alone and
+    the product gaining its factor 2^k - 2^(i-j) at each step of j."""
     if n < 0 or m < 0 or k < 1:
         raise ValueError("requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k))
     a = deque(a_coeff_rows(n), maxlen=1)[0]
     table = {}
     for i in range(min(k, n + m + 1) + 1):
-        total = 0
+        total, product = 0, 1
         for j in range(min(i, n) + 1):
+            if j:
+                product *= (1 << k) - (1 << (i - j))
             base = gamma_closed(1 + m, k, i - j)
             if base:
-                coeff = a[j] << ((n - j) * (i - j))
-                for l in range(1, j + 1):
-                    coeff *= (1 << k) - (1 << (i - l))
-                total += coeff * base
+                total += (a[j] * product << (n - j) * (i - j)) * base
         table[i] = total
     return table
 

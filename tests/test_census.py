@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from persym import builders, gf2, lanes, suites
+from persym import builders, expsum, gf2, lanes, suites
 from persym import census as C
 from persym import formulas as F
 from persym.builders import hankel, rank_profile, stacked
@@ -1139,3 +1139,64 @@ class TestPartitionLemmas:
                 rhs += DyadicRational(quads[(j, j, j, j)], -2 * q * j)
             rhs *= DyadicRational(1, (s + k - 2) * (2 * q - 1))
             assert lhs == rhs
+
+
+def _series(bits):
+    """A fixed series known through T^-bits, with both zero and one coefficients."""
+    return UnitSeries(0b101101 & ((1 << bits) - 1), bits)
+
+
+# one small shape per path that enumerates, as a call at a given budget_bits
+CHARGED_PATHS = {
+    "census gamma": lambda b: C.enum_gamma(3, 4, budget_bits=b),
+    "census quad": lambda b: C.enum_quadruple(1, 3, 4, budget_bits=b),
+    "census sigma": lambda b: C.enum_sigma(2, 3, budget_bits=b),
+    "census stacked": lambda b: C.enum_stacked_gamma(2, 1, 3, budget_bits=b),
+    "h_direct": lambda b: expsum.h_direct(3, 4, _series(6), budget_bits=b),
+    "g_direct": lambda b: expsum.g_direct(3, 4, _series(6), budget_bits=b),
+    "g2var_direct": lambda b: expsum.g2var_direct(2, 3, _series(5), _series(3),
+                                                  budget_bits=b),
+    "fmulti_direct": lambda b: expsum.fmulti_direct(1, 3, _series(4),
+                                                    [_series(3), _series(3)], budget_bits=b),
+    "brute q=1": lambda b: C.repcount_bruteforce(1, 1, 3, 2, budget_bits=b),
+    "brute q=2": lambda b: C.repcount_bruteforce(2, 1, 3, 2, budget_bits=b),
+    "brute q=3": lambda b: C.repcount_bruteforce(3, 1, 3, 2, budget_bits=b),
+    "integral": lambda b: C.repcount_integral(1, 1, 3, 2, budget_bits=b),
+}
+
+
+@pytest.mark.parametrize("path", CHARGED_PATHS)
+def test_counted_work_stays_within_the_charge(monkeypatch, path):
+    """Each loop primitive counts its work: the lanes of each lane word, the
+    entries of each span, the length of each transform. A path's charge c is
+    the least budget_bits it runs at; below it nothing is counted, and at it
+    each count is at most 2^c."""
+    counts = Counter()
+    lane_words, span, wht = lanes._lane_words, lanes._span, lanes._wht
+
+    def counting_lane_words(depth, lo, hi):
+        for word in lane_words(depth, lo, hi):
+            counts["lanes"] += word[2].bit_length()  # full: one bit per lane
+            yield word
+
+    def counting_span(base, vectors):
+        out = span(base, vectors)
+        counts["span"] += len(out)
+        return out
+
+    def counting_wht(v):
+        counts["wht"] += len(v)
+        wht(v)
+
+    for owner in (lanes, expsum):
+        monkeypatch.setattr(owner, "_lane_words", counting_lane_words)
+    monkeypatch.setattr(lanes, "_span", counting_span)
+    monkeypatch.setattr(lanes, "_wht", counting_wht)
+    run = CHARGED_PATHS[path]
+    for charge in range(64):
+        try:
+            run(charge)
+            break
+        except BudgetExceeded:
+            assert not counts, (path, charge, counts)
+    assert counts and max(counts.values()) <= 1 << charge, (path, charge, counts)

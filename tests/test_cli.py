@@ -454,6 +454,16 @@ class TestVerifyCommand:
             2, "", "error: census quad l=1 n=10 m=11 needs a 2^20 point domain, over the"
             " 2^10 budget\n")
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_whole_grid_sums_at_their_ceiling_peak_under_144_mib(self):
+        # three 2^20-point vectors, the largest peak any admitted command reaches
+        argv = ["verify", "thm3.5", "--s", "10", "--k", "11", "--q", "1", "--threads", "1"]
+        result = subprocess.run([sys.executable, "-c", _PEAK_RSS_HELPER] + argv,
+                                capture_output=True, text=True, timeout=120)
+        code, out, err, peak_kib = json.loads(result.stdout)
+        assert (code, err) == (0, "") and '"match":true' in out
+        assert peak_kib < 144 << 10
+
     def test_even_moments_at_their_print_budget_run(self, capsys):
         code, out, _ = run_cli(["verify", "thm3.5", "--q", "31", "--budget-bits", "10"], capsys)
         assert code == 0 and json.loads(out)["match"] is True

@@ -132,6 +132,19 @@ class TestStacked1:
             assert table == {i: F.stacked1_gamma_closed(m, k, i) for i in table}
             assert sum(table.values()) == 1 << (2 * k + m)
 
+    def test_entries_match_the_one_row_recurrence(self):
+        # the row stays inside the block's rank-i row space in 2^i ways, or
+        # lifts a rank i-1 block in 2^k - 2^(i-1)
+        for m in range(7):
+            for k in range(1, 9):
+                for i in range(-2, k + m + 5):
+                    want = 0
+                    if 0 <= i <= min(k, m + 2):
+                        want = (1 << i) * F.gamma_closed(1 + m, k, i)
+                        if i >= 1:
+                            want += ((1 << k) - (1 << (i - 1))) * F.gamma_closed(1 + m, k, i - 1)
+                    assert F.stacked1_gamma_closed(m, k, i) == want, (m, k, i)
+
     def test_no_case_covers_single_column(self):
         with pytest.raises(ValueError):
             F.stacked1_gamma_table(2, 1)
@@ -214,7 +227,7 @@ class TestStackedGamma:
         for m, k in [(0, 2), (1, 3), (2, 2), (3, 3), (2, 5)]:
             assert F.stacked_gamma_table(1, m, k) == F.stacked1_gamma_table(m, k)
 
-    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("m", [0, 3, 40])
     def test_table_matches_the_per_entry_sum(self, m):
         # each entry summed on its own, its a_j from a_coeff_recurrence
         for n in range(41):
