@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .gf2 import BitMatrix, echelon
+from .gf2 import BitMatrix, rank_of_rows
 from .laurent import UnitSeries
 
 __all__ = [
@@ -62,16 +62,11 @@ def stacked(t: UnitSeries, etas: Sequence[UnitSeries], m: int, k: int) -> BitMat
 def rank_profile(t: UnitSeries, l: int, n: int, m: int) -> Tuple[int, int, int, int]:
     """Ranks (j1, j2, j3, j4) of the four corner blocks of the n x m block at
     offset l: j1 with the last row and column deleted, j2 with the last row
-    deleted, j3 with the last column deleted, j4 of the full block. The
-    first n-1 rows are reduced once under each column mask; j3 and j4
-    extend those two echelons by the last row.
+    deleted, j3 with the last column deleted, j4 of the full block.
     """
     if n < 1 or m < 1:
         raise ValueError("rank profiles need at least one row and column")
     rows = hankel_rows(t, l, n, m)
-    last = rows.pop()
-    narrow = (1 << (m - 1)) - 1
-    low = echelon(r & narrow for r in rows)
-    high = echelon(rows)
-    j3 = len(echelon([last & narrow], low))
-    return len(low), len(high), j3, len(echelon([last], high))
+    narrow = [r & ((1 << (m - 1)) - 1) for r in rows]
+    return (rank_of_rows(narrow[:-1]), rank_of_rows(rows[:-1]),
+            rank_of_rows(narrow), rank_of_rows(rows))

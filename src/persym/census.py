@@ -100,27 +100,25 @@ def _read_checkpoint(
     done: Dict[Tuple[int, int], Counter] = {}
     if not os.path.exists(path):
         return done
+
+    def refuse(what: str) -> ValueError:
+        return ValueError("checkpoint %s; remove %s to start over" % (what, path))
+
     with open(path, "rb") as handle:
         data = handle.read()
     head = (header + "\n").encode("ascii")
     if not (data.startswith(head) or head.startswith(data)):
-        raise ValueError(
-            "checkpoint header %r does not match this census (%r);"
-            " remove %s to start over"
-            % (data.split(b"\n", 1)[0].decode("ascii", "replace"), header, path)
-        )
+        raise refuse("header %r does not match this census (%r)"
+                     % (data.split(b"\n", 1)[0].decode("ascii", "replace"), header))
     complete = data[: data.rfind(b"\n") + 1]
     try:
         lines = complete.decode("ascii").split("\n")
     except UnicodeDecodeError as err:
-        raise ValueError(
-            "checkpoint line %d has a non-ASCII byte; remove %s to start over"
-            % (complete.count(b"\n", 0, err.start) + 1, path)
-        ) from None
+        raise refuse("line %d has a non-ASCII byte"
+                     % (complete.count(b"\n", 0, err.start) + 1)) from None
     valid_set = set(valid)
     for line in lines[1:-1]:  # the text ends at its last newline
-        malformed = ValueError("checkpoint line %r has a malformed field;"
-                               " remove %s to start over" % (line, path))
+        malformed = refuse("line %r has a malformed field" % line)
         # read leniently; the line is kept only if _checkpoint_line writes it back
         try:
             lo, hi, *fields = line.split(" ")
@@ -132,32 +130,19 @@ def _read_checkpoint(
         counts = Counter()
         for key_text, key, count in entries:
             if count < 1:
-                raise ValueError(
-                    "checkpoint range %r has count %d below 1;"
-                    " remove %s to start over" % (rng, count, path)
-                )
+                raise refuse("range %r has count %d below 1" % (rng, count))
             if key not in keys or key in counts:
-                raise ValueError(
-                    "checkpoint range %r has %s key %s;"
-                    " remove %s to start over"
-                    % (rng, "a repeated" if key in counts else "an impossible",
-                       key_text, path)
-                )
+                raise refuse("range %r has %s key %s" % (
+                    rng, "a repeated" if key in counts else "an impossible", key_text))
             counts[key] = count
         if _checkpoint_line(rng, counts) != line + "\n":
             raise malformed
         if rng not in valid_set or rng in done:
-            raise ValueError(
-                "checkpoint range %r %s; remove %s to start over"
-                % (rng, "appears twice" if rng in done
-                   else "does not match this census", path)
-            )
+            raise refuse("range %r %s" % (
+                rng, "appears twice" if rng in done else "does not match this census"))
         points = rng[1] - rng[0]
         if counts.total() != points:
-            raise ValueError(
-                "checkpoint range %r counts %d points, not %d;"
-                " remove %s to start over" % (rng, counts.total(), points, path)
-            )
+            raise refuse("range %r counts %d points, not %d" % (rng, counts.total(), points))
         done[rng] = counts
     if len(complete) < len(data):
         os.truncate(path, len(complete))

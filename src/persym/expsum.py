@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 from .builders import hankel_rows, rank_profile, stacked_rows
 from .exceptions import DEFAULT_BUDGET_BITS, GRID_MAX_BITS, BudgetExceeded, check_budget
-from .gf2 import echelon, rank_of_rows
+from .gf2 import rank_of_rows
 from .lanes import _lane_words, _product_sums
 from .laurent import UnitSeries
 
@@ -160,9 +160,8 @@ def g2var_direct(
 def g2var_closed(m: int, k: int, t: UnitSeries, eta: UnitSeries) -> int:
     """2^(k+m+1-r) if appending the eta row preserves the rank, else 0."""
     rows = stacked_rows(t, [eta], m, k)
-    top = echelon(rows[:-1])
-    r = len(top)
-    return (1 << (k + m + 1 - r)) if len(echelon(rows[-1:], top)) == r else 0
+    r = rank_of_rows(rows[:-1])
+    return (1 << (k + m + 1 - r)) if rank_of_rows(rows) == r else 0
 
 
 def fmulti_direct(

@@ -7,9 +7,9 @@ width, which is all the rank computations here need.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-__all__ = ["BitMatrix", "echelon", "rank", "rank_of_rows"]
+__all__ = ["BitMatrix", "rank", "rank_of_rows"]
 
 
 class BitMatrix:
@@ -39,26 +39,17 @@ class BitMatrix:
         return "BitMatrix(%d, %d, %r)" % (self.nrows, self.ncols, list(self._rows))
 
 
-def echelon(rows: Iterable[int], pivots: Sequence[int] = ()) -> List[int]:
-    """Pivot rows of span(pivots, rows) over GF(2).
-
-    pivots, an earlier result of echelon, comes back first and unmutated.
-    Each new row is reduced against the rows before it and kept, pivot at
-    its lowest set bit, when something is left.
-    """
-    out = list(pivots)
+def rank_of_rows(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of bit-packed rows: each row is reduced against the
+    pivot rows kept before it, pivot at the lowest set bit, and kept if nonzero."""
+    pivots: List[int] = []
     for row in rows:
-        for p in out:
+        for p in pivots:
             if row & (p & -p):
                 row ^= p
         if row:
-            out.append(row)
-    return out
-
-
-def rank_of_rows(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of a collection of bit-packed rows."""
-    return len(echelon(rows))
+            pivots.append(row)
+    return len(pivots)
 
 
 def rank(m: BitMatrix) -> int:

@@ -205,10 +205,10 @@ def verify_row_split(p, args, run_census):
     computed.update(("sum,%d" % i, count) for i, count in sorted(merged.items()))
     # expected keys come from the formulas alone, so a rank the census lost shows
     ranks = range(min(k, m + 2) + 1)
-    expected = {"same,%d" % i: (1 << i) * formulas.gamma_closed(1 + m, k, i)
-                for i in ranks}
-    expected.update(("up,%d" % i, ((1 << k) - (1 << (i - 1)))
-                     * formulas.gamma_closed(1 + m, k, i - 1)) for i in ranks[1:])
-    expected.update(("sum,%d" % i, formulas.stacked1_gamma_closed(m, k, i))
-                    for i in ranks)
+    gamma = formulas.gamma_table(1 + m, k)
+    sums = formulas.stacked_gamma_table(1, m, k)
+    expected = {"same,%d" % i: (1 << i) * gamma.get(i, 0) for i in ranks}
+    expected.update(("up,%d" % i, ((1 << k) - (1 << (i - 1))) * gamma.get(i - 1, 0))
+                    for i in ranks[1:])
+    expected.update(("sum,%d" % i, sums.get(i, 0)) for i in ranks)
     return computed, {key: count for key, count in expected.items() if count}

@@ -19,7 +19,7 @@ CALLER_FILES = sorted(Path(persym.__file__).parent.glob("*.py")) + sorted(
 # Named only as strings in perfbench/tracer.py's TARGETS; they leave src/
 # once the benchmark stops tracing them (ROADMAP items 1 and 7).
 NO_CALLER_YET = {"persym.gf2.rank", "persym.builders.hankel", "persym.builders.stacked",
-                 "persym.formulas.a_coeff_recurrence"}
+                 "persym.formulas.a_coeff_recurrence", "persym.formulas.stacked1_gamma_closed"}
 
 
 @functools.cache

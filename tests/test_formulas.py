@@ -149,6 +149,11 @@ class TestStacked1:
         with pytest.raises(ValueError):
             F.stacked1_gamma_table(2, 1)
 
+    @pytest.mark.parametrize("m", [-1, -5])
+    def test_no_case_covers_a_negative_shift_at_two_columns(self, m):
+        with pytest.raises(ValueError, match="^no case table covers m=%d, k=2$" % m):
+            F.stacked1_gamma_table(m, 2)
+
     def test_transcription_guard_fires_on_disagreement(self, monkeypatch):
         good = F._stacked1_case_table(1, 3)
         bad = dict(good)
