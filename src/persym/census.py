@@ -8,12 +8,13 @@ count is the stacked distribution weighted by rank, as the closed count
 weights the closed table. Censuses are data-parallel over
 disjoint index ranges; partial tallies merge by plain addition, so any
 partitioning (including a resumed checkpoint file) gives identical
-results. A checkpoint file opens with a header naming its census,
-parameters, window count and chunk size; a file with another header, or
-a line with a count below 1, a key the census cannot produce, a repeated
-key or range, or counts that do not sum to its range's window count, is
-rejected, and a chunk line is accepted only as the exact bytes the
-writer gives (canonical decimals, keys in sorted order, single spaces).
+results. A checkpoint file opens with a header naming its format (v2),
+census, parameters, window count and chunk size; a file with another
+header, or a line with a count below 1, a key the census cannot produce,
+a repeated key or range, or counts that do not sum to its range's window
+count, is rejected, and a chunk line is accepted only as the exact bytes
+the writer gives (canonical decimals, keys in sorted order, single
+spaces, sealed by a CRC32 of the header and the line's fields).
 
 A coset representative of depth N is an N-bit integer whose bit b (least
 significant first) is the coefficient alpha_{l+b} of the series; window
@@ -42,8 +43,9 @@ from __future__ import annotations
 
 import itertools
 import os
+import zlib
 from collections import Counter
-from typing import Container, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 # only the stdlib, lanes and exceptions here: the coset integral imports dyadic
 # and the closed count formulas in their own bodies, so a census loads no more
@@ -87,11 +89,13 @@ def _read_checkpoint(
     path: str,
     header: str,
     valid: Iterable[Tuple[int, int]],
-    keys: Container[Key],
+    blocks: int,
+    bound: int,
 ) -> Dict[Tuple[int, int], Counter]:
-    """Finished chunks of a checkpoint file; keys are those the census can
-    produce, a chunk's counts sum to its window count, and each chunk line
-    is the bytes _checkpoint_line writes for them.
+    """Finished chunks of a checkpoint file; each key holds one rank in
+    0..bound per block (an int for one block, as the kernel keys it), a
+    chunk's counts sum to its window count, and each chunk line is the
+    bytes _checkpoint_line writes for them, its CRC32 checked last.
 
     The file must open with this census's header line. A last line
     without a newline was cut off mid-write (the header included): it is
@@ -119,23 +123,26 @@ def _read_checkpoint(
     valid_set = set(valid)
     for line in lines[1:-1]:  # the text ends at its last newline
         malformed = refuse("line %r has a malformed field" % line)
+        body = line.rpartition(" crc=")[0] or line
         # read leniently; the line is kept only if _checkpoint_line writes it back
         try:
-            lo, hi, *fields = line.split(" ")
+            lo, hi, *fields = body.split(" ")
             rng = (int(lo), int(hi))
-            entries = [(text, tuple(map(int, text.split(","))) if "," in text else int(text),
-                        int(count)) for text, _, count in (f.rpartition(":") for f in fields)]
+            entries = [(text, tuple(map(int, text.split(","))), int(count))
+                       for text, _, count in (f.rpartition(":") for f in fields)]
         except ValueError:
             raise malformed from None
         counts = Counter()
-        for key_text, key, count in entries:
+        for key_text, ranks, count in entries:
             if count < 1:
                 raise refuse("range %r has count %d below 1" % (rng, count))
-            if key not in keys or key in counts:
+            key = ranks if len(ranks) > 1 else ranks[0]  # as the kernel keys its tally
+            if len(ranks) != blocks or not all(0 <= r <= bound for r in ranks) or key in counts:
                 raise refuse("range %r has %s key %s" % (
                     rng, "a repeated" if key in counts else "an impossible", key_text))
             counts[key] = count
-        if _checkpoint_line(rng, counts) != line + "\n":
+        written = _checkpoint_line(header, rng, counts)
+        if written.rpartition(" crc=")[0] != body:
             raise malformed
         if rng not in valid_set or rng in done:
             raise refuse("range %r %s" % (
@@ -143,15 +150,18 @@ def _read_checkpoint(
         points = rng[1] - rng[0]
         if counts.total() != points:
             raise refuse("range %r counts %d points, not %d" % (rng, counts.total(), points))
+        if written != line + "\n":
+            raise refuse("line %r fails its CRC32 check" % line)
         done[rng] = counts
     if len(complete) < len(data):
         os.truncate(path, len(complete))
     return done
 
 
-def _checkpoint_line(rng: Tuple[int, int], counts: Counter) -> str:
-    fields = ["%s:%d" % item for item in _table_text(counts).items()]
-    return " ".join(["%d %d" % rng] + fields) + "\n"
+def _checkpoint_line(header: str, rng: Tuple[int, int], counts: Counter) -> str:
+    """A chunk's line: its range and tally, sealed by the CRC32 of the header and them."""
+    fields = " ".join(["%d %d" % rng] + ["%s:%d" % item for item in _table_text(counts).items()])
+    return "%s crc=%08x\n" % (fields, zlib.crc32(("%s\n%s" % (header, fields)).encode("ascii")))
 
 
 def _run_chunks(
@@ -201,12 +211,10 @@ def _run_chunks(
     elif chunk_size < 1:
         raise ValueError("chunk_size must be at least 1, got %d" % chunk_size)
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
-    header = "#census %s points=%d chunk=%d" % (name, total, chunk_size)
+    header = "#census v2 %s points=%d chunk=%d" % (name, total, chunk_size)
     done = {}
     if checkpoint:
-        ranks = range(min(rows, k) + 1)
-        keys = set(itertools.product(ranks, repeat=len(blocks)) if len(blocks) > 1 else ranks)
-        done = _read_checkpoint(checkpoint, header, ranges, keys)
+        done = _read_checkpoint(checkpoint, header, ranges, len(blocks), min(rows, k))
     tally = sum(done.values(), Counter())
     pending = [rng for rng in ranges if rng not in done]
     jobs = [(blocks, rows) + rng for rng in pending]
@@ -228,7 +236,7 @@ def _run_chunks(
         for rng, counts in zip(pending, results):
             tally += counts
             if out:
-                out.write(_checkpoint_line(rng, counts))
+                out.write(_checkpoint_line(header, rng, counts))
                 out.flush()
     except Exception as exc:  # a pooled chunk raised or its worker died
         if not pool:

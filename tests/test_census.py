@@ -1,17 +1,20 @@
 import concurrent.futures
 import functools
+import itertools
 import os
 import re
 import sys
 import tempfile
 import tracemalloc
+import types
+import zlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from persym import builders, expsum, gf2, lanes, suites
+from persym import builders, cli, expsum, gf2, lanes, suites
 from persym import census as C
 from persym import formulas as F
 from persym.builders import hankel, rank_profile, stacked
@@ -116,12 +119,15 @@ def parse_key(text):
 
 
 def checkpoint_chunks(path):
-    """{(lo, hi): tally} from a checkpoint file's lines after its header."""
+    """{(lo, hi): tally} from a checkpoint file's lines after its header;
+    each line's last field is the CRC32 of the header and its other fields."""
     chunks = {}
     header, *lines = Path(path).read_text().splitlines()
-    assert header.startswith("#census ")
+    assert header.startswith("#census v2 ")
     for line in lines:
-        lo, hi, *fields = line.split()
+        body, _, crc = line.rpartition(" crc=")
+        assert crc == "%08x" % zlib.crc32(("%s\n%s" % (header, body)).encode()), line
+        lo, hi, *fields = body.split()
         chunks[(int(lo), int(hi))] = {
             parse_key(field.rpartition(":")[0]): int(field.rpartition(":")[2])
             for field in fields
@@ -134,16 +140,18 @@ CENSUS_NAMES = {"gamma": "gamma s=%d k=%d", "quad": "quad l=%d n=%d m=%d",
 
 
 def checkpoint_header(kind, params, points, chunk):
-    """The documented header line: census name, domain points, chunk size."""
-    return "#census %s points=%d chunk=%d\n" % (CENSUS_NAMES[kind] % params, points, chunk)
+    """The documented header line: format, census name, domain points, chunk size."""
+    return "#census v2 %s points=%d chunk=%d\n" % (CENSUS_NAMES[kind] % params, points, chunk)
 
 
-def checkpoint_line(lo, hi, counts):
-    """One checkpoint line in the documented format: lo hi key:count ..."""
+def checkpoint_line(header, lo, hi, counts):
+    """One checkpoint line in the documented format: lo hi key:count ... crc=%08x,
+    the CRC32 of the header line and the fields before it."""
     def text(key):
         return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
     fields = ["%s:%d" % (text(key), value) for key, value in sorted(counts.items())]
-    return " ".join(["%d %d" % (lo, hi)] + fields) + "\n"
+    body = " ".join(["%d %d" % (lo, hi)] + fields)
+    return "%s crc=%08x\n" % (body, zlib.crc32((header + body).encode()))
 
 
 WALK_GRIDS = [
@@ -196,11 +204,12 @@ class TestWalkAgainstNaive:
         windows = naive_window_tallies(kind, params)
         ranks = naive_window_ranks(kind, params)
         path = tmp_path / "walk.ckpt"
+        header = checkpoint_header(kind, params, len(ranks), 3)
         with open(path, "w") as handle:
-            handle.write(checkpoint_header(kind, params, len(ranks), 3))
+            handle.write(header)
             for lo in range(0, len(ranks), 6):
                 hi = min(lo + 3, len(ranks))
-                handle.write(checkpoint_line(lo, hi, merged_tally(ranks[lo:hi])))
+                handle.write(checkpoint_line(header, lo, hi, merged_tally(ranks[lo:hi])))
         resumed = run_census(kind, params, checkpoint=str(path), chunk_size=3)
         assert resumed == merged_tally(windows)
         for (lo, hi), counts in checkpoint_chunks(str(path)).items():
@@ -437,10 +446,11 @@ class TestPartitioning:
         full = dict(C.enum_gamma(4, 4, checkpoint=path, chunk_size=16))
         lines = Path(path).read_text().splitlines()
         assert len(lines) == 9
-        assert lines[0] == "#census gamma s=4 k=4 points=128 chunk=16"
+        assert lines[0] == "#census v2 gamma s=4 k=4 points=128 chunk=16"
         first = lines[1].split()
         assert first[0] == "0" and first[1] == "16"
-        assert all(":" in field for field in first[2:])
+        assert all(":" in field for field in first[2:-1])
+        assert re.fullmatch("crc=[0-9a-f]{8}", first[-1])
         # drop half the lines and resume
         with open(path, "w") as handle:
             handle.write("\n".join(lines[: len(lines) // 2]) + "\n")
@@ -465,9 +475,10 @@ class TestPartitioning:
         path = str(tmp_path / "gamma.ckpt")
         C.enum_gamma(4, 4, checkpoint=path, chunk_size=64)
         lines = Path(path).read_text().splitlines()
-        assert lines[1].endswith(" 4:32")
+        body = lines[1].rpartition(" crc=")[0]
+        assert body.endswith(" 4:32")
         with open(path, "w") as handle:
-            handle.write("\n".join(lines[:1] + [lines[1][:-1]] + lines[2:]) + "\n")
+            handle.write("\n".join(lines[:1] + [body[:-1]] + lines[2:]) + "\n")
         with pytest.raises(ValueError, match="counts 35 points, not 64"):
             C.enum_gamma(4, 4, checkpoint=path, chunk_size=64)
 
@@ -486,7 +497,7 @@ class TestPartitioning:
         path = tmp_path / "gamma.ckpt"
         C.enum_gamma(3, 4, checkpoint=str(path), chunk_size=1)
         header, first, *rest = path.read_text().splitlines()
-        assert first == "0 1 0:1"
+        assert first.rpartition(" crc=")[0] == "0 1 0:1"
         for line in ("0 1 0:-1 1:2", "0 1 0:1 1:0"):
             path.write_text("\n".join([header, line] + rest) + "\n")
             with pytest.raises(ValueError, match="below 1"):
@@ -533,7 +544,7 @@ class TestPartitioning:
         path = tmp_path / "gamma.ckpt"
         C.enum_gamma(1, 3, checkpoint=str(path), chunk_size=4)
         header, first, *rest = path.read_text().split("\n")
-        assert first == "0 4 0:1 1:3"
+        assert first.rpartition(" crc=")[0] == "0 4 0:1 1:3"
         path.write_text("\n".join([header, line] + rest))
         message = "line %r has a malformed field; remove %s to start over" % (line, path)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -569,7 +580,7 @@ class TestPartitioning:
         total = 1 << (s + k - 1)
         assert C.enum_gamma(s, k, checkpoint=str(path)) == {0: total}
         header, *lines = path.read_text().splitlines()
-        assert header == "#census gamma s=%d k=%d points=%d chunk=%d" % (s, k, total, chunk)
+        assert header == "#census v2 gamma s=%d k=%d points=%d chunk=%d" % (s, k, total, chunk)
         assert len(lines) == total // chunk
 
     def test_checkpoint_chunking_mismatch_is_rejected(self, tmp_path):
@@ -613,8 +624,25 @@ class TestPartitioning:
 
 
 # the checkpoint of one tiny census per kind at chunk_size=4: every line
-# holds the window tally of its chunk, before any free row is expanded
+# holds the window tally of its chunk, before any free row is expanded, and
+# ends with the CRC32 of the header and its fields
 CHECKPOINT_BYTES = {
+    ("gamma", (2, 3)): b"#census v2 gamma s=2 k=3 points=16 chunk=4\n"
+                       b"0 4 0:1 1:1 2:2 crc=22b9c8fb\n4 8 2:4 crc=242e89f7\n"
+                       b"8 12 1:1 2:3 crc=9303b754\n12 16 1:1 2:3 crc=9df4a4e2\n",
+    ("quad", (1, 2, 3)): b"#census v2 quad l=1 n=2 m=3 points=16 chunk=4\n"
+                         b"0 4 0,0,0,0:1 1,1,1,1:1 1,1,2,2:2 crc=7f98626f\n"
+                         b"4 8 0,1,1,2:1 1,1,1,2:1 1,1,2,2:2 crc=73a9f007\n"
+                         b"8 12 0,0,0,1:1 1,1,1,2:1 1,1,2,2:2 crc=4a8ffc0b\n"
+                         b"12 16 0,1,1,2:1 1,1,1,1:1 1,1,2,2:2 crc=f6ea755d\n",
+    ("sigma", (1, 2)): b"#census v2 sigma m=1 k=2 points=8 chunk=4\n"
+                       b"0 4 0:1 1:1 2:2 crc=3199bd38\n4 8 1:2 2:2 crc=5ec119d4\n",
+    ("stacked", (1, 1, 2)): b"#census v2 stacked n=1 m=1 k=2 points=8 chunk=4\n"
+                            b"0 4 0:1 1:1 2:2 crc=e41012b2\n4 8 1:2 2:2 crc=48bca729\n",
+}
+
+# the same censuses as a file written before v2: the same lines with no CRC
+WINDOW_V1_CHECKPOINT_BYTES = {
     ("gamma", (2, 3)): b"#census gamma s=2 k=3 points=16 chunk=4\n"
                        b"0 4 0:1 1:1 2:2\n4 8 2:4\n8 12 1:1 2:3\n12 16 1:1 2:3\n",
     ("quad", (1, 2, 3)): b"#census quad l=1 n=2 m=3 points=16 chunk=4\n"
@@ -640,7 +668,7 @@ OLDER_CHECKPOINT_BYTES = {
 
 
 class TestCheckpointFormat:
-    """The bytes a checkpoint holds, and which older files still resume."""
+    """The bytes a checkpoint holds; no file written before v2 resumes."""
 
     @pytest.mark.parametrize("kind,params", list(CHECKPOINT_BYTES))
     @pytest.mark.parametrize("threads", [1, 2])
@@ -665,30 +693,34 @@ class TestCheckpointFormat:
         run_census(kind, params, checkpoint=str(path), chunk_size=chunk_size)
         header = path.read_text().split("\n", 1)[0]
         chunks = checkpoint_chunks(str(path))
-        keys = {key for counts in ranks for key in counts}
-        done = C._read_checkpoint(str(path), header, chunks, keys)
+        # one rank per block, at most min(rows, k)
+        blocks, bound = {"gamma": (1, 3), "quad": (4, 3), "sigma": (1, 2), "stacked": (1, 2)}[kind]
+        done = C._read_checkpoint(str(path), header, chunks, blocks, bound)
         assert sorted(done) == sorted(chunks)
         for (lo, hi), counts in done.items():
             assert counts == merged_tally(ranks[lo:hi]), (lo, hi)
 
-    @given(st.lists(st.one_of(
-        st.dictionaries(st.integers(0, 40), st.integers(1, 1 << 70), min_size=1),
-        st.dictionaries(st.tuples(*[st.integers(0, 12)] * 4), st.integers(1, 1 << 70),
-                        min_size=1)), min_size=1, max_size=4))
-    def test_random_tallies_read_back_as_written(self, tallies):
+    # a census keys its file by int ranks (one block) or by 4-tuples (quad), never both
+    @given(st.one_of(
+        st.tuples(st.just(1), st.just(40), st.lists(st.dictionaries(
+            st.integers(0, 40), st.integers(1, 1 << 70), min_size=1), min_size=1, max_size=4)),
+        st.tuples(st.just(4), st.just(12), st.lists(st.dictionaries(
+            st.tuples(*[st.integers(0, 12)] * 4), st.integers(1, 1 << 70), min_size=1),
+            min_size=1, max_size=4))))
+    def test_random_tallies_read_back_as_written(self, file):
+        blocks, bound, tallies = file
         ranges, lo = [], 0
         for tally in tallies:
             ranges.append((lo, lo + sum(tally.values())))
             lo = ranges[-1][1]
-        header = "#census gamma s=1 k=1 points=%d chunk=1" % lo
+        header = "#census v2 gamma s=1 k=1 points=%d chunk=1" % lo
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "census.ckpt")
             with open(path, "w") as handle:
                 handle.write(header + "\n")
                 for rng, tally in zip(ranges, tallies):
-                    handle.write(C._checkpoint_line(rng, Counter(tally)))
-            keys = {key for tally in tallies for key in tally}
-            done = C._read_checkpoint(path, header, ranges, keys)
+                    handle.write(C._checkpoint_line(header, rng, Counter(tally)))
+            done = C._read_checkpoint(path, header, ranges, blocks, bound)
         assert done == dict(zip(ranges, tallies))
 
     @pytest.mark.parametrize("kind,params", list(OLDER_CHECKPOINT_BYTES))
@@ -700,15 +732,82 @@ class TestCheckpointFormat:
             run_census(kind, params, checkpoint=str(path), chunk_size=4)
         assert path.read_bytes() == data
 
-    @pytest.mark.parametrize("kind,params,table", [
-        ("gamma", (2, 3), F.gamma_table(2, 3)), ("quad", (1, 2, 3), F.quad_table(2, 3)),
-    ])
-    def test_older_window_checkpoint_resumes(self, tmp_path, kind, params, table):
-        # an older gamma or quad file has the same bytes as a new one
+    @pytest.mark.parametrize("kind,params", list(WINDOW_V1_CHECKPOINT_BYTES))
+    def test_older_window_checkpoint_is_refused_untouched(self, tmp_path, kind, params):
+        # its lines carry no CRC, so its header is the one before v2
         path = tmp_path / "census.ckpt"
-        path.write_bytes(CHECKPOINT_BYTES[kind, params])
-        assert run_census(kind, params, checkpoint=str(path), chunk_size=4) == table
-        assert path.read_bytes() == CHECKPOINT_BYTES[kind, params]
+        data = WINDOW_V1_CHECKPOINT_BYTES[kind, params]
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="header"):
+            run_census(kind, params, checkpoint=str(path), chunk_size=4)
+        assert path.read_bytes() == data
+
+
+    @pytest.mark.parametrize("kind,params", [
+        ("gamma", (3, 4)), ("quad", (1, 3, 4)), ("sigma", (2, 2)), ("stacked", (2, 1, 3)),
+    ])
+    def test_moving_a_count_between_keys_is_refused(self, tmp_path, kind, params):
+        # each edit keeps the keys possible and the sum, so only the CRC tells
+        path = tmp_path / "census.ckpt"
+        full = run_census(kind, params, checkpoint=str(path))
+        header, line = path.read_text().splitlines()
+        lo, hi, *fields, crc = line.split(" ")
+        keys = [field.rpartition(":")[0] for field in fields]
+        counts = [int(field.rpartition(":")[2]) for field in fields]
+        moves = [(i, j) for i, j in itertools.permutations(range(len(fields)), 2)
+                 if counts[j] > 1]
+        assert {i for i, _ in moves} == set(range(len(fields)))
+        for i, j in moves:
+            moved = counts[:]
+            moved[i], moved[j] = moved[i] + 1, moved[j] - 1
+            edited = " ".join([lo, hi] + ["%s:%d" % kc for kc in zip(keys, moved)] + [crc])
+            path.write_text("%s\n%s\n" % (header, edited))
+            message = "line %r fails its CRC32 check; remove %s to start over" % (edited, path)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_census(kind, params, checkpoint=str(path))
+        path.write_text("%s\n%s\n" % (header, line))
+        assert run_census(kind, params, checkpoint=str(path)) == full
+
+    def test_line_without_its_crc_is_refused(self, tmp_path):
+        path = tmp_path / "census.ckpt"
+        C.enum_gamma(3, 4, checkpoint=str(path))
+        header, line = path.read_text().splitlines()
+        body = line.rpartition(" crc=")[0]
+        path.write_text("%s\n%s\n" % (header, body))
+        message = "line %r fails its CRC32 check; remove %s to start over" % (body, path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            C.enum_gamma(3, 4, checkpoint=str(path))
+
+    def test_line_sealed_under_another_header_is_refused(self, tmp_path):
+        # the sigma and stacked files share their ranges and chunk tallies
+        sigma, stacked = CHECKPOINT_BYTES["sigma", (1, 2)], CHECKPOINT_BYTES["stacked", (1, 1, 2)]
+        path = tmp_path / "census.ckpt"
+        header, first, second, _ = sigma.split(b"\n")
+        path.write_bytes(b"\n".join([stacked.split(b"\n")[0], first, second, b""]))
+        message = "line %r fails its CRC32 check; remove %s to start over" % (
+            first.decode(), path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_census("stacked", (1, 1, 2), checkpoint=str(path), chunk_size=4)
+
+    def test_checkpointed_censuses_list_no_keys(self, tmp_path, monkeypatch):
+        # the reader checks each key against the rank bound, so no run lists
+        # the (min(rows, k) + 1)^blocks keys a census could hold
+        grids = [("gamma", (3, 4)), ("quad", (1, 3, 3)), ("sigma", (1, 2)),
+                 ("stacked", (2, 1, 2))]
+        want = {kind: run_census(kind, params) for kind, params in grids}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a census listed its keys")
+
+        monkeypatch.setattr(C, "itertools", types.SimpleNamespace(
+            **{**vars(itertools), "product": refuse}))
+        for kind, params in grids:
+            path = tmp_path / kind
+            assert run_census(kind, params, checkpoint=str(path), chunk_size=3) == want[kind]
+            header, *lines = path.read_text().splitlines(keepends=True)
+            path.write_text(header + "".join(lines[: len(lines) // 2]))
+            assert run_census(kind, params, checkpoint=str(path), chunk_size=3) == want[kind]
+            assert run_census(kind, params, checkpoint=str(path), chunk_size=3) == want[kind]
 
 
 # a tiny grid for each enumeration, 2^4 or 2^5 points
@@ -1146,33 +1245,70 @@ def _series(bits):
     return UnitSeries(0b101101 & ((1 << bits) - 1), bits)
 
 
-# one small shape per path that enumerates, as a call at a given budget_bits
+def _verify(suite, *flags):
+    """verify SUITE at --budget-bits b through cli.main; an exit of 2 is a refusal."""
+    def run(*shape):
+        *values, b = shape
+        argv = ["verify", suite, "--threads", "1", "--budget-bits", str(b)]
+        for flag, value in zip(flags, values):
+            argv += [flag, str(value)]
+        code = cli.main(argv)
+        if code == 2:
+            raise BudgetExceeded("verify %s %s refused" % (suite, values))
+        assert code == 0, (suite, values, code)
+    return run
+
+
+# a small grid of shapes per path that enumerates, each run as call(*shape, budget_bits)
 CHARGED_PATHS = {
-    "census gamma": lambda b: C.enum_gamma(3, 4, budget_bits=b),
-    "census quad": lambda b: C.enum_quadruple(1, 3, 4, budget_bits=b),
-    "census sigma": lambda b: C.enum_sigma(2, 3, budget_bits=b),
-    "census stacked": lambda b: C.enum_stacked_gamma(2, 1, 3, budget_bits=b),
-    "h_direct": lambda b: expsum.h_direct(3, 4, _series(6), budget_bits=b),
-    "g_direct": lambda b: expsum.g_direct(3, 4, _series(6), budget_bits=b),
-    "g2var_direct": lambda b: expsum.g2var_direct(2, 3, _series(5), _series(3),
-                                                  budget_bits=b),
-    "fmulti_direct": lambda b: expsum.fmulti_direct(1, 3, _series(4),
-                                                    [_series(3), _series(3)], budget_bits=b),
-    "brute q=1": lambda b: C.repcount_bruteforce(1, 1, 3, 2, budget_bits=b),
-    "brute q=2": lambda b: C.repcount_bruteforce(2, 1, 3, 2, budget_bits=b),
-    "brute q=3": lambda b: C.repcount_bruteforce(3, 1, 3, 2, budget_bits=b),
-    "integral": lambda b: C.repcount_integral(1, 1, 3, 2, budget_bits=b),
+    "census gamma": (lambda s, k, b: C.enum_gamma(s, k, budget_bits=b),
+                     [(1, 1), (2, 3), (3, 4), (5, 2)]),
+    "census quad": (lambda n, m, b: C.enum_quadruple(1, n, m, budget_bits=b),
+                    [(1, 1), (2, 3), (3, 4), (4, 2)]),
+    "census sigma": (lambda m, k, b: C.enum_sigma(m, k, budget_bits=b),
+                     [(0, 1), (1, 2), (2, 3), (0, 5)]),
+    "census stacked": (lambda n, m, k, b: C.enum_stacked_gamma(n, m, k, budget_bits=b),
+                       [(0, 0, 1), (1, 1, 2), (2, 1, 3), (3, 0, 2)]),
+    "h_direct": (lambda s, k, b: expsum.h_direct(s, k, _series(s + k - 1), budget_bits=b),
+                 [(1, 1), (3, 4), (4, 2)]),
+    "g_direct": (lambda s, k, b: expsum.g_direct(s, k, _series(s + k - 1), budget_bits=b),
+                 [(2, 2), (3, 4), (4, 3)]),
+    "g2var_direct": (lambda m, k, b: expsum.g2var_direct(m, k, _series(k + m), _series(k),
+                                                         budget_bits=b),
+                     [(0, 1), (2, 3), (1, 4)]),
+    "fmulti_direct": (lambda n, m, k, b: expsum.fmulti_direct(
+                          m, k, _series(k + m), [_series(k)] * n, budget_bits=b),
+                      [(0, 0, 1), (2, 1, 3), (1, 2, 2)]),
+    "brute q=1": (lambda n, k, m, b: C.repcount_bruteforce(1, n, k, m, budget_bits=b),
+                  [(0, 1, 0), (1, 3, 2), (2, 2, 1)]),
+    "brute q=2": (lambda n, k, m, b: C.repcount_bruteforce(2, n, k, m, budget_bits=b),
+                  [(0, 1, 0), (1, 3, 2), (2, 2, 1)]),
+    "brute q=3": (lambda n, k, m, b: C.repcount_bruteforce(3, n, k, m, budget_bits=b),
+                  [(0, 1, 0), (1, 3, 2), (2, 2, 1)]),
+    "integral": (lambda n, k, m, b: C.repcount_integral(1, n, k, m, budget_bits=b),
+                 [(0, 1, 0), (1, 3, 2), (2, 2, 1)]),
+    "verify thm3.5": (_verify("thm3.5", "--s", "--k", "--q"),
+                      [(2, 2, 1), (2, 3, 2), (3, 4, 1), (4, 4, 1)]),
+    "verify lemmas5.x": (_verify("lemmas5.x", "--s", "--k"), [(2, 2), (2, 3), (3, 4), (4, 5)]),
+    "verify cor3.10": (_verify("cor3.10", "--n"), [(2,), (5,), (20,)]),
 }
+
+# Each count is at most 2^c, but the whole-grid suites do a stated multiple of
+# it: thm3.5 transforms three 2^c-point grids (g, g1, g2), and lemmas5.x ranks
+# a quad census of 2^c windows and two gamma censuses of half that.
+WORK_MULTIPLE = {"verify thm3.5": 3, "verify lemmas5.x": 2}
 
 
 @pytest.mark.parametrize("path", CHARGED_PATHS)
 def test_counted_work_stays_within_the_charge(monkeypatch, path):
     """Each loop primitive counts its work: the lanes of each lane word, the
-    entries of each span, the length of each transform. A path's charge c is
-    the least budget_bits it runs at; below it nothing is counted, and at it
-    each count is at most 2^c."""
+    entries of each span, the length of each transform, and the terms that
+    formulas.a_coeff_closed sums. At each shape of its grid, a path's charge c
+    is the least budget_bits it runs at; below it nothing is counted, and at
+    it each total count is at most WORK_MULTIPLE (1 unless stated) times 2^c."""
     counts = Counter()
     lane_words, span, wht = lanes._lane_words, lanes._span, lanes._wht
+    gaussian_binomial = F.gaussian_binomial
 
     def counting_lane_words(depth, lo, hi):
         for word in lane_words(depth, lo, hi):
@@ -1188,15 +1324,23 @@ def test_counted_work_stays_within_the_charge(monkeypatch, path):
         counts["wht"] += len(v)
         wht(v)
 
+    def counting_gaussian_binomial(n, r):
+        counts["terms"] += 1  # one per term of a_coeff_closed's alternating sum
+        return gaussian_binomial(n, r)
+
     for owner in (lanes, expsum):
         monkeypatch.setattr(owner, "_lane_words", counting_lane_words)
     monkeypatch.setattr(lanes, "_span", counting_span)
     monkeypatch.setattr(lanes, "_wht", counting_wht)
-    run = CHARGED_PATHS[path]
-    for charge in range(64):
-        try:
-            run(charge)
-            break
-        except BudgetExceeded:
-            assert not counts, (path, charge, counts)
-    assert counts and max(counts.values()) <= 1 << charge, (path, charge, counts)
+    monkeypatch.setattr(F, "gaussian_binomial", counting_gaussian_binomial)
+    run, shapes = CHARGED_PATHS[path]
+    for shape in shapes:
+        counts.clear()
+        for charge in range(64):
+            try:
+                run(*shape, charge)
+                break
+            except BudgetExceeded:
+                assert not counts, (path, shape, charge, counts)
+        bound = WORK_MULTIPLE.get(path, 1) << charge
+        assert counts and max(counts.values()) <= bound, (path, shape, charge, counts)

@@ -118,14 +118,14 @@ class TestCensusCommand:
         assert "unrecognized arguments: --l" in err
 
     def test_quad_checkpoint_keeps_its_header_and_resumes(self, tmp_path, capsys):
-        # the header keeps l=1, so every quad checkpoint written so far resumes
+        # the header keeps the l=1 every quad checkpoint has named
         argv = ["census", "quad", "--s", "9", "--k", "9", "--threads", "1",
                 "--checkpoint", str(tmp_path / "run")]
         code, out, _ = run_cli(argv, capsys)
         path = tmp_path / "run.quad"
         full = path.read_bytes()
         header, first, second, end = full.split(b"\n")
-        assert (code, header) == (0, b"#census quad l=1 n=9 m=9 points=131072 chunk=65536")
+        assert (code, header) == (0, b"#census v2 quad l=1 n=9 m=9 points=131072 chunk=65536")
         path.write_bytes(b"\n".join([header, first, end]))
         assert run_cli(argv, capsys) == (0, out, "")
         assert path.read_bytes() == full
@@ -163,7 +163,7 @@ class TestCensusCommand:
         assert code == 0
         ckpt = tmp_path / "run.gamma"
         header, chunk, *rest = ckpt.read_text().splitlines()
-        assert chunk == "0 64 0:1 1:3 2:12 3:48"
+        assert chunk.rpartition(" crc=")[0] == "0 64 0:1 1:3 2:12 3:48"
         ckpt.write_text("\n".join([header, line] + rest) + "\n")
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
@@ -206,6 +206,37 @@ class TestCensusCommand:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert "range (0, 32) appears twice; remove %s to start over" % ckpt in err
+
+    def test_count_moved_between_keys_exits_two(self, tmp_path, capsys):
+        # the keys stay possible and the sum stays 64: only the line's CRC tells
+        argv = ["census", "gamma", "--s", "3", "--k", "4", "--threads", "1",
+                "--checkpoint", str(tmp_path / "c")]
+        assert run_cli(argv, capsys) == (0, '{"0":1,"1":3,"2":12,"3":48}\n', "")
+        ckpt = tmp_path / "c.gamma"
+        text = ckpt.read_text()
+        edited = text.replace("0 64 0:1 1:3 2:12 3:48 ", "0 64 0:1 1:4 2:11 3:48 ")
+        assert edited != text
+        ckpt.write_text(edited)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "fails its CRC32 check; remove %s to start over" % ckpt in err
+        assert ckpt.read_text() == edited
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_checkpoint_cut_in_half_resumes_to_the_same_stdout(self, tmp_path, capsys,
+                                                               threads):
+        # 2^17 windows in two chunks; a torn line is computed again, and a cut
+        # into the second line keeps the first
+        argv = ["census", "gamma", "--s", "9", "--k", "9", "--threads", threads,
+                "--checkpoint", str(tmp_path / "run")]
+        code, out, _ = run_cli(argv, capsys)
+        ckpt = tmp_path / "run.gamma"
+        full = ckpt.read_bytes()
+        assert code == 0 and full.count(b"\n") == 3
+        for cut in (len(full) // 2, len(full) - 10):
+            ckpt.write_bytes(full[:cut])
+            assert run_cli(argv, capsys) == (0, out, "")
+            assert ckpt.read_bytes() == full
 
     @pytest.mark.parametrize("base,is_dir", [("missing/x", False), ("x", True)],
                              ids=["missing-directory", "directory"])
