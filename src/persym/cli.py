@@ -44,10 +44,6 @@ from .exceptions import (
 )
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _worker_count(text: str) -> int:
     """The --threads value: an integer of at least 1."""
     try:
@@ -90,41 +86,16 @@ def _census(args, kind: str, params, label: Optional[str] = None) -> Counter:
 # ---------------------------------------------------------------------------
 # verify
 
-# suite: (its runner in persym.suites, its flags' defaults); the runner is
-# looked up by name at each call, and only verify imports persym.suites
-_VERIFIERS = {
-    "thm3.1": ("verify_window_census", {"s": 3, "k": 4}),
-    "thm3.3": ("verify_profile_census", {"s": 2, "k": 3}),
-    "thm3.5": ("verify_even_moments", {"s": 2, "k": 2, "q": 2}),
-    "thm3.8": ("verify_one_extra_row", {"m": 1, "k": 3}),
-    "thm3.9": ("verify_stacked_census", {"n": 1, "m": 2, "k": 3}),
-    "cor3.10": ("verify_coefficient_rows", {"n": 5}),
-    "thm3.11": ("verify_multi_count", {"q": 1, "n": 1, "k": 3, "m": 2}),
-    "landsberg": ("verify_unstructured", {"rows": 2, "k": 2}),
-    "lemmas5.x": ("verify_partition_suite", {"s": 2, "k": 3}),
-    "sigma6.x": ("verify_row_split", {"m": 1, "k": 2}),
-}
-# suite flags whose help says more than their default
-_SUITE_FLAG_HELP = {
-    ("cor3.10", "n"): "rows 1..N of the coefficient triangle; the closed side "
-    "grows about as N^5, so N is refused when the bit length of N^4 is over "
-    "--budget-bits (default: %(default)s)",
-    ("thm3.5", "q"): "powers g^2 .. g^2q; the report prints 2q values of up to "
-    "2q(k+s) bits, and printing W 64-bit words takes about W^2 steps, so q is "
-    "refused when the bit length of 2q W^2, W = q(k+s)//32 + 1, is over "
-    "--budget-bits (default: %(default)s)",
-}
-
 
 def _cmd_verify(args) -> int:
+    """Run the suite as persym.suites.SUITES declares it and print its report."""
     from . import suites
 
-    runner, defaults = _VERIFIERS[args.theorem]
-    params = {"theorem": args.theorem}
-    params.update((name, getattr(args, name)) for name in defaults)
-    computed, expected = getattr(suites, runner)(params, args, partial(_census, args))
+    runner, defaults, _ = suites.SUITES[args.theorem]
+    flags = {name: getattr(args, name) for name in defaults}
+    computed, expected = runner(partial(_census, args), args.budget_bits, **flags)
     report = {
-        "params": params,
+        "params": {"theorem": args.theorem, **flags},
         "computed": computed,
         "expected": expected,
         "match": computed == expected,
@@ -201,14 +172,12 @@ def _cmd_expsum(args) -> int:
 # ---------------------------------------------------------------------------
 # repcount
 
-# every mode, in the order --check reports them; each takes persym.census
+# mode: its count in persym.census, in the order --check reports them; the
+# count is looked up by name at each call, so a rebinding is seen
 _REPCOUNT_MODES = {
-    "formula": lambda census, q, n, k, m, bits: census.repcount_multi_formula(
-        q, n, k, m, budget_bits=bits),
-    "brute": lambda census, q, n, k, m, bits: census.repcount_bruteforce(
-        q, n, k, m, budget_bits=bits),
-    "integral": lambda census, q, n, k, m, bits: census.repcount_integral(
-        q, n, k, m, budget_bits=bits),
+    "formula": "repcount_multi_formula",
+    "brute": "repcount_bruteforce",
+    "integral": "repcount_integral",
 }
 
 
@@ -217,14 +186,18 @@ def _cmd_repcount(args) -> int:
 
     check_budget(bigint_bits(1, args.q * (args.k + args.m + args.n + 1)), args.budget_bits,
                  "repcount q=%d" % args.q)
-    params = (census, args.q, args.n, args.k, args.m, args.budget_bits)
+
+    def count(mode: str) -> int:
+        return getattr(census, _REPCOUNT_MODES[mode])(
+            args.q, args.n, args.k, args.m, budget_bits=args.budget_bits)
+
     if not args.check:
-        print(_REPCOUNT_MODES[args.mode](*params))
+        print(count(args.mode))
         return 0
     results, skipped = [], []
-    for name, count in _REPCOUNT_MODES.items():
+    for name in _REPCOUNT_MODES:
         try:
-            results.append((name, count(*params)))
+            results.append((name, count(name)))
         except BudgetExceeded:
             if name == "formula":  # the count the others are checked against
                 raise
@@ -250,10 +223,11 @@ def _named_kind(argv):
         return None
     if argv[0] == "repcount":
         return ("repcount",)
-    kinds = {"verify": _VERIFIERS, "census": _CENSUS_KINDS, "expsum": _EXPSUM_REQUIRED}
-    if len(argv) > 1 and argv[1] in kinds.get(argv[0], ()):
-        return tuple(argv[:2])
-    return None
+    if argv[0] == "verify":
+        from .suites import SUITES as kinds
+    else:
+        kinds = {"census": _CENSUS_KINDS, "expsum": _EXPSUM_REQUIRED}.get(argv[0], ())
+    return tuple(argv[:2]) if len(argv) > 1 and argv[1] in kinds else None
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -283,7 +257,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                        % DEFAULT_BUDGET_BITS)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=_worker_count, default=_default_threads(),
+        p.add_argument("--threads", type=_worker_count, default=os.cpu_count() or 1,
                        help="worker processes for enumerations (default: all cores)")
         budget(p)
         p.add_argument("--checkpoint", type=_checkpoint_path, help="append finished "
@@ -298,18 +272,18 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="run an empirical census against its closed form"
     ).add_subparsers(dest="theorem", required=True, metavar="suite")
-    for theorem, (runner, defaults) in _VERIFIERS.items():
-        if not wanted("verify", theorem):
-            continue
-        from . import suites
+    if only is None or only[0] == "verify":
+        from .suites import SUITES
 
-        doc = getattr(suites, runner).__doc__
-        suite = verify.add_parser(theorem, help=doc.splitlines()[0])
-        for flag, default in defaults.items():
-            text = _SUITE_FLAG_HELP.get((theorem, flag), "default: %(default)s")
-            suite.add_argument("--" + flag, type=int, default=default, help=text)
-        common(suite)
-        suite.set_defaults(run=_cmd_verify)
+        for theorem, (runner, defaults, flag_help) in SUITES.items():
+            if not wanted("verify", theorem):
+                continue
+            suite = verify.add_parser(theorem, help=runner.__doc__.splitlines()[0])
+            for flag, default in defaults.items():
+                suite.add_argument("--" + flag, type=int, default=default,
+                                   help=flag_help.get(flag, "default: %(default)s"))
+            common(suite)
+            suite.set_defaults(run=_cmd_verify)
 
     cens = sub.add_parser(
         "census", help="print a rank census table"

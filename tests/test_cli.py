@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from persym import census, cli, expsum, formulas
+from persym import census, cli, expsum, formulas, suites
 
 
 def run_cli(argv, capsys):
@@ -297,7 +298,7 @@ class TestCensusCommand:
 
 class TestVerifyCommand:
     def test_every_suite_passes_with_defaults(self, capsys):
-        for theorem in sorted(cli._VERIFIERS):
+        for theorem in sorted(suites.SUITES):
             code, out, _ = run_cli(["verify", theorem], capsys)
             assert code == 0, theorem
             report = json.loads(out)
@@ -417,6 +418,26 @@ class TestVerifyCommand:
         assert code == 0
         flags = set(re.findall(r"--(\w+)", out))
         assert flags - {"help", "threads", "budget", "checkpoint"} == {"n"}
+
+    @pytest.mark.parametrize("suite", sorted(suites.SUITES))
+    def test_each_runner_takes_the_census_the_budget_and_its_flags(self, suite):
+        runner, defaults, flag_help = suites.SUITES[suite]
+        names = list(inspect.signature(runner).parameters)
+        assert names == ["run_census", "budget_bits"] + list(defaults)
+        assert set(flag_help) <= set(defaults)
+
+    @pytest.mark.parametrize("suite,charge", [
+        ("thm3.5", "--q Q powers g^2 .. g^2q; the report prints 2q values of up to 2q(k+s) "
+         "bits, and printing W 64-bit words takes about W^2 steps, so q is refused when the "
+         "bit length of 2q W^2, W = q(k+s)//32 + 1, is over --budget-bits (default: 2)"),
+        ("cor3.10", "--n N rows 1..N of the coefficient triangle; the closed side grows "
+         "about as N^5, so N is refused when the bit length of N^4 is over --budget-bits "
+         "(default: 5)"),
+    ])
+    def test_help_states_the_flags_charge(self, capsys, suite, charge):
+        code, out, _ = run_cli(["verify", suite, "-h"], capsys)
+        assert code == 0
+        assert charge in " ".join(out.split())  # argparse wraps to the terminal width
 
     def test_piecewise_count_at_n_zero(self, capsys):
         code, out, _ = run_cli(

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from persym import cli
+from persym import cli, suites
 
 # argv: the persym modules the run may load besides the package and exceptions
 EXPSUM = {"expsum", "builders", "gf2", "laurent", "lanes"}
@@ -26,6 +26,12 @@ IMPORT_PATHS = {
     # the even moments are plain ints over powers of two: no dyadic
     "verify thm3.5": {"suites", "census", "lanes", "expsum", "builders", "gf2", "laurent"},
     "verify lemmas5.x": {"suites", "census", "lanes", "expsum", "builders", "gf2", "laurent"},
+    "verify thm3.3": {"suites", "census", "lanes", "formulas"},
+    "verify thm3.8": {"suites", "census", "lanes", "formulas"},
+    "verify thm3.9": {"suites", "census", "lanes", "formulas"},
+    "verify thm3.11": {"suites", "census", "lanes", "formulas"},
+    "verify landsberg": {"suites", "census", "lanes", "formulas"},
+    "verify sigma6.x": {"suites", "census", "lanes", "formulas"},
     "expsum h --s 2 --k 2 --t 100": EXPSUM,
     "expsum g --s 2 --k 2 --t 100": EXPSUM,
     "expsum g2 --m 1 --k 2 --t 100 --eta 10": EXPSUM,
@@ -37,6 +43,7 @@ IMPORT_PATHS = {
     "repcount --mode integral --q 1 --n 1 --k 2 --m 1": {"census", "lanes"},
     # the brute count multiplies on plain ints, so it loads no laurent
     "repcount --mode brute --q 1 --n 1 --k 2 --m 1": {"census", "lanes"},
+    "repcount --check --q 1 --n 1 --k 2 --m 1": {"census", "lanes", "formulas"},
 }
 
 
@@ -112,7 +119,7 @@ def valid_argvs():
         values = {"t": "100", "eta": "10", "etas": "10,11"}
         return [part for name in names for part in ("--" + name, values.get(name, "2"))]
 
-    argvs = [["verify", suite] for suite in cli._VERIFIERS]
+    argvs = [["verify", suite] for suite in suites.SUITES]
     argvs += [["census", kind] + flags(name for name in names if name != "l")
               for kind, (_, names) in cli._CENSUS_KINDS.items()]
     argvs += [["expsum", kind] + flags(names) for kind, names in cli._EXPSUM_REQUIRED.items()]
