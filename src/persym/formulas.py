@@ -7,7 +7,6 @@ exhaustive enumeration, and the two sides meet in the verification suites.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from typing import Dict, Iterator, List, Tuple
 
@@ -146,40 +145,39 @@ def a_coeff_recurrence(n: int, j: int) -> int:
     return deque(a_coeff_rows(n), maxlen=1)[0][j]
 
 
-@functools.lru_cache(maxsize=1024)
-def gaussian_binomial(n: int, r: int) -> int:
-    """Number of r-dimensional subspaces of an n-dimensional F2 space.
+def _gaussian_row(n: int, top: int) -> List[int]:
+    """Gaussian binomials [n, r] for r = 0..min(top, n), each from the last by one
+    exact division: [n, r] = [n, r-1] (2^(n-r+1) - 1) / (2^r - 1)."""
+    row = [1]
+    for r in range(1, min(top, n) + 1):
+        value, rem = divmod(row[-1] * ((1 << (n - r + 1)) - 1), (1 << r) - 1)
+        if rem:
+            raise NonIntegerResult("Gaussian binomial (%d, %d) is not exact" % (n, r))
+        row.append(value)
+    return row
 
-    Cached, since a_coeff_closed(n, j) reads row n+1 of these at every j.
-    """
+
+def gaussian_binomial(n: int, r: int) -> int:
+    """Number of r-dimensional subspaces of an n-dimensional F2 space."""
     if n < 0 or r < 0:
         raise ValueError("requires n, r >= 0, got n=%d r=%d" % (n, r))
-    if r > n:
-        return 0
-    num = 1
-    den = 1
-    for l in range(r):
-        num *= (1 << n) - (1 << l)
-        den *= (1 << r) - (1 << l)
-    value, rem = divmod(num, den)
-    if rem:
-        raise NonIntegerResult("Gaussian binomial (%d, %d) is not exact" % (n, r))
-    return value
+    return _gaussian_row(n, r)[r] if r <= n else 0
 
 
 def a_coeff_closed(n: int, j: int) -> int:
     """Row-stacking coefficient a_j for n free rows, in closed form.
 
-    Alternating sum of Gaussian binomials; must agree with the recurrence
-    for every 0 <= j <= n.
+    Alternating sum of the Gaussian binomials [n+1, 1..j], read from one row;
+    must agree with the recurrence for every 0 <= j <= n.
     """
     if n < 0 or not 0 <= j <= n:
         raise ValueError("requires 0 <= j <= n, got n=%d j=%d" % (n, j))
     if j == 0 or j == n:
         return 1
+    binomials = _gaussian_row(n + 1, j)
     total = (-1 if j & 1 else 1) * (1 << (j * n - j * (j - 1) // 2))
     for s in range(j):
-        term = gaussian_binomial(n + 1, j - s) << (s * (n - j) + s * (s + 1) // 2)
+        term = binomials[j - s] << (s * (n - j) + s * (s + 1) // 2)
         total += -term if s & 1 else term
     return total
 
@@ -222,18 +220,14 @@ def stacked_gamma_table(n: int, m: int, k: int) -> Dict[int, int]:
 
 
 def landsberg_table(rows: int, k: int) -> Dict[int, int]:
-    """Rank distribution {i: count} over all rows x k matrices (no structure at all)."""
+    """Rank distribution {i: count} over all rows x k matrices (no structure at all):
+    Landsberg's [rows, i] prod_{l<i} (2^k - 2^l), with the product kept running."""
     if rows < 1 or k < 1:
         raise ValueError("shape must be positive, got %dx%d" % (rows, k))
-    table = {}
+    table, product = {}, 1
     for i in range(min(rows, k) + 1):
-        num = den = 1
-        for l in range(i):
-            num *= ((1 << rows) - (1 << l)) * ((1 << k) - (1 << l))
-            den *= (1 << i) - (1 << l)
-        table[i], rem = divmod(num, den)
-        if rem:
-            raise NonIntegerResult("rank count (%d, %d, %d) is not exact" % (rows, k, i))
+        table[i] = gaussian_binomial(rows, i) * product
+        product *= (1 << k) - (1 << i)
     return table
 
 

@@ -507,6 +507,8 @@ class TestPartitioning:
         # no 3 x 4 window has rank 7
         ("gamma", (3, 4), "0 1 7:1", "impossible key 7"),
         ("gamma", (3, 4), "0 1 0:1 0:1", "repeated key 0"),
+        # a key of two ranks where gamma keys hold one, after a line that holds key 0
+        ("gamma", (3, 4), "0 1 0:1 0,1:1", "impossible key 0,1"),
         ("quad", (1, 3, 3), "0 1 0,0,0:1", "impossible key 0,0,0"),
         ("quad", (1, 3, 3), "0 1 0,0,0,4:1", "impossible key 0,0,0,4"),
         ("sigma", (1, 2), "0 1 3:1", "impossible key 3"),
@@ -1011,6 +1013,7 @@ class TestRepcounts:
     def test_multi_formula_known_values(self):
         assert C.repcount_multi_formula(3, 5, 4, 2) == 24413824
         assert C.repcount_multi_formula(1, 1, 3, 2) == 23
+        assert C.repcount_multi_formula(1, 8, 8, 0, budget_bits=9) == 767
 
     def test_displayed_power_identity(self):
         for q in (1, 2, 3, 5):
@@ -1126,6 +1129,35 @@ class TestRepcounts:
     def test_bruteforce_budget(self):
         with pytest.raises(BudgetExceeded):
             C.repcount_bruteforce(9, 2, 9, 8, budget_bits=28)
+
+    # Each shape's least admitted budget is bit_length(P W V), with
+    # P = n^2 + (k+1)(min(n, k, m+1)+1)(min(n, k)+2), W = max(n^2//4, k+m+nk)//64 + 1
+    # and V = k//64 + 1. At each shape the named term decides the bit length, so
+    # moving any constant or sign in that term moves the least admitted budget.
+    @pytest.mark.parametrize("n,k,m,bits", [
+        # n^2: P = 4 + 2*2*3 = 16, W = V = 1
+        (2, 1, 0, 5),
+        # k+1: P = 0 + 3*1*2 = 6, W = V = 1
+        (0, 2, 0, 3),
+        # min(n, k, m+1)+1: P = 64 + 9*2*10 = 244, W = 72//64 + 1 = 2, V = 1: 488
+        (8, 8, 0, 9),
+        # min(n, k)+2: P = 1 + 2*2*3 = 13, W = V = 1
+        (1, 1, 0, 4),
+        # n^2//4: P = 256 + 2*2*3 = 268, W = 64//64 + 1 = 2, V = 1: 536
+        (16, 1, 0, 10),
+        # k+m+nk: P = 1 + 28*2*3 = 169, W = 64//64 + 1 = 2, V = 1: 338
+        (1, 27, 10, 9),
+        # W's //64 + 1: P = 0 + 54*1*2 = 108, W = 64//64 + 1 = 2, V = 1: 216
+        (0, 53, 11, 8),
+        # V: P = 4 + 65*3*4 = 784, W = 193//64 + 1 = 4, V = 64//64 + 1 = 2: 6272
+        (2, 64, 1, 13),
+    ])
+    def test_formula_charge_is_pinned_term_by_term(self, n, k, m, bits):
+        C.repcount_multi_formula(1, n, k, m, budget_bits=bits)
+        with pytest.raises(BudgetExceeded, match=re.escape(
+                "formula table n=%d k=%d m=%d needs a 2^%d point domain, over the 2^%d"
+                " budget" % (n, k, m, bits, bits - 1))):
+            C.repcount_multi_formula(1, n, k, m, budget_bits=bits - 1)
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_bruteforce_charges_its_transform(self, q):
@@ -1302,13 +1334,14 @@ WORK_MULTIPLE = {"verify thm3.5": 3, "verify lemmas5.x": 2}
 @pytest.mark.parametrize("path", CHARGED_PATHS)
 def test_counted_work_stays_within_the_charge(monkeypatch, path):
     """Each loop primitive counts its work: the lanes of each lane word, the
-    entries of each span, the length of each transform, and the terms that
-    formulas.a_coeff_closed sums. At each shape of its grid, a path's charge c
-    is the least budget_bits it runs at; below it nothing is counted, and at
-    it each total count is at most WORK_MULTIPLE (1 unless stated) times 2^c."""
+    entries of each span, the length of each transform, and the Gaussian
+    binomials that formulas.a_coeff_closed reads. At each shape of its grid, a
+    path's charge c is the least budget_bits it runs at; below it nothing is
+    counted, and at it each total count is at most WORK_MULTIPLE (1 unless
+    stated) times 2^c."""
     counts = Counter()
     lane_words, span, wht = lanes._lane_words, lanes._span, lanes._wht
-    gaussian_binomial = F.gaussian_binomial
+    gaussian_row = F._gaussian_row
 
     def counting_lane_words(depth, lo, hi):
         for word in lane_words(depth, lo, hi):
@@ -1324,15 +1357,16 @@ def test_counted_work_stays_within_the_charge(monkeypatch, path):
         counts["wht"] += len(v)
         wht(v)
 
-    def counting_gaussian_binomial(n, r):
-        counts["terms"] += 1  # one per term of a_coeff_closed's alternating sum
-        return gaussian_binomial(n, r)
+    def counting_gaussian_row(n, top):
+        out = gaussian_row(n, top)
+        counts["terms"] += len(out)  # one per Gaussian binomial a_coeff_closed reads
+        return out
 
     for owner in (lanes, expsum):
         monkeypatch.setattr(owner, "_lane_words", counting_lane_words)
     monkeypatch.setattr(lanes, "_span", counting_span)
     monkeypatch.setattr(lanes, "_wht", counting_wht)
-    monkeypatch.setattr(F, "gaussian_binomial", counting_gaussian_binomial)
+    monkeypatch.setattr(F, "_gaussian_row", counting_gaussian_row)
     run, shapes = CHARGED_PATHS[path]
     for shape in shapes:
         counts.clear()

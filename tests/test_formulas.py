@@ -210,6 +210,18 @@ class TestACoefficients:
         assert F.gaussian_binomial(3, 0) == 1
         assert F.gaussian_binomial(2, 5) == 0
 
+    def test_recurrence_rows_are_gaussian_binomials(self):
+        # the q-Pascal rule [n, j] = 2^j [n-1, j] + [n-1, j-1] is a_coeff_rows' step
+        for n, row in enumerate(F.a_coeff_rows(60)):
+            assert row == [F.gaussian_binomial(n, j) for j in range(n + 1)]
+
+    def test_gaussian_binomial_symmetry_and_zeros(self):
+        for n in range(61):
+            for r in range(n + 1):
+                assert F.gaussian_binomial(n, r) == F.gaussian_binomial(n, n - r)
+            for r in range(n + 1, n + 4):
+                assert F.gaussian_binomial(n, r) == 0
+
 
 class TestStackedGamma:
     def test_known_tables(self):
