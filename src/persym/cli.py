@@ -25,7 +25,6 @@ parser builds only the command kind that argv names.
 
 import argparse
 import gc
-import json
 import os
 import sys
 from collections import Counter
@@ -89,6 +88,8 @@ def _census(args, kind: str, params, label: Optional[str] = None) -> Counter:
 
 def _cmd_verify(args) -> int:
     """Run the suite as persym.suites.SUITES declares it and print its report."""
+    import json
+
     from . import suites
 
     runner, defaults, _ = suites.SUITES[args.theorem]
@@ -114,6 +115,8 @@ def _cmd_census(args) -> int:
     params = [getattr(args, flag) for flag in _CENSUS_KINDS[args.kind][1]]
     table = _table_text(_census(args, args.kind, params))
     if args.format == "json":
+        import json
+
         print(json.dumps(table, separators=(",", ":")))
     else:
         import csv

@@ -22,36 +22,27 @@ __all__ = [
     "a_coeff_recurrence",
     "a_coeff_closed",
     "a_coeff_table",
-    "gaussian_binomial",
     "stacked_gamma_table",
     "landsberg_table",
     "repcount_piecewise",
 ]
 
 
-def gamma_closed(s: int, k: int, i: int) -> int:
-    """Number of s x k coefficient-window matrices of rank i.
-
-    The window matrix of a shape and its transpose have the same rank
-    distribution, so s > k is normalized by swapping. Returns 0 for i
-    outside [0, min(s, k)].
-    """
+def gamma_table(s: int, k: int) -> Dict[int, int]:
+    """Theorem 3.1: {i: count} over ranks of s x k window matrices. One window has
+    rank 0, 3 * 4^(i-1) have each rank i below min(s, k), and the rest of the
+    2^(s+k-1) windows have full rank; a shape and its transpose share the table."""
     if s < 1 or k < 1:
         raise ValueError("shape must be positive, got %dx%d" % (s, k))
-    if s > k:
-        s, k = k, s
-    if i < 0 or i > s:
-        return 0
-    if i == 0:
-        return 1
-    if i < s:
-        return 3 << (2 * (i - 1))
-    return (1 << (k + s - 1)) - (1 << (2 * s - 2))
+    low = min(s, k)
+    table = {i: 3 << (2 * (i - 1)) for i in range(1, low)}
+    return {0: 1, **table, low: (1 << (k + s - 1)) - (1 << (2 * low - 2))}
 
 
-def gamma_table(s: int, k: int) -> Dict[int, int]:
-    """Full rank distribution {i: count} for s x k window matrices."""
-    return {i: gamma_closed(s, k, i) for i in range(min(s, k) + 1)}
+def gamma_closed(s: int, k: int, i: int) -> int:
+    """Entry i of gamma_table(s, k), 0 outside [0, min(s, k)]. No package code reads
+    one entry; it stays while perfbench calls and traces it by name."""
+    return gamma_table(s, k).get(i, 0)
 
 
 def quad_table(s: int, k: int) -> Dict[Tuple[int, int, int, int], int]:
@@ -157,13 +148,6 @@ def _gaussian_row(n: int, top: int) -> List[int]:
     return row
 
 
-def gaussian_binomial(n: int, r: int) -> int:
-    """Number of r-dimensional subspaces of an n-dimensional F2 space."""
-    if n < 0 or r < 0:
-        raise ValueError("requires n, r >= 0, got n=%d r=%d" % (n, r))
-    return _gaussian_row(n, r)[r] if r <= n else 0
-
-
 def a_coeff_closed(n: int, j: int) -> int:
     """Row-stacking coefficient a_j for n free rows, in closed form.
 
@@ -206,13 +190,13 @@ def stacked_gamma_table(n: int, m: int, k: int) -> Dict[int, int]:
     if n < 0 or m < 0 or k < 1:
         raise ValueError("requires n, m >= 0 and k >= 1, got n=%d m=%d k=%d" % (n, m, k))
     a = deque(a_coeff_rows(n), maxlen=1)[0]
-    table = {}
+    gamma, table = gamma_table(1 + m, k), {}
     for i in range(min(k, n + m + 1) + 1):
         total, product = 0, 1
         for j in range(min(i, n) + 1):
             if j:
                 product *= (1 << k) - (1 << (i - j))
-            base = gamma_closed(1 + m, k, i - j)
+            base = gamma.get(i - j, 0)
             if base:
                 total += (a[j] * product << (n - j) * (i - j)) * base
         table[i] = total
@@ -221,12 +205,13 @@ def stacked_gamma_table(n: int, m: int, k: int) -> Dict[int, int]:
 
 def landsberg_table(rows: int, k: int) -> Dict[int, int]:
     """Rank distribution {i: count} over all rows x k matrices (no structure at all):
-    Landsberg's [rows, i] prod_{l<i} (2^k - 2^l), with the product kept running."""
+    Landsberg's [rows, i] prod_{l<i} (2^k - 2^l), the binomials read off one Gaussian
+    row and the product kept running."""
     if rows < 1 or k < 1:
         raise ValueError("shape must be positive, got %dx%d" % (rows, k))
     table, product = {}, 1
-    for i in range(min(rows, k) + 1):
-        table[i] = gaussian_binomial(rows, i) * product
+    for i, binomial in enumerate(_gaussian_row(rows, k)):
+        table[i] = binomial * product
         product *= (1 << k) - (1 << i)
     return table
 

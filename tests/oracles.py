@@ -235,6 +235,23 @@ def _poly_sum(polys) -> Tuple[int, ...]:
     return tuple(acc)
 
 
+# -------------------------------------------------------- subspace counts
+
+
+def oracle_gaussian_binomial(n: int, r: int) -> int:
+    """[n, r]_2, the number of r-dimensional subspaces of GF(2)^n, by the
+    product formula prod_{l<r} (2^(n-l) - 1) / (2^(r-l) - 1); 0 unless 0 <= r <= n."""
+    if not 0 <= r <= n:
+        return 0
+    numerator = denominator = 1
+    for l in range(r):
+        numerator *= 2 ** (n - l) - 1
+        denominator *= 2 ** (r - l) - 1
+    quotient, remainder = divmod(numerator, denominator)
+    assert remainder == 0, (n, r)
+    return quotient
+
+
 # ----------------------------------------------------------- mini census
 
 

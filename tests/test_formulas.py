@@ -10,6 +10,8 @@ from persym.dyadic import DyadicRational
 from persym.exceptions import CaseMismatch
 from persym.gf2 import rank_of_rows
 
+from oracles import oracle_gaussian_binomial
+
 
 def brute_rank_counts(rows, k):
     counts = {}
@@ -46,6 +48,27 @@ class TestGamma:
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
     def test_total_is_domain_size(self, s, k):
         assert sum(F.gamma_table(s, k).values()) == 1 << (k + s - 1)
+
+    def test_table_is_theorem_3_1_written_out(self):
+        for s in range(1, 41):
+            for k in range(1, 41):
+                low = min(s, k)
+                want = {0: 1, low: 2 ** (s + k - 1) - 4 ** (low - 1)}
+                want.update((i, 3 * 4 ** (i - 1)) for i in range(1, low))
+                table = F.gamma_table(s, k)
+                assert table == F.gamma_table(k, s) == want, (s, k)
+                assert list(table) == list(range(low + 1))  # the order a report prints
+                assert sum(table.values()) == 2 ** (s + k - 1)
+
+    @pytest.mark.parametrize("s, k", [(1, 1), (1, 6), (6, 1), (4, 4), (3, 9), (40, 40)])
+    def test_closed_is_zero_just_outside_the_ranks(self, s, k):
+        assert F.gamma_closed(s, k, -1) == 0
+        assert F.gamma_closed(s, k, min(s, k) + 1) == 0
+
+    @pytest.mark.parametrize("call", [lambda: F.gamma_table(0, 3), lambda: F.gamma_closed(0, 3, 0)])
+    def test_zero_rows_are_refused_with_the_shape(self, call):
+        with pytest.raises(ValueError, match=r"^shape must be positive, got 0x3$"):
+            call()
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
     def test_dyadic_moment(self, s, k):
@@ -203,24 +226,32 @@ class TestACoefficients:
             for i in range(1, n + 1):
                 lhs = F.a_coeff_recurrence(n, i)
                 lhs += (1 << (n - (i - 1))) * F.a_coeff_recurrence(n, i - 1)
-                assert lhs == F.gaussian_binomial(n + 1, i)
+                assert lhs == oracle_gaussian_binomial(n + 1, i)
 
     def test_gaussian_binomial_values(self):
-        assert F.gaussian_binomial(4, 2) == 35
-        assert F.gaussian_binomial(3, 0) == 1
-        assert F.gaussian_binomial(2, 5) == 0
+        assert F._gaussian_row(4, 2) == [1, 15, 35] == [oracle_gaussian_binomial(4, r)
+                                                        for r in range(3)]
+        assert F._gaussian_row(3, 0) == [1]
+        assert F._gaussian_row(2, 5) == [1, 3, 1]  # [2, r] is 0 for r > 2: the row stops
+        assert oracle_gaussian_binomial(2, 5) == 0
 
     def test_recurrence_rows_are_gaussian_binomials(self):
         # the q-Pascal rule [n, j] = 2^j [n-1, j] + [n-1, j-1] is a_coeff_rows' step
         for n, row in enumerate(F.a_coeff_rows(60)):
-            assert row == [F.gaussian_binomial(n, j) for j in range(n + 1)]
+            assert row == F._gaussian_row(n, n) == [oracle_gaussian_binomial(n, j)
+                                                    for j in range(n + 1)]
 
     def test_gaussian_binomial_symmetry_and_zeros(self):
         for n in range(61):
-            for r in range(n + 1):
-                assert F.gaussian_binomial(n, r) == F.gaussian_binomial(n, n - r)
-            for r in range(n + 1, n + 4):
-                assert F.gaussian_binomial(n, r) == 0
+            row = F._gaussian_row(n, n + 3)  # no entry past [n, n], where [n, r] is 0
+            assert row == row[::-1] == [oracle_gaussian_binomial(n, r) for r in range(n + 1)]
+        for rows in range(1, 9):  # the all-matrices census reads one such row
+            for k in range(1, rows + 4):
+                product, want = 1, {}
+                for i in range(min(rows, k) + 1):
+                    want[i] = oracle_gaussian_binomial(rows, i) * product
+                    product *= 2 ** k - 2 ** i
+                assert F.landsberg_table(rows, k) == want, (rows, k)
 
 
 class TestStackedGamma:

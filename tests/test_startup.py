@@ -77,6 +77,8 @@ def test_lanes_census_and_expsum_import_apart():
     assert not {"gf2", "builders", "laurent"} & graph["census"]
     assert graph["lanes"] == set()
     assert "expsum" not in graph["census"] and "census" not in graph["expsum"]
+    # the closed route reaches none of the enumeration route, nor the front ends
+    assert not {"census", "lanes", "expsum", "suites", "cli"} & graph["formulas"]
 
 
 def test_only_the_coset_integral_imports_dyadic():
@@ -111,6 +113,9 @@ def test_a_run_loads_only_its_commands_modules(tmp_path, command):
     persym = {name for name in loaded if name.startswith("persym.")}
     assert persym == {"persym." + name for name in IMPORT_PATHS[command] | {"exceptions"}}
     assert ("csv" in loaded) == command.endswith("--format csv")
+    prints_json = command.startswith("verify") or (
+        command.startswith("census") and not command.endswith("--format csv"))
+    assert ("json" in loaded) == prints_json
 
 
 def valid_argvs():
