@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import re
 import subprocess
@@ -323,6 +324,28 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "lemmas5.x", "--s", "3", "--k", "4"], capsys)
         assert code == 0
         assert json.loads(out)["match"] is True
+
+    def test_partition_suite_reads_the_keys_each_lemma_names(self):
+        # the census holds 0 at every impossible key, so reading another impossible
+        # key changes no report; here each key holds its own bit, so a sum shows
+        # which keys it read
+        s, k = 3, 4
+        quads = Counter({key: 1 << bit for bit, key in
+                         enumerate(itertools.product(range(-1, s + 2), repeat=4))})
+
+        def run_census(kind, params, label=None):
+            return quads if kind == "quad" else Counter({i: 3 ** i for i in range(s + 1)})
+
+        computed, expected = suites.verify_partition_suite(run_census, 28, s, k)
+        for j in range(s):
+            assert (computed["pair j=%d" % j], expected["pair j=%d" % j]) == (
+                quads[(j, j, j, j)], quads[(j, j, j, j + 1)])
+        for j in range(s - 1):
+            assert computed["skew j=%d" % j] == (quads[(j, j + 1, j + 1, j + 1)]
+                                                 + quads[(j, j + 1, j, j + 1)]
+                                                 + quads[(j, j, j + 1, j + 1)])
+            assert expected["delete i=%d" % j] == (2 * quads[(j, j, j, j)]
+                                                   + quads[(j - 1, j, j, j + 1)])
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(formulas, "gamma_table", lambda s, k: {0: 999})
