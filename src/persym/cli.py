@@ -141,7 +141,7 @@ _EXPSUM_REQUIRED = {
 # the series flags; the others are integers
 _SERIES_HELP = {
     "t": "series argument, leftmost bit is the T^-1 coefficient",
-    "eta": "row series (f2 is fmulti with this one row)",
+    "eta": "series of the one row stacked under the window",
     "etas": "comma-separated row series",
 }
 

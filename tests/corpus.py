@@ -111,6 +111,10 @@ RUNS = [
     "verify thm3.1 --s 1 --k 1", "verify thm3.3 --s 1 --k 3", "verify thm3.3 --s 3 --k 3",
     "verify thm3.5 --s 3 --k 4 --q 1", "verify lemmas5.x --s 3 --k 5", "verify cor3.10 --n 1",
     "verify landsberg --rows 1 --k 3", "verify sigma6.x --m 1 --k 4",
+    # repcount_piecewise, every family of the one-row case table, and g = 0
+    "verify thm3.11 --q 1 --n 0 --k 3 --m 1", "verify thm3.11 --q 2 --n 0 --k 3 --m 2",
+    "verify thm3.11 --q 3 --n 0 --k 4 --m 2", "verify thm3.8 --m 0 --k 3",
+    "verify thm3.8 --m 2 --k 2", "verify thm3.8 --m 4 --k 4", "expsum g --s 2 --k 2 --t 010",
 ]
 
 REFUSALS = [
@@ -135,7 +139,8 @@ REFUSALS = [
     "census gamma --s 0 --k 3", "census quad --s 0 --k 3", "census sigma --m -1 --k 2",
     "census stacked --n -1 --m 0 --k 2",
     "verify thm3.1 --s 0", "verify thm3.3 --s 4 --k 3", "verify thm3.5 --q 0",
-    "verify thm3.5 --s 1", "verify thm3.8 --k 0", "verify thm3.9 --n -1",
+    "verify thm3.5 --s 1", "verify thm3.8 --k 0", "verify thm3.8 --m 0 --k 1",
+    "verify thm3.9 --n -1",
     "verify cor3.10 --n 0", "verify thm3.11 --q 0", "verify landsberg --rows 0",
     "verify lemmas5.x --s 1 --k 3", "verify lemmas5.x --s 4 --k 3", "verify sigma6.x --k 0",
     "expsum h --s 0 --k 2 --t 1", "expsum g --s 1 --k 2 --t 1",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import combinations, product
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 # ---------------------------------------------------------------- matrices
@@ -42,6 +42,10 @@ def _nonsingular(square: List[List[int]]) -> bool:
         if all(sum(row[j] * x[j] for j in range(r)) % 2 == 0 for row in square):
             return False
     return True
+
+
+def oracle_hankel_entries(alpha: Sequence[int], l: int, n: int, m: int) -> List[List[int]]:
+    return [[alpha[l + i + j - 1] for j in range(m)] for i in range(n)]
 
 
 # ------------------------------------------------------- series and sums
@@ -173,6 +177,70 @@ def g_boundary_factors(s: int, k: int, t) -> Tuple[int, int]:
     return g1, g2
 
 
+# ------------------------------------------------------------ rank censuses
+
+# A census walks the coefficient bits v of its windows: gamma (s, k) ranks
+# each s x k window, quad (l, n, m) each n x m window, and sigma (m, k) and
+# stacked (n, m, k) each (1+m) x k window, under one free row or n.
+
+
+def oracle_window_ranks(kind: str, params: Tuple[int, ...],
+                        windows: Optional[range] = None) -> List[dict]:
+    """What a census chunk holds, as one {key: 1} per window index (all of
+    them unless windows names a range): the window's rank, or for quad the
+    ranks of its four corner blocks, with the last row and column deleted,
+    the last row, the last column, and none. quad ignores l, which only
+    names where the window starts."""
+    rows, cols = params[-2:] if kind in ("gamma", "quad") else (1 + params[-2], params[-1])
+    narrow = (1 << (cols - 1)) - 1
+    out = []
+    for v in range(1 << (rows + cols - 1)) if windows is None else windows:
+        block = _window_rows(v, rows, cols)
+        if kind == "quad":
+            cut = [row & narrow for row in block]
+            key = (_rank_bits(cut[:-1]), _rank_bits(block[:-1]), _rank_bits(cut),
+                   _rank_bits(block))
+        else:
+            key = _rank_bits(block)
+        out.append({key: 1})
+    return out
+
+
+def oracle_window_tallies(kind: str, params: Tuple[int, ...]) -> List[dict]:
+    """The whole census, as one tally per window index: the window's own key
+    for gamma and quad; for stacked (n, m, k) the window's rank under every
+    n-tuple of free rows; for sigma (m, k) stacked with one free row, each
+    rank keyed "same" or "up" by whether the row raised the window's."""
+    if kind in ("gamma", "quad"):
+        return oracle_window_ranks(kind, params)
+    m, k = params[-2:]
+    tallies = []
+    for v in range(1 << (k + m)):
+        block = _window_rows(v, 1 + m, k)
+        if kind == "sigma":
+            base = _rank_bits(block)
+            tallies.append({("same" if r == base else "up", r): count
+                            for r, count in _free_row_ranks(block, 1, k).items()})
+        else:
+            tallies.append(_free_row_ranks(block, params[0], k))
+    return tallies
+
+
+def oracle_rank_counts(rows: int, k: int) -> dict:
+    """Every rows x k matrix, tallied by rank."""
+    return _free_row_ranks([], rows, k)
+
+
+def _free_row_ranks(block: List[int], n: int, k: int) -> dict:
+    """Ranks of block under each of the 2^(nk) n-tuples of free k-bit rows."""
+    mask = (1 << k) - 1
+    counts: dict = {}
+    for word in range(1 << (n * k)):
+        r = _rank_bits(block + [(word >> (j * k)) & mask for j in range(n)])
+        counts[r] = counts.get(r, 0) + 1
+    return counts
+
+
 # ------------------------------------------------------ solution counting
 
 
@@ -216,10 +284,9 @@ def oracle_repcount_integral(q: int, n: int, k: int, m: int) -> int:
 @cache
 def _coset_values(n: int, k: int, m: int) -> Counter:
     values: Counter = Counter()
-    for tv in range(1 << (k + m)):
-        block = _window_rows(tv, 1 + m, k)
-        for etas in product(range(1 << k), repeat=n):
-            values[1 << (k + m + n + 1 - _rank_bits(block + list(etas)))] += 1
+    for counts in oracle_window_tallies("stacked", (n, m, k)):
+        for r, count in counts.items():
+            values[1 << (k + m + n + 1 - r)] += count
     return values
 
 
@@ -250,20 +317,3 @@ def oracle_gaussian_binomial(n: int, r: int) -> int:
     quotient, remainder = divmod(numerator, denominator)
     assert remainder == 0, (n, r)
     return quotient
-
-
-# ----------------------------------------------------------- mini census
-
-
-def oracle_hankel_entries(alpha: Sequence[int], l: int, n: int, m: int) -> List[List[int]]:
-    return [[alpha[l + i + j - 1] for j in range(m)] for i in range(n)]
-
-
-def oracle_gamma(s: int, k: int) -> dict:
-    """Rank census of s x k persymmetric matrices via minor-expansion rank."""
-    table: dict = {}
-    for v in range(1 << (k + s - 1)):
-        alpha = [(v >> b) & 1 for b in range(k + s - 1)]
-        r = oracle_rank_minors(oracle_hankel_entries(alpha, 1, s, k))
-        table[r] = table.get(r, 0) + 1
-    return table

@@ -18,77 +18,13 @@ from hypothesis import given, strategies as st
 from persym import builders, cli, expsum, gf2, lanes, suites
 from persym import census as C
 from persym import formulas as F
-from persym.builders import hankel, rank_profile, stacked
 from persym.dyadic import DyadicRational
 from persym.exceptions import BudgetExceeded, IncompleteDomain
 from persym.expsum import fmulti_closed, g_closed, h_closed
-from persym.gf2 import rank
 from persym.laurent import UnitSeries
 
-from oracles import oracle_repcount, oracle_repcount_integral
-
-
-def naive_stacked_counts(n, m, k):
-    """Per-tuple build-and-rank reference for the stacked census."""
-    return merged_tally(naive_window_tallies("stacked", (n, m, k)))
-
-
-def naive_window_tallies(kind, params):
-    """Per-window build-and-rank tallies, one dict per window index.
-
-    gamma (s, k) and quad (l, n, m) rank each window; stacked (n, m, k)
-    ranks each window with every tuple of n free rows; sigma (m, k) ranks
-    each window with every free row and keys the pair by whether the row
-    raised the window's rank.
-    """
-    if kind in ("gamma", "quad"):
-        depth = sum(params[-2:]) - 1
-        return [{naive_window_key(kind, params, v): 1} for v in range(1 << depth)]
-    if kind == "sigma":
-        m, k = params
-        tallies = []
-        for tv in range(1 << (k + m)):
-            t = UnitSeries(tv, k + m)
-            base = rank(hankel(t, 1, 1 + m, k))
-            counts = {}
-            for eta in range(1 << k):
-                r = rank(stacked(t, [UnitSeries(eta, k)], m, k))
-                key = ("same" if r == base else "up", r)
-                counts[key] = counts.get(key, 0) + 1
-            tallies.append(counts)
-        return tallies
-    n, m, k = params
-    kmask = (1 << k) - 1
-    tallies = []
-    for tv in range(1 << (k + m)):
-        t = UnitSeries(tv, k + m)
-        counts = {}
-        for word in range(1 << (n * k)):
-            etas = [UnitSeries((word >> (j * k)) & kmask, k) for j in range(n)]
-            r = rank(stacked(t, etas, m, k))
-            counts[r] = counts.get(r, 0) + 1
-        tallies.append(counts)
-    return tallies
-
-
-def naive_window_ranks(kind, params):
-    """Per-window build-and-rank tallies of what a chunk holds, one dict per
-    window index: naive_window_tallies for gamma and quad, the rank of the
-    (1+m) x k window block for sigma (m, k) and stacked (n, m, k)."""
-    if kind in ("gamma", "quad"):
-        return naive_window_tallies(kind, params)
-    m, k = params[-2:]
-    return [{rank(hankel(UnitSeries(tv, k + m), 1, 1 + m, k)): 1} for tv in range(1 << (k + m))]
-
-
-def naive_window_key(kind, params, v):
-    """Build-and-rank key of window v: its rank for gamma (s, k), its
-    corner-deleted rank profile for quad (l, n, m)."""
-    if kind == "gamma":
-        s, k = params
-        return rank(hankel(UnitSeries(v, k + s - 1), 1, s, k))
-    l, n, m = params
-    return tuple(rank_profile(UnitSeries(v << (l - 1), l + n + m - 2), l, n, m))
+from oracles import (oracle_repcount, oracle_repcount_integral, oracle_window_ranks,
+                     oracle_window_tallies)
 
 
 def merged_tally(tallies):
@@ -173,8 +109,8 @@ class TestWalkAgainstNaive:
     @pytest.mark.parametrize("kind,params", WALK_GRIDS)
     @pytest.mark.parametrize("chunk_size", ["whole", 1, 3, 7, None])
     def test_each_chunk_matches_naive(self, tmp_path, kind, params, chunk_size):
-        windows = naive_window_tallies(kind, params)
-        ranks = naive_window_ranks(kind, params)
+        windows = oracle_window_tallies(kind, params)
+        ranks = oracle_window_ranks(kind, params)
         size = len(windows) if chunk_size == "whole" else chunk_size
         path = str(tmp_path / "walk.ckpt")
         total = run_census(kind, params, checkpoint=path, chunk_size=size)
@@ -190,8 +126,8 @@ class TestWalkAgainstNaive:
 
     @pytest.mark.parametrize("kind,params", WALK_GRIDS)
     def test_two_workers_match_naive(self, tmp_path, kind, params):
-        windows = naive_window_tallies(kind, params)
-        ranks = naive_window_ranks(kind, params)
+        windows = oracle_window_tallies(kind, params)
+        ranks = oracle_window_ranks(kind, params)
         path = str(tmp_path / "walk.ckpt")
         total = run_census(kind, params, threads=2, checkpoint=path, chunk_size=3)
         assert total == merged_tally(windows)
@@ -202,8 +138,8 @@ class TestWalkAgainstNaive:
         ("gamma", (3, 4)), ("quad", (1, 3, 3)), ("sigma", (1, 2)), ("stacked", (2, 1, 2)),
     ])
     def test_resume_from_checkpoint_in_line_format(self, tmp_path, kind, params):
-        windows = naive_window_tallies(kind, params)
-        ranks = naive_window_ranks(kind, params)
+        windows = oracle_window_tallies(kind, params)
+        ranks = oracle_window_ranks(kind, params)
         path = tmp_path / "walk.ckpt"
         header = checkpoint_header(kind, params, len(ranks), 3)
         with open(path, "w") as handle:
@@ -237,7 +173,7 @@ SMALL_GRIDS = {
 
 @functools.cache
 def naive_tally(kind, params):
-    return merged_tally(naive_window_tallies(kind, params))
+    return merged_tally(oracle_window_tallies(kind, params))
 
 
 class TestLaneWords:
@@ -264,7 +200,7 @@ class TestLaneWords:
             monkeypatch.setattr(lanes, "_LANE_BITS", 2)
             assert run_census(kind, params, checkpoint=str(path), chunk_size=3) \
                 == naive_tally(kind, params), params
-            ranks = naive_window_ranks(kind, params)
+            ranks = oracle_window_ranks(kind, params)
             chunks = checkpoint_chunks(str(path))
             assert len(chunks) == -(-len(ranks) // 3), params
             for (lo, hi), counts in chunks.items():
@@ -281,7 +217,7 @@ class TestLaneWords:
         straddling = [rng for rng in chunks if rng[0] // word != (rng[1] - 1) // word]
         assert straddling
         for lo, hi in straddling:
-            want = Counter(naive_window_key(kind, params, v) for v in range(lo, hi))
+            want = merged_tally(oracle_window_ranks(kind, params, range(lo, hi)))
             assert chunks[(lo, hi)] == want, (lo, hi)
 
     @pytest.mark.parametrize("b", [0, 1, 2, 5, 10])
@@ -392,7 +328,7 @@ class TestEnumStacked:
         for n, m, k in [(0, 0, 1), (0, 2, 2), (1, 1, 2), (2, 1, 2), (1, 2, 2),
                         (2, 0, 2), (1, 1, 3), (3, 1, 2), (2, 2, 3),
                         (3, 1, 3), (4, 0, 3), (3, 2, 3), (2, 1, 4), (2, 1, 5)]:
-            assert dict(C.enum_stacked_gamma(n, m, k)) == naive_stacked_counts(n, m, k)
+            assert dict(C.enum_stacked_gamma(n, m, k)) == naive_tally("stacked", (n, m, k))
 
     def test_matches_closed_form(self):
         for n, m, k in [(2, 2, 2), (3, 0, 3), (2, 1, 4), (2, 1, 8)]:
@@ -691,7 +627,7 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("chunk_size", [1, 3, None])
     def test_every_written_line_reads_back_as_its_chunk(self, tmp_path, kind, params,
                                                         chunk_size):
-        ranks = naive_window_ranks(kind, params)
+        ranks = oracle_window_ranks(kind, params)
         path = tmp_path / "census.ckpt"
         run_census(kind, params, checkpoint=str(path), chunk_size=chunk_size)
         header = path.read_text().split("\n", 1)[0]
@@ -1095,13 +1031,9 @@ class TestRepcounts:
                     bits = k + m + n * k
                     if bits > 12:
                         continue
-                    kmask = (1 << k) - 1
-                    values = []
-                    for point in range(1 << bits):
-                        t = UnitSeries(point & ((1 << (k + m)) - 1), k + m)
-                        word = point >> (k + m)
-                        etas = [UnitSeries((word >> (j * k)) & kmask, k) for j in range(n)]
-                        values.append(1 << (k + m + n + 1 - rank(stacked(t, etas, m, k))))
+                    values = [1 << (k + m + n + 1 - r)
+                              for counts in oracle_window_tallies("stacked", (n, m, k))
+                              for r, count in counts.items() for _ in range(count)]
                     q = 1 + bits % 3
                     want = Fraction(sum(v**q for v in values), 1 << bits)
                     assert want.denominator == 1

@@ -48,11 +48,16 @@ def persym_imports(tree, module):
 
 
 @functools.cache
+def module_imports(module):
+    """persym_imports of a persym module's own source, parsed once."""
+    path = PACKAGE / ("__init__.py" if module == "persym" else module.split(".")[1] + ".py")
+    return persym_imports(ast.parse(path.read_text(), str(path)), module)
+
+
 def origin(module, name):
     """Where module.name is defined: followed through the module's own
     `from .X import name` lines, as persym re-exports the exceptions."""
-    path = PACKAGE / ("__init__.py" if module == "persym" else module.split(".")[1] + ".py")
-    bound = persym_imports(ast.parse(path.read_text(), str(path)), module)
+    bound = module_imports(module)
     return origin(*bound[name]) if name in bound else (module, name)
 
 

@@ -243,6 +243,20 @@ def test_direct_sums_refuse_more_terms_than_the_budget():
         assert direct(bits) == 1 << bits  # every term of the sum at t = 0 is 1
 
 
+# t needs k+s-1 coefficients for g and k+m for g2 and fmulti, each eta k;
+# the closed forms check their own, so only these tests see the direct guards
+@pytest.mark.parametrize("direct,args,text", [
+    (g_direct, (2, 3, S("101")), "needs precision 4, series has 3"),
+    (g2var_direct, (2, 3, S("1011"), S("101")), "needs precision 5, series has 4"),
+    (g2var_direct, (2, 3, S("10110"), S("10")), "needs precision 3, series has 2"),
+    (fmulti_direct, (2, 3, S("1011"), [S("101")]), "needs precision 5, series has 4"),
+    (fmulti_direct, (2, 3, S("10110"), [S("101"), S("10")]), "needs precision 3, series has 2"),
+], ids=["g-t", "g2-t", "g2-eta", "fmulti-t", "fmulti-eta"])
+def test_direct_sums_refuse_a_series_one_coefficient_short(direct, args, text):
+    with pytest.raises(InsufficientPrecision, match=text):
+        direct(*args)
+
+
 # ------------------------------------------------------------ oracle grids
 
 # every parameter set whose full grid of series holds at most 2^12 terms
