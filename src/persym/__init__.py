@@ -17,7 +17,6 @@ The package has three layers:
 from .exceptions import (
     BudgetExceeded,
     CaseMismatch,
-    IncompleteDomain,
     InsufficientPrecision,
     NonIntegerResult,
     PersymError,
@@ -27,7 +26,6 @@ __all__ = [
     "PersymError",
     "InsufficientPrecision",
     "BudgetExceeded",
-    "IncompleteDomain",
     "NonIntegerResult",
     "CaseMismatch",
 ]

@@ -50,8 +50,8 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 # only the stdlib, lanes and exceptions here: the coset integral imports dyadic
 # and the closed count formulas in their own bodies, so a census loads no more
 from . import lanes
-from .exceptions import (DEFAULT_BUDGET_BITS, GRID_MAX_BITS, BudgetExceeded, IncompleteDomain,
-                         NonIntegerResult, bigint_bits, check_budget)
+from .exceptions import (DEFAULT_BUDGET_BITS, GRID_MAX_BITS, BudgetExceeded, NonIntegerResult,
+                         bigint_bits, check_budget)
 
 __all__ = [
     "DEFAULT_BUDGET_BITS",
@@ -372,22 +372,16 @@ def enum_stacked_gamma(n: int, m: int, k: int, **options) -> Counter:
 def integrate_coset(values, N: int) -> DyadicRational:
     """Exact Haar integral of a function constant on depth-N cosets.
 
-    values maps every representative in [0, 2^N) to an integer (a mapping
-    or a sequence in index order); the integral is their sum weighted by
-    the coset measure 2^{-N}.
+    values lists the integer value of every representative in [0, 2^N) in
+    index order; the integral is their sum weighted by the coset measure 2^{-N}.
     """
     from .dyadic import DyadicRational
 
     if N < 0:
         raise ValueError("coset depth must be nonnegative, got %d" % N)
-    size = 1 << N
-    if len(values) != size:
-        raise IncompleteDomain("expected %d representatives, got %d" % (size, len(values)))
-    try:
-        total = sum(values[v] for v in range(size))
-    except KeyError as missing:
-        raise IncompleteDomain("missing representative %s at depth %d" % (missing, N)) from None
-    return DyadicRational(total, -N)
+    if len(values) != 1 << N:
+        raise ValueError("expected %d representatives, got %d" % (1 << N, len(values)))
+    return DyadicRational(sum(values), -N)
 
 
 def _check_qnkm(q: int, n: int, k: int, m: int) -> None:

@@ -10,8 +10,10 @@ Four subcommands:
 Each command kind declares only the flags it reads, so argparse refuses
 any other (`persym <command> <kind> -h` lists them). Exit status is 0
 when every comparison matches, 1 on a mathematical mismatch, 2 on usage
-errors or when an enumeration would exceed the point budget.  Output for
-a given input is byte-identical across runs and across worker counts.
+errors or when an enumeration would exceed the point budget, and 141
+(128 + SIGPIPE, nothing on stderr) when the reader closes stdout early
+(`| head`).  Output for a given input is byte-identical across runs and
+across worker counts.
 
 Series arguments are bit strings whose leftmost character is the
 coefficient of T^-1, so `--t 100` means t = T^-1 exactly. A sum reads only
@@ -351,6 +353,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
+    except BrokenPipeError:  # a reader that closed stdout is no checkpoint error
+        raise
     except (CaseMismatch, NonIntegerResult) as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return 1
@@ -362,7 +366,12 @@ def main(argv=None) -> int:
 
 def script() -> int:
     """main() as the `persym` console script and `python -m persym.cli` run it."""
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # so exit flushes into devnull, not the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer that a pipe killed
     gc.freeze()  # exit then skips collecting what is left; stdout is flushed before
     return code
 

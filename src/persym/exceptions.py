@@ -39,10 +39,6 @@ def bigint_bits(values: int, bits: int) -> int:
     return (values * (max(0, bits) // 64 + 1) ** 2).bit_length()
 
 
-class IncompleteDomain(PersymError):
-    """A coset integral was requested over a value map that misses representatives."""
-
-
 class NonIntegerResult(PersymError):
     """A count formula produced a non-integer, signalling an inconsistent input table."""
 

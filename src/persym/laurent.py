@@ -28,10 +28,6 @@ __all__ = [
 ]
 
 
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
-
-
 class Poly2:
     """Polynomial over GF(2) packed into an int (bit i = coefficient of T^i)."""
 
@@ -41,9 +37,6 @@ class Poly2:
         if bits < 0:
             raise ValueError("coefficient bits must be nonnegative")
         self.bits = bits
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
 
     def __repr__(self) -> str:
         return "Poly2(0b%s)" % format(self.bits, "b")
@@ -95,7 +88,5 @@ def poly_mul(a: Poly2, b: Poly2) -> Poly2:
 
 def char_E_of_product(t: UnitSeries, p: Poly2) -> int:
     """E of the fractional part of t*p, i.e. (-1)^(sum_j p_j a_{1+j})."""
-    if not p:
-        return 1
-    t.require(1 + (p.bits.bit_length() - 1))
-    return -1 if _parity(t.coeffs & p.bits) else 1
+    t.require(p.bits.bit_length())
+    return -1 if (t.coeffs & p.bits).bit_count() & 1 else 1

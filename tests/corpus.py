@@ -12,9 +12,11 @@ checkpoint files it leaves. Each entry runs in an empty directory, so a
 checkpoint path reads the same in every run. COLUMNS is fixed, so help
 wraps the same way.
 
-argparse writes the help and usage errors itself, and its wording moves
+argparse writes the help and usage errors itself, and its spacing moves
 between Python versions; those entries say so (`argparse`), and only the
-Python version that wrote the corpus compares their text.
+Python version that wrote the corpus compares their text byte for byte.
+Every other version compares it with each run of whitespace read as one
+space.
 """
 
 import contextlib

@@ -19,7 +19,7 @@ from persym import builders, cli, expsum, gf2, lanes, suites
 from persym import census as C
 from persym import formulas as F
 from persym.dyadic import DyadicRational
-from persym.exceptions import BudgetExceeded, IncompleteDomain
+from persym.exceptions import BudgetExceeded
 from persym.expsum import fmulti_closed, g_closed, h_closed
 from persym.laurent import UnitSeries
 
@@ -931,13 +931,8 @@ class TestIntegrateCoset:
         assert suites._over_power_of_two(12, 4) == "3/2^2"
         assert suites._over_power_of_two(-6, 3) == "-3/2^2"
 
-    def test_mapping_domain_checked(self):
-        assert C.integrate_coset({0: 5, 1: 3}, 1) == DyadicRational(4)
-        with pytest.raises(IncompleteDomain):
-            C.integrate_coset({0: 5, 2: 3}, 1)
-        with pytest.raises(IncompleteDomain):
-            C.integrate_coset({0: 5}, 1)
-        with pytest.raises(IncompleteDomain):
+    def test_a_list_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="^expected 8 representatives, got 7$"):
             C.integrate_coset([1] * 7, 3)
 
 
@@ -1098,6 +1093,14 @@ class TestRepcounts:
                 "brute count q=%d n=1 k=2 m=1 needs a 2^8 point domain, over the 2^7"
                 " budget" % q)):
             C.repcount_bruteforce(q, 1, 2, 1, budget_bits=7)
+
+    def test_bruteforce_at_q_three_is_charged_the_transform_alone(self):
+        # the 2^5 listed contributions are over a 2^4 budget too, but only q <= 2
+        # is charged for them: the refusal names the transform's 5 + 3 bits
+        with pytest.raises(BudgetExceeded, match=re.escape(
+                "brute count q=3 n=1 k=2 m=1 needs a 2^8 point domain, over the 2^4"
+                " budget")):
+            C.repcount_bruteforce(3, 1, 2, 1, budget_bits=4)
 
     def test_bruteforce_charges_the_powers_of_a_large_q(self):
         # each F(x)^200 has up to 200*5 bits, W = 16 words: 5 + bit_length(5*16^2) bits

@@ -1018,3 +1018,14 @@ def test_console_script_matches_in_process_output():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == '{"0":1,"1":3,"2":12}\n'
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
+    # the 72,403-byte report overruns a 64 KiB pipe, so a write meets the closed end
+    with subprocess.Popen([sys.executable, "-m", "persym.cli", "verify", "cor3.10", "--n", "40"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+        assert len(run.stdout.read(10)) == 10
+        run.stdout.close()
+        stderr = run.stderr.read()
+        assert run.wait(timeout=60) == 141
+    assert stderr == b""

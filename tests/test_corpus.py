@@ -16,15 +16,19 @@ def _inputs(record):
     return {key: value for key, value in record.items() if key not in OUTPUTS}
 
 
+def _spacing_free(record):
+    """The record with each run of whitespace in its streams read as one space."""
+    return dict(record, stdout=" ".join(record["stdout"].split()),
+                stderr=" ".join(record["stderr"].split()))
+
+
 @pytest.mark.parametrize("record", RECORDED["entries"], ids=lambda record: " ".join(
     record["argv"]) + (" (%s)" % record["about"] if "about" in record else ""))
 def test_output_is_the_recorded_output(record, tmp_path):
     got = corpus.run(_inputs(record), tmp_path)
     if record.get("argparse") and corpus.python_version() != RECORDED["python"]:
-        # argparse's own wording: only its exit code and the usage line's start
-        assert (got["exit"], got.get("argparse")) == (record["exit"], True)
-        assert (got["stdout"] + got["stderr"]).startswith("usage: persym")
-        return
+        # argparse pads its columns by version (3.13 widens verify -h's suite column)
+        got, record = _spacing_free(got), _spacing_free(record)
     assert got == record
 
 

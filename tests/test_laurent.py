@@ -31,7 +31,7 @@ def frac_mul(t: UnitSeries, p: Poly2, precision: Optional[int] = None) -> UnitSe
     shifts the tail of t left by j places and the integer part falls away.
     Default precision is the largest the input supports.
     """
-    if not p:
+    if not p.bits:
         return UnitSeries(0, t.precision if precision is None else precision)
     deg = p.bits.bit_length() - 1
     if precision is None:
