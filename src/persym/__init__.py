@@ -14,20 +14,4 @@ The package has three layers:
   two routes and emits machine-readable reports.
 """
 
-from .exceptions import (
-    BudgetExceeded,
-    CaseMismatch,
-    InsufficientPrecision,
-    NonIntegerResult,
-    PersymError,
-)
-
-__all__ = [
-    "PersymError",
-    "InsufficientPrecision",
-    "BudgetExceeded",
-    "NonIntegerResult",
-    "CaseMismatch",
-]
-
 __version__ = "0.1.0"

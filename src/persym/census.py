@@ -229,7 +229,8 @@ def _run_chunks(
             # imported here, so that runs without a pool skip importing it
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=min(threads, len(pending)))
+            pool = ProcessPoolExecutor(max_workers=min(threads, len(pending)),
+                                       initializer=_exit_with_parent, initargs=(os.getpid(),))
             results = pool.map(_walk_worker, jobs)
         else:
             results = map(_walk_worker, jobs)
@@ -260,7 +261,26 @@ def _run_chunks(
 
 
 # ---------------------------------------------------------------------------
-# the lane kernel (top level so it crosses process boundaries)
+# the pool worker's set-up and the lane kernel (top level: they cross processes)
+
+
+def _exit_with_parent(census: int) -> None:
+    """End this pool worker once the census dies, rather than leave it blocked on
+    the call queue. Its parent is the census, or under forkserver a server the workers
+    keep alive, so there the census pid is probed (os.kill would end a Windows pid)."""
+    import threading
+    import time
+
+    forked = os.name != "posix" or os.getppid() == census
+
+    def watch() -> None:
+        try:
+            while os.getppid() == census if forked else os.kill(census, 0) is None:
+                time.sleep(0.2)
+        finally:  # re-parented, or os.kill found no census
+            os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _walk_worker(args: Tuple[Blocks, int, int, int]) -> Counter:

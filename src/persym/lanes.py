@@ -20,18 +20,13 @@ _LANE_BITS = 16
 
 @functools.lru_cache(maxsize=None)
 def _lane_masks(b: int) -> Tuple[int, ...]:
-    """M_p for p < b: bit x of M_p is bit p of x, over 2^b lanes.
-
-    Each is one period (2^p zeros, then 2^p ones) doubled up to 2^b bits:
-    shifts and ors, where dividing a 2^16-bit word took about 8 ms.
-    """
+    """M_p for p < b: bit x of M_p is bit p of x, over 2^b lanes. The masks of
+    2^(l+1) lanes repeat each of 2^l (m | m << 2^l) and add 2^l zeros, then 2^l
+    ones: shifts and ors, where dividing a 2^16-bit word took about 8 ms."""
     masks = []
-    for p in range(b):
-        mask, width = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
-        while width < 1 << b:
-            mask |= mask << width
-            width <<= 1
-        masks.append(mask)
+    for l in range(b):
+        half = 1 << l
+        masks = [m | m << half for m in masks] + [((1 << half) - 1) << half]
     return tuple(masks)
 
 
@@ -61,28 +56,13 @@ def _span(base: int, vectors: Iterable[int]) -> List[int]:
 
 def _wht(v: List[int]) -> None:
     """Walsh-Hadamard transform in place: v[t] becomes the sum over p of
-    v[p] * (-1)^popcount(t & p), for len(v) a power of two (Yates 1937).
-
-    Each level pairs v[i] with v[i + h] through list slices and map(add/sub):
-    strided slices while a level has fewer pair offsets (h) than blocks
-    (len(v) / 2h), contiguous ones after, so each level takes at most
-    about sqrt(len(v)) slice operations.
-    """
-    n, h = len(v), 1
-    while h < n:
-        step = 2 * h
-        if h * step < n:
-            for r in range(h):
-                a, b = v[r::step], v[r + h::step]
-                v[r::step] = map(add, a, b)
-                v[r + h::step] = map(sub, a, b)
-        else:
-            for lo in range(0, n, step):
-                mid, hi = lo + h, lo + step
-                a, b = v[lo:mid], v[mid:hi]
-                v[lo:mid] = map(add, a, b)
-                v[mid:hi] = map(sub, a, b)
-        h = step
+    v[p] * (-1)^popcount(t & p), for len(v) a power of two, by Yates's (1937) pass
+    log2(len(v)) times: the sums v[2i] + v[2i + 1] in order, then the differences."""
+    half = len(v) // 2
+    for _ in range(len(v).bit_length() - 1):
+        a, b = v[0::2], v[1::2]
+        v[:half] = map(add, a, b)
+        v[half:] = map(sub, a, b)
 
 
 def _product_sums(bits: int, ys: Iterable[int], shifts: Sequence[int],

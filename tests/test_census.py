@@ -849,9 +849,9 @@ class TestPool:
         started = []
         real = concurrent.futures.ProcessPoolExecutor
 
-        def spy(max_workers):
+        def spy(max_workers, **options):
             started.append(max_workers)
-            return real(max_workers=max_workers)
+            return real(max_workers=max_workers, **options)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
         return started

@@ -1,9 +1,12 @@
 import inspect
 import itertools
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -289,6 +292,61 @@ class TestCensusCommand:
         assert json.loads(result.stdout) == {
             str(i): count for i, count in formulas.gamma_table(11, 12).items()}
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads the process table from /proc")
+    @pytest.mark.parametrize("start", ["fork", "forkserver"])
+    def test_workers_end_when_their_census_is_killed(self, tmp_path, start):
+        # 2^24 windows in 64 chunks: two workers start the pool
+        args = ["census", "gamma", "--s", "12", "--k", "13", "--threads", "2"]
+        script = ("import multiprocessing, sys\n"
+                  "multiprocessing.set_start_method(sys.argv[1])\n"
+                  "from persym import cli\n"
+                  "sys.exit(cli.main(sys.argv[2:]))\n")
+        argv = [sys.executable, "-c", script, start] + args + ["--checkpoint", "ck"]
+        checkpoint = tmp_path / "ck.gamma"
+
+        def group_members(group):
+            """Pids of the group's processes that have not ended (a zombie has)."""
+            members = []
+            for stat in Path("/proc").glob("[0-9]*/stat"):
+                try:
+                    state, _, pgrp = stat.read_text().rpartition(")")[2].split()[:3]
+                except OSError:  # it ended while the table was read
+                    continue
+                if int(pgrp) == group and state != "Z":
+                    members.append(int(stat.parent.name))
+            return members
+
+        run = subprocess.Popen(argv, cwd=tmp_path, stdout=subprocess.DEVNULL,
+                               stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            # the header and the first chunk line
+            while not (checkpoint.exists() and checkpoint.read_bytes().count(b"\n") >= 2):
+                assert time.monotonic() < deadline and run.poll() is None
+                time.sleep(0.005)
+            run.kill()  # the census alone
+            # a forked worker sees its parent die even while the census is a zombie;
+            # under forkserver the workers probe the census pid, which a zombie keeps
+            if start == "forkserver":
+                run.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while group_members(run.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert group_members(run.pid) == []
+            assert run.wait(timeout=10) == -signal.SIGKILL
+        finally:
+            try:
+                os.killpg(run.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            run.wait()
+        rerun = subprocess.run(argv, cwd=tmp_path, capture_output=True, timeout=60)
+        whole = subprocess.run([sys.executable, "-m", "persym.cli"] + args, cwd=tmp_path,
+                               capture_output=True, timeout=60)
+        assert rerun.returncode == whole.returncode == 0
+        assert rerun.stdout == whole.stdout
+
     def test_budget_exit(self, capsys):
         code, _, err = run_cli(
             ["census", "gamma", "--s", "9", "--k", "9", "--budget-bits", "10"], capsys
@@ -352,6 +410,14 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "thm3.1"], capsys)
         assert code == 1
         assert json.loads(out)["match"] is False
+
+    def test_a_case_table_that_disagrees_exits_one(self, capsys, monkeypatch):
+        # Theorem 3.9's n = 1 table, moved at rank 0, against the printed case tables
+        real = formulas.stacked_gamma_table
+        monkeypatch.setattr(formulas, "stacked_gamma_table",
+                            lambda n, m, k: {**real(n, m, k), 0: 2})
+        assert run_cli(["verify", "thm3.8"], capsys) == (
+            1, "", "mismatch: case table and Theorem 3.9 disagree at m=1 k=3 i=0: 1 vs 2\n")
 
     def test_row_split_report_bytes(self, capsys):
         code, out, _ = run_cli(["verify", "sigma6.x"], capsys)
@@ -927,6 +993,17 @@ class TestRepcountCommand:
             capsys)
         assert code == 0
         assert out == "formula=148 brute=148 integral=148 agree=true\n"
+
+    def test_check_mode_disagreement_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(census, "repcount_bruteforce", lambda *args, **kwargs: 149)
+        assert run_cli(["repcount", "--check", "--q", "2", "--n", "1", "--k", "2", "--m", "1"],
+                       capsys) == (1, "formula=148 brute=149 integral=148 agree=false\n", "")
+
+    def test_a_count_that_is_no_integer_exits_one(self, capsys, monkeypatch):
+        # one window of rank 5 weighs 2^0 over the 2^5-point grid
+        monkeypatch.setattr(census, "enum_stacked_gamma", lambda *args, **kwargs: Counter({5: 1}))
+        argv = ["repcount", "--mode", "integral", "--q", "2", "--n", "1", "--k", "2", "--m", "1"]
+        assert run_cli(argv, capsys) == (1, "", "mismatch: count 1 / 2^5 is not an integer\n")
 
     def test_check_mode_skips_over_budget_modes(self, capsys):
         # brute's transform would hold 2^(6+0+3*6) entries; formula and integral still agree
